@@ -9,16 +9,16 @@ checks behind Strange Duality.
 from .bridgeland import (FM2, FM2Family, GenBiratClass, RankFdeg,
                          canonical_ab, gen_birat_classify, phi_family,
                          transform2, wit1_forced)
-from .chow import (CohClass, KVectorKind, STANDARD_K3, SurfaceDescriptor,
-                   ch_line_bundle, chi_tensor, dual, fdeg, from_coords,
-                   is_standard_k3, load_surface, moduli_dim_k3, mult,
-                   pairing_gram, parse_surface, to_coords, todd)
+from .chow import (CohClass, STANDARD_K3, SurfaceDescriptor, ch_line_bundle,
+                   chi_tensor, dual, fdeg, from_coords, is_standard_k3,
+                   load_surface, moduli_dim_k3, mult, pairing_gram,
+                   parse_surface, to_coords, todd)
 from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      InputError, ReductionError, SingularMatrixError,
                      UnsupportedModelError)
 from .linalg import Mat, render_matrix
-from .operators import (GoldenName, Operator, apply, build, combine, golden,
-                        op_pi_tensor, op_tensor, pairing_preserved, restrict2)
+from .operators import (GoldenName, Operator, build, golden, op_pi_tensor,
+                        op_tensor, pairing_preserved, restrict2)
 from .product import (FMOrientation, ProductClass, Side, diag_push_grr,
                       fm_matrix, kernel_class, prod_mult, product_todd, pull,
                       push, render_product_class)

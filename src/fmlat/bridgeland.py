@@ -19,14 +19,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, CoprimalityError, InputError
+from .linalg import as_int
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _as_int(label: str, x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{label} must be an integer, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,7 @@ class FM2:
 
     def __post_init__(self):
         for label in ("c", "a", "e", "b", "lam"):
-            _as_int(label, getattr(self, label))
+            as_int(label, getattr(self, label))
         if self.lam <= 0:
             raise InputError(f"lambda must be positive, got {self.lam}")
         failures = []
@@ -70,9 +65,6 @@ def mat2_mul(m: Mat2, n: Mat2) -> Mat2:
     )
 
 
-_NEG_IDENTITY: Mat2 = ((-1, 0), (0, -1))
-
-
 class RankFdeg(NamedTuple):
     rk: int
     fd: int
@@ -81,6 +73,8 @@ class RankFdeg(NamedTuple):
 def transform2(m: Mat2, v) -> RankFdeg:
     """Apply a 2x2 integer matrix to a (rank, fiber degree) pair."""
     rk, fd = v
+    as_int("rank", rk)
+    as_int("fiber degree", fd)
     return RankFdeg(m[0][0] * rk + m[0][1] * fd, m[1][0] * rk + m[1][1] * fd)
 
 
@@ -88,30 +82,21 @@ def transform2(m: Mat2, v) -> RankFdeg:
 class FM2Family:
     """The four matrices attached to one kernel choice.
 
-    psi is the almost-inverse of phi; omega and xi come from the dual
-    kernel. relations_verified records that phi.psi = psi.phi = -1 and
-    xi.omega = omega.xi = -1 were checked by actual multiplication.
+    psi is the almost-inverse of phi and omega, xi come from the dual
+    kernel, so that phi.psi = psi.phi = -1 and xi.omega = omega.xi = -1.
     """
 
     phi: FM2
     psi: Mat2
     omega: Mat2
     xi: Mat2
-    relations_verified: bool
 
 
 def phi_family(c: int, a: int, e: int, b: int, lam: int = 1) -> FM2Family:
     """Build the four-matrix family for an admissible (c, a, e, b)."""
     phi = FM2(c, a, e, b, lam)   # raises AdmissibilityError when violated
-    psi: Mat2 = ((-b, a), (e, -c))
-    omega: Mat2 = ((b, a), (e, c))
-    xi: Mat2 = ((-c, a), (e, -b))
-    m = phi.matrix
-    verified = (mat2_mul(m, psi) == _NEG_IDENTITY
-                and mat2_mul(psi, m) == _NEG_IDENTITY
-                and mat2_mul(xi, omega) == _NEG_IDENTITY
-                and mat2_mul(omega, xi) == _NEG_IDENTITY)
-    return FM2Family(phi, psi, omega, xi, verified)
+    return FM2Family(phi, psi=((-b, a), (e, -c)), omega=((b, a), (e, c)),
+                     xi=((-c, a), (e, -b)))
 
 
 def canonical_ab(r: int, d: int) -> tuple[int, int]:
@@ -120,9 +105,8 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
     Exists exactly when r > 1 and gcd(r, d) = 1; computed by inverting d
     modulo r.
     """
-    _as_int("r", r)
-    _as_int("d", d)
-    if r <= 1:
+    as_int("d", d)
+    if as_int("r", r) <= 1:
         raise InputError(f"r must be greater than 1, got {r}")
     if math.gcd(r, d) != 1:
         raise CoprimalityError(f"gcd({r}, {d}) = {math.gcd(r, d)}, must be 1")
@@ -139,11 +123,11 @@ def wit1_forced(v: RankFdeg, a: int, b: int) -> bool:
     Strict inequality, compared as b.rk > a.fd in integers.
     """
     rk, fd = v
-    _as_int("rank", rk)
-    _as_int("fiber degree", fd)
-    if _as_int("a", a) <= 0:
+    as_int("rank", rk)
+    as_int("fiber degree", fd)
+    if as_int("a", a) <= 0:
         raise InputError(f"a must be positive, got {a}")
-    _as_int("b", b)
+    as_int("b", b)
     if rk <= 0:
         raise InputError(f"rank must be positive, got {rk}")
     return b * rk > a * fd
@@ -172,14 +156,14 @@ def gen_birat_classify(v: RankFdeg, phi: FM2, t: int | None = None,
     and is skipped.
     """
     rk, fd = v
-    _as_int("rank", rk)
-    _as_int("fiber degree", fd)
+    as_int("rank", rk)
+    as_int("fiber degree", fd)
     if rk <= 0:
         raise InputError(f"rank must be positive, got {rk}")
     if math.gcd(rk, fd) != 1:
         raise CoprimalityError(f"gcd({rk}, {fd}) must be 1")
     if t is not None:
-        _as_int("t", t)
+        as_int("t", t)
     rk_w = phi.b * rk - phi.a * fd
     if rk_w > 1:
         if k3 and rk_w >= 3:
@@ -199,6 +183,8 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
     Used by property tests and by the verification suite; the caller owns
     the seeded Random instance.
     """
+    if as_int("lambda", lam) < 1 or as_int("bound", bound) < 1:
+        raise InputError(f"lambda and bound must be positive, got {lam}, {bound}")
     while True:
         a = rng.randint(1, 6)
         c = rng.randint(-8, 8)

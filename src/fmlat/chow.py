@@ -16,22 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, q, qvec
-
-
-class KVectorKind(Enum):
-    """Optional label for a class viewed in K-theory.
-
-    Purely bookkeeping: arithmetic is identical for both kinds.
-    """
-
-    TOPOLOGICAL = "Topological"
-    ORIENTED = "Oriented"
+from .linalg import Mat, as_int, q, qvec
 
 
 @dataclass(frozen=True)
@@ -60,22 +49,25 @@ class SurfaceDescriptor:
         n = len(self.basis_names)
         if n == 0:
             raise InputError("basis: divisor basis must be nonempty")
+        if len(set(self.basis_names)) != n:
+            raise InputError(f"basis: names must be distinct, got {self.basis_names}")
         object.__setattr__(self, "gram",
-                           tuple(tuple(_as_int("gram", x) for x in row) for row in self.gram))
+                           tuple(tuple(as_int("gram", x) for x in row) for row in self.gram))
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise InputError(f"gram: must be a {n}x{n} matrix (one row per basis name)")
         if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
             raise InputError("gram: must be symmetric")
         object.__setattr__(self, "fiber", _int_vec("fiber", self.fiber, n))
         object.__setattr__(self, "canonical", _int_vec("canonical", self.canonical, n))
-        object.__setattr__(self, "chi_O", _as_int("chi_O", self.chi_O))
+        object.__setattr__(self, "chi_O", as_int("chi_O", self.chi_O))
         if self._dot_int(self.fiber, self.fiber) != 0:
             raise InputError("fiber: fiber.fiber must vanish")
         if self.section is not None:
             object.__setattr__(self, "section", _int_vec("section", self.section, n))
             if self._dot_int(self.section, self.fiber) != 1:
                 raise InputError("section: section.fiber must equal 1")
-        degs = [self._dot_int(self.fiber, basis) for basis in _unit_vectors(n)]
+        # fiber degree of basis vector i: row i of the (symmetric) gram . fiber
+        degs = [sum(g * f for g, f in zip(row, self.fiber)) for row in self.gram]
         if self.lam is None:
             g = 0
             for d in degs:
@@ -85,7 +77,7 @@ class SurfaceDescriptor:
                                  "smallest fiber degree is undefined")
             object.__setattr__(self, "lam", g)
         else:
-            object.__setattr__(self, "lam", _as_int("lambda", self.lam))
+            object.__setattr__(self, "lam", as_int("lambda", self.lam))
             if self.lam <= 0:
                 raise InputError("lambda: must be positive")
             if any(d % self.lam for d in degs):
@@ -100,22 +92,11 @@ class SurfaceDescriptor:
                    for i in range(self.rank) for j in range(self.rank))
 
 
-def _as_int(key: str, x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{key}: expected an integer, got {x!r}")
-    return x
-
-
 def _int_vec(key: str, xs, n: int) -> tuple[int, ...]:
-    vec = tuple(_as_int(key, x) for x in xs)
+    vec = tuple(as_int(key, x) for x in xs)
     if len(vec) != n:
         raise InputError(f"{key}: expected {n} entries, got {len(vec)}")
     return vec
-
-
-def _unit_vectors(n: int):
-    for i in range(n):
-        yield tuple(1 if j == i else 0 for j in range(n))
 
 
 STANDARD_K3 = SurfaceDescriptor(
@@ -161,7 +142,6 @@ class CohClass:
     r: Fraction
     div: tuple[Fraction, ...]
     p: Fraction
-    kind: KVectorKind | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "r", q(self.r))
@@ -300,7 +280,7 @@ UNIT_CLASS = from_coords((1, 0, 0, 0))
 SIGMA_CLASS = from_coords((0, 1, 0, 0))
 FIBER_CLASS = from_coords((0, 0, 1, 0))
 POINT_CLASS = from_coords((0, 0, 0, 1))
-_COORD_BASIS = (UNIT_CLASS, SIGMA_CLASS, FIBER_CLASS, POINT_CLASS)
+COORD_BASIS = (UNIT_CLASS, SIGMA_CLASS, FIBER_CLASS, POINT_CLASS)
 
 
 @functools.cache
@@ -310,8 +290,8 @@ def pairing_gram() -> Mat:
     Computed by expanding the Riemann-Roch pairing on the coordinate basis;
     it is symmetric and unimodular up to sign.
     """
-    return Mat([[chi_tensor(STANDARD_K3, dual(ei), ej) for ej in _COORD_BASIS]
-                for ei in _COORD_BASIS])
+    return Mat([[chi_tensor(STANDARD_K3, dual(ei), ej) for ej in COORD_BASIS]
+                for ei in COORD_BASIS])
 
 
 # Surface description files: plain "key = value" lines, '#' comments.
@@ -396,6 +376,6 @@ def load_surface(path) -> SurfaceDescriptor:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read surface file {path}: {exc}") from exc
     return parse_surface(text, filename=str(path))

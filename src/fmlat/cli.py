@@ -20,7 +20,7 @@ from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
                    integrality_warnings, load_surface)
 from .errors import FmlatError, InputError
 from .linalg import Mat, enc_mat, enc_q, enc_qseq, qvec, render_matrix
-from .operators import GoldenName, build
+from .operators import build
 from .sd import (SDPair, SDReport, SearchTarget, Theorem, build_report,
                  search_phi)
 
@@ -37,8 +37,6 @@ def _parse_d_range(text: str) -> tuple[int, int]:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
         raise InputError(f"bad d range {text!r}; expected LO..HI")
-    if not (1 <= lo_i <= hi_i <= 64):
-        raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, got {text!r}")
     return lo_i, hi_i
 
 
@@ -102,18 +100,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
 
 
-def _built_matrix(name_text: str, d: int | None, divisor_text: str | None) -> tuple[Mat, dict]:
-    try:
-        name = GoldenName(name_text)
-    except ValueError:
-        known = ", ".join(n.value for n in GoldenName)
-        raise InputError(f"unknown matrix name {name_text!r}; known: {known}")
+def _built_matrix(name: str, d: int | None, divisor_text: str | None) -> tuple[Mat, dict]:
     divisor = None
     if divisor_text is not None:
         divisor = _parse_ints(divisor_text, 2, "--divisor")
     built = build(name, d=d, divisor=divisor)
     matrix = built if isinstance(built, Mat) else built.matrix
-    meta = {"schema": 1, "name": name.value, "d": d,
+    meta = {"schema": 1, "name": name, "d": d,
             "divisor": list(divisor) if divisor else None}
     return matrix, meta
 

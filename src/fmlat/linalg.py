@@ -35,6 +35,14 @@ def qvec(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(q(x) for x in xs)
 
 
+def as_int(label: str, x) -> int:
+    """Return x unchanged if it is an int; reject bool, float, str, Fraction
+    and everything else with an InputError naming the label."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{label} must be an integer, got {x!r}")
+    return x
+
+
 class Mat:
     """Immutable rectangular matrix with exact rational entries."""
 
@@ -50,6 +58,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
+        n = as_int("identity size", n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -113,23 +122,7 @@ class Mat:
     def det(self) -> Fraction:
         if self.n_rows != self.n_cols:
             raise InputError("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
-        n = self.n_rows
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det *= work[col][col]
-            inv = 1 / work[col][col]
-            for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if factor:
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+        return _eliminate([list(row) for row in self.rows], self.n_rows)
 
     def inverse(self) -> "Mat":
         if self.n_rows != self.n_cols:
@@ -137,18 +130,30 @@ class Mat:
         n = self.n_rows
         work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
                 for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [a * inv for a in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+        if _eliminate(work, n) == 0:
+            raise SingularMatrixError("matrix is singular")
         return Mat(row[n:] for row in work)
+
+
+def _eliminate(work: list[list[Fraction]], n: int) -> Fraction:
+    """Gauss-Jordan elimination in place on the first n columns of work;
+    returns the determinant of that block (0, rows partly reduced, if singular)."""
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        work[col] = [a * inv for a in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
 
 
 def render_matrix(m: Mat) -> str:

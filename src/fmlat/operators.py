@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import chow
-from .chow import (CohClass, STANDARD_K3, ch_line_bundle, from_coords, mult,
-                   render_class, to_coords)
+from .chow import (COORD_BASIS, CohClass, STANDARD_K3, ch_line_bundle,
+                   from_coords, mult, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, q
+from .linalg import Mat, as_int, qvec
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,10 @@ class Operator:
 IDENTITY = Operator(Mat.identity(4), "id")
 
 
-def apply(op: Operator, v: CohClass) -> CohClass:
-    """Matrix-vector application of an operator to a class."""
-    return op.apply(v)
-
-
 def op_tensor(c: CohClass) -> Operator:
     """Multiplication by the class c, as a matrix."""
-    cols = [to_coords(mult(STANDARD_K3, c, basis)) for basis in _COORD_BASIS]
-    return Operator(_from_columns(cols), f"tensor{render_class(c)}")
+    cols = [to_coords(mult(STANDARD_K3, c, basis)) for basis in COORD_BASIS]
+    return Operator(Mat(cols).transpose(), f"tensor{render_class(c)}")
 
 
 def pi_pushpull(v: CohClass) -> CohClass:
@@ -86,16 +80,8 @@ def pi_pushpull(v: CohClass) -> CohClass:
 def op_pi_tensor(c: CohClass) -> Operator:
     """The family v -> pi^* pi_* (v.c), as a matrix."""
     cols = [to_coords(pi_pushpull(mult(STANDARD_K3, basis, c)))
-            for basis in _COORD_BASIS]
-    return Operator(_from_columns(cols), f"pi_pushpull{render_class(c)}")
-
-
-_COORD_BASIS = (chow.UNIT_CLASS, chow.SIGMA_CLASS, chow.FIBER_CLASS,
-                chow.POINT_CLASS)
-
-
-def _from_columns(cols: Sequence[Sequence[Fraction]]) -> Mat:
-    return Mat(cols).transpose()
+            for basis in COORD_BASIS]
+    return Operator(Mat(cols).transpose(), f"pi_pushpull{render_class(c)}")
 
 
 # Distinguished classes of the degree-d kernel construction.
@@ -114,8 +100,8 @@ def pd_pushforward_twist_class(d: int) -> CohClass:
 
 
 def _check_d(d) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InputError(f"kernel degree d must be an integer >= 1, got {d!r}")
+    if as_int("kernel degree d", d) < 1:
+        raise InputError(f"kernel degree d must be >= 1, got {d}")
 
 
 class GoldenName(Enum):
@@ -142,6 +128,30 @@ def _sigma_ch() -> CohClass:
     return ch_line_bundle(STANDARD_K3, (1, 0))
 
 
+def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
+    """The argument check shared by build and golden: d exactly for the
+    names in _NEEDS_D, a two-entry divisor exactly for A_TL."""
+    try:
+        name = GoldenName(name)
+    except ValueError:
+        known = ", ".join(n.value for n in GoldenName)
+        raise InputError(f"unknown matrix name {name!r}; known: {known}") from None
+    if name in _NEEDS_D:
+        _check_d(d)
+    elif d is not None:
+        raise InputError(f"{name.value} takes no kernel degree d, got {d!r}")
+    if name is not GoldenName.A_TL:
+        if divisor is not None:
+            raise InputError(f"{name.value} takes no divisor")
+        return name, None
+    if divisor is None:
+        raise InputError("A_TL needs a divisor")
+    divisor = qvec(divisor)
+    if len(divisor) != 2:
+        raise InputError(f"A_TL needs a divisor with 2 entries, got {len(divisor)}")
+    return name, divisor
+
+
 def build(name: GoldenName, d: int | None = None,
           divisor: Iterable | None = None) -> Operator | Mat:
     """Construct a named operator purely from the elementary generators.
@@ -149,9 +159,7 @@ def build(name: GoldenName, d: int | None = None,
     Returns an Operator except for B_S, which is the 2x2 (rank, fiber
     degree) reduction of A_S.
     """
-    name = GoldenName(name)
-    if name in _NEEDS_D:
-        _check_d(d)
+    name, divisor = _check_args(name, d, divisor)
     if name is GoldenName.TensorL1:
         op = op_tensor(pd_line_class(d))
     elif name is GoldenName.TensorSigma:
@@ -170,10 +178,9 @@ def build(name: GoldenName, d: int | None = None,
     elif name is GoldenName.A_S:
         op = op_pi_tensor(chow.UNIT_CLASS) - IDENTITY
     elif name is GoldenName.A_Sprime:
-        op = -combine("invert", [build(GoldenName.A_S)])
+        a_s = build(GoldenName.A_S)
+        op = -Operator(a_s.matrix.inverse(), f"({a_s.label})^-1")
     elif name is GoldenName.A_TL:
-        if divisor is None:
-            raise InputError("A_TL needs a divisor")
         op = op_tensor(ch_line_bundle(STANDARD_K3, divisor))
     elif name is GoldenName.B_S:
         return restrict2(build(GoldenName.A_S))
@@ -185,9 +192,7 @@ def build(name: GoldenName, d: int | None = None,
 def golden(name: GoldenName, d: int | None = None,
            divisor: Iterable | None = None) -> Mat:
     """The pinned reference matrix, as a literal table."""
-    name = GoldenName(name)
-    if name in _NEEDS_D:
-        _check_d(d)
+    name, divisor = _check_args(name, d, divisor)
     if name is GoldenName.TensorL1:
         m = d + 1
         return Mat([[1, 0, 0, 0],
@@ -235,9 +240,7 @@ def golden(name: GoldenName, d: int | None = None,
                     [2, 1, 1, 1],
                     [0, 0, 0, 1]])
     if name is GoldenName.A_TL:
-        if divisor is None:
-            raise InputError("A_TL needs a divisor")
-        s, t = (q(x) for x in divisor)
+        s, t = divisor
         half_sq = (-2 * s * s + 2 * s * t) / 2
         return Mat([[1, 0, 0, 0],
                     [s, 1, 0, 0],
@@ -247,25 +250,6 @@ def golden(name: GoldenName, d: int | None = None,
         return Mat([[-1, 1],
                     [0, -1]])
     raise InputError(f"unknown golden name {name!r}")  # pragma: no cover
-
-
-def combine(kind: str, operands: Sequence[Operator]) -> Operator:
-    """Exact operator algebra: compose, add, negate or invert."""
-    ops = list(operands)
-    if kind in ("negate", "invert"):
-        if len(ops) != 1:
-            raise InputError(f"{kind} takes exactly one operand")
-        if kind == "negate":
-            return -ops[0]
-        return Operator(ops[0].matrix.inverse(), f"({ops[0].label})^-1")
-    if kind in ("compose", "add"):
-        if not ops:
-            raise InputError(f"{kind} needs at least one operand")
-        out = ops[0]
-        for op in ops[1:]:
-            out = (out @ op) if kind == "compose" else (out + op)
-        return out
-    raise InputError(f"unknown combine kind {kind!r}")
 
 
 def restrict2(op: Operator) -> Mat:

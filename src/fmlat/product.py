@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chow import (CohClass, STANDARD_K3, ch_line_bundle, from_coords, mult,
-                   to_coords, todd)
+from .chow import (COORD_BASIS, CohClass, STANDARD_K3, ch_line_bundle,
+                   from_coords, mult, to_coords, todd)
 from .errors import InputError, UnsupportedModelError
 from .linalg import Mat, q, qvec
-from .operators import Operator
+from .operators import Operator, _check_d
 
 
 class Side(Enum):
@@ -92,21 +92,19 @@ POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f
 DELTA = ProductClass(((0,) * 4,) * 4, (1, 0, 0))
 
-_BASIS_COORDS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _BASIS_LABELS = ("1", "sigma", "f", "*")
 
 
-def _mult4(x, y) -> tuple[Fraction, ...]:
-    return to_coords(mult(STANDARD_K3, from_coords(x), from_coords(y)))
+def _mult4(x: CohClass, y: CohClass) -> tuple[Fraction, ...]:
+    return to_coords(mult(STANDARD_K3, x, y))
 
 
 # products of coordinate basis classes are constants; precompute them so
 # prod_mult is pure table-driven Fraction arithmetic
-_PAIR_TABLE = tuple(
-    tuple(_mult4(_BASIS_COORDS[i], _BASIS_COORDS[k]) for k in range(4))
-    for i in range(4))
+_PAIR_TABLE = tuple(tuple(_mult4(ei, ek) for ek in COORD_BASIS)
+                    for ei in COORD_BASIS)
 _TRIPLE_TABLE = tuple(
-    tuple(tuple(_mult4(_PAIR_TABLE[u][i], _BASIS_COORDS[j]) for j in range(4))
+    tuple(tuple(_mult4(from_coords(_PAIR_TABLE[u][i]), ej) for ej in COORD_BASIS)
           for i in range(4))
     for u in range(3))
 
@@ -242,8 +240,7 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
     if kind == "IDelta":
         pi_sq = prod_mult(PI, PI)
         return PI - Fraction(1, 2) * pi_sq - DELTA + 2 * POINT
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InputError(f"kernel degree d must be an integer >= 1, got {d!r}")
+    _check_d(d)
     base = PI - F_CROSS_F - DELTA + 2 * POINT
     out = prod_mult(base, pull(Side.FIRST, ch_line_bundle(STANDARD_K3, (d + 1, 0))))
     out = prod_mult(out, pull(Side.SECOND, ch_line_bundle(STANDARD_K3, (1, 0))))
@@ -264,8 +261,8 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
         src, tgt = Side.FIRST, Side.SECOND
     t = todd(STANDARD_K3)
     cols = []
-    for coords in _BASIS_COORDS:
-        y = mult(STANDARD_K3, from_coords(coords), t)
+    for basis in COORD_BASIS:
+        y = mult(STANDARD_K3, basis, t)
         image = push(tgt, prod_mult(kernel, pull(src, y)))
         cols.append(to_coords(image))
     matrix = Mat(cols).transpose()

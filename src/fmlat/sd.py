@@ -21,7 +21,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dot, fdeg, is_standard_k3, moduli_dim_k3)
 from .errors import AdmissibilityError, InputError
-from .linalg import dec_q, dec_qseq, enc_qseq
+from .linalg import as_int, dec_qseq, enc_qseq
 
 
 class Theorem(Enum):
@@ -87,6 +87,8 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
 
 def transformed_ranks(phi: FM2, d_v: int, d_w: int) -> tuple[int, int]:
     """Ranks of the two transformed vectors: (a.d_v - c, c + a.d_w)."""
+    as_int("d_v", d_v)
+    as_int("d_w", d_w)
     return (phi.a * d_v - phi.c, phi.c + phi.a * d_w)
 
 
@@ -131,6 +133,7 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
     """
     theorem = Theorem(theorem)
     _check_sd_constraints(phi)
+    rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
     a, c = phi.a, phi.c
     if theorem is Theorem.K3:
         m1 = a * d_v - (2 * a + c)
@@ -138,9 +141,8 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
     else:
         if t_v is None or t_w is None:
             raise InputError("the general-surface check needs t_v and t_w")
-        m1 = a * d_v - (a * t_v + c)
-        m2 = a * d_w - (a * t_w - c)
-    rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
+        m1 = a * d_v - (a * as_int("t_v", t_v) + c)
+        m2 = a * d_w - (a * as_int("t_w", t_w) - c)
     return SDCheckResult(
         theorem=theorem,
         passed=m1 > 0 and m2 > 0,
@@ -201,40 +203,45 @@ class SDReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "SDReport":
-        if data.get("schema") != 1:
-            raise InputError("unknown report schema")
-        c, a, e, b = (int(x) for x in data["phi"])
-        phi = FM2(c, a, e, b, int(data["lambda"]))
-        margins = data.get("margins") or {}
-        mk3 = margins.get("k3")
-        mgen = margins.get("general")
+        try:
+            if data.get("schema") != 1:
+                raise InputError("unknown report schema")
+            c, a, e, b = data["phi"]
+            checks = data["checks"]
+            if {checks["k3"], checks["general"]} - {PASS, FAIL, NOT_EVALUATED}:
+                raise InputError(f"unknown check verdict in {checks!r}")
+            margins = data.get("margins") or {}
+            mk3, mgen = margins.get("k3"), margins.get("general")
 
-        def as_class(values):
-            if values is None:
-                return None
-            coords = dec_qseq(values)
-            return CohClass(coords[0], coords[1:-1], coords[-1])
+            def ints(values):
+                return tuple(as_int("margin", x) for x in values)
 
-        return cls(
-            phi=phi,
-            d_v=int(data["d_v"]),
-            d_w=int(data["d_w"]),
-            rk_xi_v=int(data["rk_xi_v"]),
-            rk_phi_w=int(data["rk_phi_w"]),
-            k3_check=data["checks"]["k3"],
-            general_check=data["checks"]["general"],
-            margins_k3=None if mk3 is None else (
-                tuple(int(dec_q(x)) for x in mk3["threshold"]),
-                tuple(int(dec_q(x)) for x in mk3["rank"])),
-            margins_general=None if mgen is None else
-                tuple(int(dec_q(x)) for x in mgen["threshold"]),
-            orthogonal=data["orthogonal"],
-            base_case=data["base_case"],
-            surface=data["surface"],
-            v=as_class(data["v"]),
-            w=as_class(data["w"]),
-            notes=tuple(data.get("notes", ())),
-        )
+            def as_class(values):
+                if values is None:
+                    return None
+                coords = dec_qseq(values)
+                return CohClass(coords[0], coords[1:-1], coords[-1])
+
+            return cls(
+                phi=FM2(c, a, e, b, data["lambda"]),
+                d_v=as_int("d_v", data["d_v"]),
+                d_w=as_int("d_w", data["d_w"]),
+                rk_xi_v=as_int("rk_xi_v", data["rk_xi_v"]),
+                rk_phi_w=as_int("rk_phi_w", data["rk_phi_w"]),
+                k3_check=checks["k3"],
+                general_check=checks["general"],
+                margins_k3=None if mk3 is None else (
+                    ints(mk3["threshold"]), ints(mk3["rank"])),
+                margins_general=None if mgen is None else ints(mgen["threshold"]),
+                orthogonal=data["orthogonal"],
+                base_case=data["base_case"],
+                surface=data["surface"],
+                v=as_class(data["v"]),
+                w=as_class(data["w"]),
+                notes=tuple(data.get("notes", ())),
+            )
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed report: {exc!r}") from exc
 
 
 def build_report(phi: FM2, d_v: int, d_w: int,
@@ -294,6 +301,13 @@ class SearchTarget:
     t_v: int | None = None
     t_w: int | None = None
 
+    def __post_init__(self):
+        as_int("d_v", self.d_v)
+        as_int("d_w", self.d_w)
+        for label in ("t_v", "t_w"):
+            if getattr(self, label) is not None:
+                as_int(label, getattr(self, label))
+
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -310,9 +324,9 @@ def search_phi(lam: int, bound: int,
     b) order; with a target only matrices passing that theorem check
     survive, each carrying its report. An empty result is a valid outcome.
     """
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+    if as_int("bound", bound) < 1:
         raise InputError(f"bound must be a positive integer, got {bound!r}")
-    if isinstance(lam, bool) or not isinstance(lam, int) or lam < 1:
+    if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {lam!r}")
     hits: list[SearchHit] = []
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2

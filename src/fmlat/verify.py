@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass
 
 from . import bridgeland, chow, operators, product, sd
-from .bridgeland import canonical_ab, phi_family, random_admissible
+from .bridgeland import canonical_ab, mat2_mul, phi_family, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
-from .linalg import Mat
+from .linalg import Mat, as_int
 from .operators import GoldenName, build, op_pi_tensor, op_tensor, restrict2
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
                       push, render_product_class)
@@ -119,7 +119,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
     golden_fn defaults to the pinned reference tables; tests substitute a
     corrupted table to exercise the failure path.
     """
-    if not (1 <= d_lo <= d_hi <= 64):
+    if not (1 <= as_int("d_lo", d_lo) <= as_int("d_hi", d_hi) <= 64):
         raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, "
                          f"got {d_lo}..{d_hi}")
     golden = golden_fn if golden_fn is not None else operators.golden
@@ -248,13 +248,17 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
 
     # SL2(Z) family relations on pseudo-random admissible matrices
     rng = random.Random(_SEED)
+    neg_id = ((-1, 0), (0, -1))
     relations_ok = True
     slope_ok = True
     slope_checked = 0
     for _ in range(100):
         phi = random_admissible(rng)
-        family = phi_family(*phi.entries(), phi.lam)
-        relations_ok = relations_ok and family.relations_verified
+        fam = phi_family(*phi.entries(), phi.lam)
+        m = phi.matrix
+        relations_ok = relations_ok and (
+            mat2_mul(m, fam.psi) == mat2_mul(fam.psi, m) == neg_id
+            == mat2_mul(fam.xi, fam.omega) == mat2_mul(fam.omega, fam.xi))
         r = rng.randint(1, 12)
         d = rng.randint(-12, 12)
         c, a, e, b = phi.entries()

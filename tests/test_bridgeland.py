@@ -71,7 +71,6 @@ def test_canonical_ab_brute_force_oracle():
 
 def test_phi_family_worked_example():
     fam = phi_family(3, 1, -7, -2)
-    assert fam.relations_verified
     assert mat2_mul(fam.phi.matrix, fam.psi) == NEG_ID
     assert fam.psi == ((2, 1), (-7, -3))
     assert fam.omega == ((-2, 1), (-7, 3))
@@ -80,7 +79,7 @@ def test_phi_family_worked_example():
 
 def test_phi_family_admissibility_errors():
     fam = phi_family(1, 1, 0, 1)     # det = 1, passes
-    assert fam.relations_verified
+    assert mat2_mul(fam.phi.matrix, fam.psi) == NEG_ID
     with pytest.raises(AdmissibilityError, match="lambda"):
         phi_family(0, 1, -1, 1, lam=2)
 
@@ -90,7 +89,6 @@ def test_family_relations_random_admissible():
     for _ in range(100):
         phi = random_admissible(rng)
         fam = phi_family(*phi.entries(), phi.lam)
-        assert fam.relations_verified
         m = phi.matrix
         assert mat2_mul(m, fam.psi) == mat2_mul(fam.psi, m) == NEG_ID
         assert mat2_mul(fam.xi, fam.omega) == mat2_mul(fam.omega, fam.xi) == NEG_ID
@@ -240,3 +238,22 @@ def test_random_admissible_respects_lambda():
     for _ in range(30):
         phi = random_admissible(rng, lam=2, bound=60)
         assert phi.e % 2 == 0 and phi.lam == 2
+
+
+def test_random_admissible_rejects_bad_lambda_and_bound():
+    rng = random.Random(8)
+    for lam, bound in ((0, 50), (2.0, 50), (1, 0), (1, 2.5)):
+        with pytest.raises(InputError):
+            random_admissible(rng, lam=lam, bound=bound)
+
+
+def test_integer_entry_points_reject_floats_and_strings():
+    phi = FM2(3, 1, -7, -2)
+    with pytest.raises(InputError, match="rank"):
+        transform2(phi.matrix, (1.5, 2))
+    with pytest.raises(InputError, match="d must be an integer"):
+        canonical_ab(5, 2.0)
+    with pytest.raises(InputError, match="b must be an integer"):
+        wit1_forced(RankFdeg(2, 1), 1, "1")
+    with pytest.raises(InputError, match="t must be an integer"):
+        gen_birat_classify(RankFdeg(2, 1), phi, t=1.0)

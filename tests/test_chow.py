@@ -272,19 +272,6 @@ def test_pairing_gram_symmetric_unimodular():
     assert abs(g.det()) == 1
 
 
-# K-theory labels
-
-def test_kind_label_is_inert():
-    from fmlat.chow import KVectorKind
-    v = CohClass(1, (1, 0), -1, kind=KVectorKind.ORIENTED)
-    w = CohClass(1, (1, 0), -1, kind=KVectorKind.TOPOLOGICAL)
-    bare = CohClass(1, (1, 0), -1)
-    # arithmetic ignores the label entirely
-    assert mult(S, v, bare) == mult(S, w, bare)
-    assert chi_tensor(S, v, w) == chi_tensor(S, bare, bare)
-    assert dual(v).coords() == dual(bare).coords()
-
-
 # coordinates and warnings
 
 def test_coords_roundtrip():
@@ -369,6 +356,19 @@ def test_descriptor_scalar_validation():
 def test_parse_surface_rejects_multivalued_scalar():
     with pytest.raises(InputError, match="one integer"):
         parse_surface(GOOD_CFG.replace("chi_O = 2", "chi_O = 2 3"))
+
+
+def test_parse_surface_rejects_duplicate_basis_names():
+    with pytest.raises(InputError, match="distinct"):
+        parse_surface(GOOD_CFG.replace("basis = sigma, f", "basis = a a"))
+
+
+def test_load_surface_rejects_non_utf8(tmp_path):
+    from fmlat.chow import load_surface
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(GOOD_CFG.replace("standard-k3", "k3-\u00e9").encode("latin-1"))
+    with pytest.raises(InputError, match="cannot read"):
+        load_surface(path)
 
 
 def test_load_surface_missing_file(tmp_path):

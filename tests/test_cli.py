@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fmlat.operators
 import fmlat.verify
@@ -144,6 +148,18 @@ def test_matrix_missing_d_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_matrix_rejects_parameters_the_name_ignores(capsys):
+    # TensorSigma has no d: accepting one prints "TensorSigma(d=3)" over a
+    # matrix that ignores it
+    code, out, err = run(capsys, "matrix", "TensorSigma", "--d", "3")
+    assert code == 2 and out == ""
+    assert "takes no kernel degree" in err
+    code, out, err = run(capsys, "matrix", "FM_Pd", "--d", "3",
+                         "--divisor", "1,0")
+    assert code == 2 and out == ""
+    assert "takes no divisor" in err
+
+
 # transform
 
 def test_transform_worked_example(capsys):
@@ -197,6 +213,15 @@ def test_chi_without_surface_is_input_error(capsys, monkeypatch):
     code, _, err = run(capsys, "chi", "--v", "1,0,0,0", "--w", "1,0,0,0")
     assert code == 2
     assert "no surface file" in err
+
+
+def test_chi_non_utf8_surface_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(K3_CFG.replace("standard-k3", "k3-\u00e9").encode("latin-1"))
+    code, out, err = run(capsys, "chi", "--surface", str(path),
+                         "--v", "1,0,0,0", "--w", "1,0,0,0")
+    assert code == 2 and out == ""
+    assert "cannot read surface file" in err
 
 
 def test_chi_json_roundtrip(capsys, k3_file):
@@ -372,7 +397,104 @@ def test_search_target_flags_must_pair(capsys):
     assert "--dv and --dw" in err
 
 
+def test_run_verify_rejects_non_integer_range():
+    from fmlat.errors import InputError as IE
+    for lo, hi in ((1.0, 2), (1, "2"), (True, 2)):
+        with pytest.raises(IE, match="must be an integer"):
+            fmlat.verify.run_verify(lo, hi)
+
+
 def test_verify_outcome_rejects_unknown_schema():
     from fmlat.errors import InputError as IE
     with pytest.raises(IE):
         VerifyOutcome.from_json({"schema": 7})
+
+
+# fuzzed argv: every outcome is an exit code, never an escaped exception
+
+_SMALL = ("0", "1", "2", "3", "6", "-1", "-7", "1/2", "1.5", "x", "")
+_VECTORS = ("1,0,0,0", "1,0,0,-2", "1,1,4,0", "1/3,0,0,0", "1,0", "1,x,0,0", "")
+_DIVISORS = ("1,3", "2,-1", "1", "1,2,3", "a,b")
+_NAMES = tuple(n.value for n in GoldenName) + ("Nope",)
+_THEOREMS = ("k3", "general", "other")
+# "@name" is a file in the fuzz directory; the directory itself is unreadable
+_SURFACES = ("@k3.cfg", "@latin1.cfg", "@dup-basis.cfg", "@missing.cfg", "@")
+
+
+def _opt(values):
+    """A value, or None (flag left out) as likely as any one value."""
+    return st.sampled_from((None,) + values)
+
+
+# Flags argparse requires are always given; a stray "--bogus" covers usage
+# errors. Work stays bounded: verify always gets a range inside 1..4 and
+# search a bound of at most 30.
+_FUZZ_OPTIONS = {
+    "verify": {"--d-range": st.sampled_from(
+        ("1..2", "3..4", "4", "2..1", "0..3", "1..65", "1..", "x"))},
+    "matrix": {"--d": _opt(_SMALL), "--divisor": _opt(_DIVISORS)},
+    "transform": {"--matrix": st.sampled_from(_NAMES), "--d": _opt(_SMALL),
+                  "--divisor": _opt(_DIVISORS),
+                  "--vector": st.sampled_from(_VECTORS)},
+    "chi": {"--surface": _opt(_SURFACES), "--v": st.sampled_from(_VECTORS),
+            "--w": st.sampled_from(_VECTORS)},
+    "sd-check": {"--phi": st.sampled_from(("3,1,-7,-2", "5,2,-8,-3", "1,1,0,1",
+                                           "1,2,3", "x,1,1,1")),
+                 "--lambda": _opt(_SMALL), "--dv": st.sampled_from(_SMALL),
+                 "--dw": st.sampled_from(_SMALL), "--theorem": _opt(_THEOREMS),
+                 "--tv": _opt(_SMALL), "--tw": _opt(_SMALL),
+                 "--surface": _opt(_SURFACES), "--v": _opt(_VECTORS),
+                 "--w": _opt(_VECTORS)},
+    "search": {"--lambda": _opt(("1", "2", "0", "-1", "x")),
+               "--bound": st.sampled_from(("0", "1", "8", "30", "-3", "x", "1.5")),
+               "--dv": _opt(_SMALL), "--dw": _opt(_SMALL),
+               "--theorem": _opt(_THEOREMS), "--tv": _opt(_SMALL),
+               "--tw": _opt(_SMALL)},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command]
+    if command == "matrix":
+        argv.append(draw(st.sampled_from(_NAMES)))
+    for flag, values in _FUZZ_OPTIONS[command].items():
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value]
+    if command == "sd-check" and draw(st.booleans()):
+        argv.append("--attest-no-higher-cohomology")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv + draw(st.sampled_from(([], ["--bogus"], ["extra"])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "k3.cfg").write_text(K3_CFG, encoding="utf-8")
+    (path / "latin1.cfg").write_bytes(
+        K3_CFG.replace("standard-k3", "k3-\u00e9").encode("latin-1"))
+    (path / "dup-basis.cfg").write_text(
+        K3_CFG.replace("basis = sigma, f", "basis = a a"), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["chi", "--surface", "@latin1.cfg", "--v", "1,0,0,0",
+               "--w", "1,0,0,0"])
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
+    argv = [str(fuzz_dir / arg[1:]) if arg.startswith("@") else arg
+            for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # any other exception escapes main, fails the test, and is what would
+    # print a traceback from the console script
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

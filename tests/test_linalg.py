@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmlat.errors import InputError, SingularMatrixError
-from fmlat.linalg import (Mat, dec_mat, dec_q, dec_qseq, enc_mat, enc_q,
-                          enc_qseq, q, render_matrix)
+from fmlat.linalg import (Mat, as_int, dec_mat, dec_q, dec_qseq, enc_mat,
+                          enc_q, enc_qseq, q, render_matrix)
 
 from helpers import small_q
 
@@ -22,6 +23,15 @@ def test_q_rejects_floats_and_garbage():
     for bad in (0.5, float("nan"), "1.5e3x", "1/0", True, None):
         with pytest.raises(InputError):
             q(bad)
+
+
+def test_as_int_accepts_only_ints():
+    assert as_int("n", -7) == -7
+    for bad in (True, 6.5, 6.0, "6", Fraction(6), None):
+        with pytest.raises(InputError, match="n must be an integer"):
+            as_int("n", bad)
+    with pytest.raises(InputError):
+        Mat.identity(2.0)
 
 
 def test_mat_shape_validation():
@@ -73,6 +83,27 @@ def test_inverse_roundtrip_when_invertible(rows):
         return
     assert m * m.inverse() == Mat.identity(3)
     assert m.inverse().inverse() == m
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_det_matches_leibniz_formula(rows):
+    # oracle: the sum over permutations, independent of elimination
+    expected = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        expected += term
+    m = Mat(rows)
+    assert m.det() == expected
+    if expected:
+        assert m.inverse().det() == Fraction(1, expected)
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
 
 
 def test_render_matrix_alignment():

@@ -7,11 +7,10 @@ from fmlat.chow import (STANDARD_K3, UNIT_CLASS, ch_line_bundle,
                         from_coords, mult, pairing_gram)
 from fmlat.errors import InputError, ReductionError, SingularMatrixError
 from fmlat.linalg import Mat
-from fmlat.operators import (GoldenName, IDENTITY, Operator, apply, build,
-                             combine, golden, op_pi_tensor, op_tensor,
-                             pairing_preserved, pd_line_class,
-                             pd_pushforward_twist_class, pi_pushpull,
-                             restrict2)
+from fmlat.operators import (GoldenName, IDENTITY, Operator, build, golden,
+                             op_pi_tensor, op_tensor, pairing_preserved,
+                             pd_line_class, pd_pushforward_twist_class,
+                             pi_pushpull, restrict2)
 
 from helpers import coh_k3, small_q
 
@@ -63,7 +62,7 @@ def test_op_pi_tensor_sigma():
 
 def test_op_pi_tensor_is_composition():
     lhs = op_pi_tensor(SIGMA_CH)
-    rhs = combine("compose", [op_pi_tensor(UNIT_CLASS), op_tensor(SIGMA_CH)])
+    rhs = op_pi_tensor(UNIT_CLASS) @ op_tensor(SIGMA_CH)
     assert lhs.matrix == rhs.matrix
 
 
@@ -125,6 +124,21 @@ def test_build_needs_d_where_parameterized():
         build(GoldenName.A_TL)
 
 
+@pytest.mark.parametrize("fn", [build, golden])
+def test_build_and_golden_share_argument_check(fn):
+    with pytest.raises(InputError, match="2 entries"):
+        fn(GoldenName.A_TL, divisor=(1, 2, 3))
+    with pytest.raises(InputError, match="takes no kernel degree"):
+        fn(GoldenName.TensorSigma, d=3)
+    with pytest.raises(InputError, match="takes no divisor"):
+        fn(GoldenName.FM_Pd, d=1, divisor=(1, 0))
+    with pytest.raises(InputError, match="unknown matrix name"):
+        fn("Nope")
+    for bad in (2.0, "2", True):
+        with pytest.raises(InputError, match="integer"):
+            fn(GoldenName.FM_Pd, d=bad)
+
+
 def test_golden_literal_spot_checks():
     assert golden(GoldenName.A_S) == Mat([[-1, 1, 0, 0],
                                           [0, -1, 0, 0],
@@ -143,11 +157,10 @@ def test_a_s_applied_to_structure_sheaf():
     assert got == from_coords((-1, 0, 2, 0))
 
 
-# combine
+# combining operators: composition, inversion, negation
 
 def test_combine_compose_matches_pinned_composition():
-    got = combine("compose", [golden_op(GoldenName.PiPushPull),
-                              golden_op(GoldenName.TensorSigma)])
+    got = golden_op(GoldenName.PiPushPull) @ golden_op(GoldenName.TensorSigma)
     assert got.matrix == golden(GoldenName.PiPushPullSigma)
 
 
@@ -159,44 +172,34 @@ def golden_op(name, **kw):
 def test_fm_pd_invertible_det_one(d):
     op = build(GoldenName.FM_Pd, d=d)
     assert op.matrix.det() == 1
-    inv = combine("invert", [op])
-    assert inv.matrix * op.matrix == Mat.identity(4)
+    assert op.matrix.inverse() * op.matrix == Mat.identity(4)
 
 
 def test_negated_inverse_of_a_s():
-    got = combine("negate", [combine("invert", [golden_op(GoldenName.A_S)])])
-    assert got.matrix == golden(GoldenName.A_Sprime)
+    got = -golden_op(GoldenName.A_S).matrix.inverse()
+    assert got == golden(GoldenName.A_Sprime)
 
 
 def test_combine_invert_singular():
     with pytest.raises(SingularMatrixError):
-        combine("invert", [op_tensor(from_coords((0, 1, 0, 0)))])
-
-
-def test_combine_validates_arity_and_kind():
-    with pytest.raises(InputError):
-        combine("negate", [IDENTITY, IDENTITY])
-    with pytest.raises(InputError):
-        combine("compose", [])
-    with pytest.raises(InputError):
-        combine("frobnicate", [IDENTITY])
+        op_tensor(from_coords((0, 1, 0, 0))).matrix.inverse()
 
 
 # apply
 
 def test_apply_fm_pd_to_structure_sheaf():
-    got = apply(build(GoldenName.FM_Pd, d=1), from_coords((1, 0, 0, 0)))
+    got = build(GoldenName.FM_Pd, d=1).apply(from_coords((1, 0, 0, 0)))
     assert got == from_coords((0, -1, 0, 1))
 
 
 def test_apply_identity():
     v = from_coords((2, Fraction(1, 2), -3, 5))
-    assert apply(IDENTITY, v) == v
+    assert IDENTITY.apply(v) == v
 
 
 @pytest.mark.parametrize("d", D_RANGE)
 def test_apply_fm_fd_to_structure_sheaf(d):
-    got = apply(build(GoldenName.FM_Fd, d=d), from_coords((1, 0, 0, 0)))
+    got = build(GoldenName.FM_Fd, d=d).apply(from_coords((1, 0, 0, 0)))
     assert got == from_coords((-1, -1, 0, 1))
 
 

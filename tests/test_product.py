@@ -148,7 +148,7 @@ def test_kernel_pd_pushforward_rank_class(d):
 
 
 def test_kernel_pd_requires_positive_degree():
-    for bad in (0, -1, None, "x"):
+    for bad in (0, -1, None, "x", 2.0, True):
         with pytest.raises(InputError):
             kernel_class("Pd", bad)
 

@@ -247,7 +247,6 @@ def test_search_hits_have_valid_families():
     neg_id = ((-1, 0), (0, -1))
     for hit in search_phi(1, 9):
         fam = phi_family(*hit.phi.entries(), hit.phi.lam)
-        assert fam.relations_verified
         assert mat2_mul(fam.phi.matrix, fam.psi) == neg_id
         assert mat2_mul(fam.omega, fam.xi) == neg_id
 
@@ -279,10 +278,9 @@ def test_search_with_target_contains_worked_example():
 
 
 def test_search_validates_inputs():
-    with pytest.raises(InputError):
-        search_phi(1, 0)
-    with pytest.raises(InputError):
-        search_phi(0, 5)
+    for lam, bound in ((1, 0), (0, 5), (1, 8.0), (1, "8"), (True, 8), (1.0, 8)):
+        with pytest.raises(InputError):
+            search_phi(lam, bound)
 
 
 def test_mo_base_check_rejects_higher_rank():
@@ -294,3 +292,48 @@ def test_mo_base_check_rejects_higher_rank():
 def test_report_from_json_rejects_unknown_schema():
     with pytest.raises(InputError):
         SDReport.from_json({"schema": 2})
+
+
+def test_report_from_json_rejects_malformed_documents():
+    good = build_report(WORKED_PHI, 6, 0).to_json()
+    k3_margins = {"threshold": ["3/2", 1], "rank": [0, 0]}
+    bad_docs = [
+        {key: value for key, value in good.items() if key != "d_w"},
+        {**good, "d_v": 3.7},       # int() would truncate it to 3
+        {**good, "d_v": "6"},
+        {**good, "lambda": True},
+        {**good, "phi": [3, 1, -7]},
+        {**good, "phi": None},
+        {**good, "checks": {"k3": "maybe", "general": NOT_EVALUATED}},
+        {**good, "checks": []},
+        {**good, "margins": {"k3": k3_margins, "general": None}},
+        {**good, "v": []},
+        [good],
+    ]
+    for doc in bad_docs:
+        with pytest.raises(InputError):
+            SDReport.from_json(doc)
+
+
+# integer inputs: floats, strings and bools never reach the arithmetic
+
+@pytest.mark.parametrize("d_v", [6.5, "6", True, Fraction(6)])
+def test_sd_check_rejects_non_integer_fiber_degree(d_v):
+    # unchecked, 6.5 gives float margins (1.5, 1) and "6" a TypeError
+    with pytest.raises(InputError, match="d_v"):
+        sd_check(Theorem.K3, WORKED_PHI, d_v, 0)
+    with pytest.raises(InputError, match="d_v"):
+        build_report(WORKED_PHI, d_v, 0)
+
+
+def test_sd_check_rejects_non_integer_dimensions():
+    with pytest.raises(InputError, match="t_w"):
+        sd_check(Theorem.GENERAL, WORKED_PHI, 6, 0, t_v=2, t_w=2.0)
+
+
+def test_search_target_rejects_non_integers():
+    # unchecked, SearchTarget(6.5, 0) gives hits with rk_xi_v = 3.5
+    with pytest.raises(InputError, match="d_v"):
+        search_phi(1, 8, SearchTarget(6.5, 0))
+    with pytest.raises(InputError, match="t_v"):
+        SearchTarget(6, 0, Theorem.GENERAL, t_v="2", t_w=2)
