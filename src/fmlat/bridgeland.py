@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, CoprimalityError, InputError
+from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
+                     InputError)
 from .linalg import as_int
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -112,7 +113,8 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
         raise CoprimalityError(f"gcd({r}, {d}) = {math.gcd(r, d)}, must be 1")
     a = (-pow(d, -1, r)) % r
     b = (1 + a * d) // r
-    assert 0 < a < r and b * r - a * d == 1
+    if not (0 < a < r and b * r - a * d == 1):
+        raise FmlatError(f"canonical_ab({r}, {d}) computed a = {a}, b = {b}")
     return a, b
 
 

@@ -13,6 +13,7 @@ hypotheses placed on the numerical data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -30,6 +31,13 @@ class Theorem(Enum):
 
 
 PASS, FAIL, NOT_EVALUATED = "pass", "fail", "not-evaluated"
+
+
+def _theorem(value) -> Theorem:
+    try:
+        return Theorem(value)
+    except ValueError as exc:
+        raise InputError(f"unknown theorem {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
     K3 thresholds: a.d_v > 2a + c and a.d_w > 2a - c. The general-surface
     version replaces 2 by the caller-supplied moduli dimensions t_v, t_w.
     """
-    theorem = Theorem(theorem)
+    theorem = _theorem(theorem)
     _check_sd_constraints(phi)
     rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
     a, c = phi.a, phi.c
@@ -216,6 +224,18 @@ class SDReport:
             def ints(values):
                 return tuple(as_int("margin", x) for x in values)
 
+            def optional(label, kind):
+                value = data[label]
+                if value is not None and not isinstance(value, kind):
+                    raise InputError(f"{label} must be a {kind.__name__} "
+                                     f"or null, got {value!r}")
+                return value
+
+            notes = data.get("notes", [])
+            if not (isinstance(notes, list)
+                    and all(isinstance(note, str) for note in notes)):
+                raise InputError(f"notes must be a list of strings, got {notes!r}")
+
             def as_class(values):
                 if values is None:
                     return None
@@ -233,12 +253,12 @@ class SDReport:
                 margins_k3=None if mk3 is None else (
                     ints(mk3["threshold"]), ints(mk3["rank"])),
                 margins_general=None if mgen is None else ints(mgen["threshold"]),
-                orthogonal=data["orthogonal"],
-                base_case=data["base_case"],
-                surface=data["surface"],
+                orthogonal=optional("orthogonal", bool),
+                base_case=optional("base_case", bool),
+                surface=optional("surface", str),
                 v=as_class(data["v"]),
                 w=as_class(data["w"]),
-                notes=tuple(data.get("notes", ())),
+                notes=tuple(notes),
             )
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed report: {exc!r}") from exc
@@ -271,7 +291,7 @@ def build_report(phi: FM2, d_v: int, d_w: int,
             notes.append(f"supplied fiber degrees ({d_v}, {d_w}) disagree with "
                          f"the classes ({pair.d_v}, {pair.d_w})")
     for theorem in theorems:
-        theorem = Theorem(theorem)
+        theorem = _theorem(theorem)
         if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
             if pair is not None and is_standard_k3(pair.surface):
                 t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
@@ -307,6 +327,10 @@ class SearchTarget:
         for label in ("t_v", "t_w"):
             if getattr(self, label) is not None:
                 as_int(label, getattr(self, label))
+        object.__setattr__(self, "theorem", _theorem(self.theorem))
+        if self.theorem is Theorem.GENERAL and (self.t_v is None
+                                                or self.t_w is None):
+            raise InputError("the general-surface check needs t_v and t_w")
 
 
 @dataclass(frozen=True)
@@ -323,32 +347,46 @@ def search_phi(lam: int, bound: int,
     lambda | e, c > a and -b > a. Hits come out in lexicographic (c, a, e,
     b) order; with a target only matrices passing that theorem check
     survive, each carrying its report. An empty result is a valid outcome.
+
+    Cost is O(bound^2 + hits): for each coprime (c, a) the admissible e lie
+    on one residue class modulo c.lambda below a cap set by -b > a, and a
+    target's thresholds depend on (c, a) alone.
     """
     if as_int("bound", bound) < 1:
         raise InputError(f"bound must be a positive integer, got {bound!r}")
     if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {lam!r}")
+    if target is not None:
+        # a.d_v > a.t_v + c and a.d_w > a.t_w - c, with t = 2 on K3
+        t_v, t_w = ((2, 2) if target.theorem is Theorem.K3
+                    else (target.t_v, target.t_w))
+        above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2
-        for a in range(1, min(c - 1, bound) + 1):
-            for e in range(-bound, bound + 1):
-                if e % lam != 0:
-                    continue
-                # determinant one pins b = (1 + a.e)/c when integral
-                if (1 + a * e) % c != 0:
-                    continue
-                b = (1 + a * e) // c
-                if abs(b) > bound or -b <= a:
-                    continue
-                phi = FM2(c, a, e, b, lam)
+        # cb - ae = 1 with lambda | e needs gcd(c, lambda) = 1
+        if math.gcd(c, lam) != 1:
+            continue
+        lam_inv, step = pow(lam, -1, c), c * lam
+        for a in range(1, c):
+            if target is not None and not a * above < c < a * below:
+                continue
+            if math.gcd(a, c) != 1:
+                continue
+            # e = -1/a (mod c) and e = 0 (mod lambda): one class mod c.lambda
+            residue = lam * (-pow(a, -1, c) * lam_inv % c)
+            # b = (1 + a.e)/c rises with e, so -b > a caps e (below zero);
+            # e >= -bound and c > a already give b > -bound
+            hi = (-c * (a + 1) - 1) // a
+            for e in range(-bound + (residue + bound) % step, hi + 1, step):
+                phi = FM2(c, a, e, (1 + a * e) // c, lam)
                 if target is None:
                     hits.append(SearchHit(phi))
                     continue
-                result = sd_check(target.theorem, phi, target.d_v, target.d_w,
-                                  t_v=target.t_v, t_w=target.t_w)
-                if result.passed:
-                    hits.append(SearchHit(phi, build_report(
-                        phi, target.d_v, target.d_w,
-                        theorems=(target.theorem,),
-                        t_v=target.t_v, t_w=target.t_w)))
+                report = build_report(phi, target.d_v, target.d_w,
+                                      theorems=(target.theorem,),
+                                      t_v=target.t_v, t_w=target.t_w)
+                verdict = (report.k3_check if target.theorem is Theorem.K3
+                           else report.general_check)
+                if verdict == PASS:
+                    hits.append(SearchHit(phi, report))
     return hits

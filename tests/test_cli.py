@@ -337,6 +337,15 @@ def test_search_general_theorem_needs_dimensions(capsys):
     assert "3,1,-7,-2" in out
 
 
+def test_search_general_theorem_needs_dimensions_at_any_bound(capsys):
+    # bound 3 has no admissible candidate, so the target itself must be checked
+    for bound in ("3", "8"):
+        code, _, err = run(capsys, "search", "--lambda", "1", "--bound", bound,
+                           "--dv", "6", "--dw", "0", "--theorem", "general")
+        assert code == 2
+        assert "t_v" in err
+
+
 def test_verify_single_degree_range(capsys):
     code, out, _ = run(capsys, "verify", "--d-range", "3")
     assert code == 0

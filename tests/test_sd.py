@@ -266,6 +266,65 @@ def test_search_complete_against_naive_scan():
         assert got == [hit.phi.entries() for hit in search_phi(lam, bound)]
 
 
+def _cubic_reference_search(lam, bound, target=None):
+    """The earlier O(bound^3) search: every (c, a, e), then sd_check."""
+    hits = []
+    for c in range(2, bound + 1):
+        for a in range(1, min(c - 1, bound) + 1):
+            for e in range(-bound, bound + 1):
+                if e % lam != 0 or (1 + a * e) % c != 0:
+                    continue
+                b = (1 + a * e) // c
+                if abs(b) > bound or -b <= a:
+                    continue
+                phi = FM2(c, a, e, b, lam)
+                if target is None:
+                    hits.append((phi, None))
+                    continue
+                result = sd_check(target.theorem, phi, target.d_v, target.d_w,
+                                  t_v=target.t_v, t_w=target.t_w)
+                if result.passed:
+                    hits.append((phi, build_report(
+                        phi, target.d_v, target.d_w,
+                        theorems=(target.theorem,),
+                        t_v=target.t_v, t_w=target.t_w)))
+    return hits
+
+
+REFERENCE_TARGETS = [
+    None,
+    SearchTarget(6, 0),
+    SearchTarget(5, 1),
+    SearchTarget(8, -1),
+    SearchTarget(2, 5),          # d_v <= 2: the c-window is empty
+    SearchTarget(11, -3),        # d_w < 0 narrows the window from below
+    SearchTarget(7, 1, Theorem.GENERAL, t_v=3, t_w=1),
+    SearchTarget(9, 2, Theorem.GENERAL, t_v=0, t_w=4),
+]
+
+
+@pytest.mark.parametrize("target", REFERENCE_TARGETS, ids=repr)
+def test_search_matches_cubic_reference(target):
+    def documents(hits):
+        return [(phi.entries(), None if report is None else report.to_json())
+                for phi, report in hits]
+
+    top = 40
+    for lam in range(1, 7):
+        reference = _cubic_reference_search(lam, top, target)
+        for bound in range(1, top + 1):
+            # the reference at a smaller bound keeps exactly the hits whose
+            # entries all lie within it
+            expected = [hit for hit in reference
+                        if max(map(abs, hit[0].entries())) <= bound]
+            got = [(hit.phi, hit.report)
+                   for hit in search_phi(lam, bound, target)]
+            assert got == expected, (lam, bound)
+        assert documents(got) == documents(reference)
+    assert _cubic_reference_search(2, 12, target) == [
+        (hit.phi, hit.report) for hit in search_phi(2, 12, target)]
+
+
 def test_search_with_target_contains_worked_example():
     hits = search_phi(1, 8, target=SearchTarget(6, 0, Theorem.K3))
     entries = [hit.phi.entries() for hit in hits]
@@ -308,6 +367,11 @@ def test_report_from_json_rejects_malformed_documents():
         {**good, "checks": []},
         {**good, "margins": {"k3": k3_margins, "general": None}},
         {**good, "v": []},
+        {**good, "notes": "abc"},   # tuple() would split it into letters
+        {**good, "notes": [1]},
+        {**good, "orthogonal": 7},
+        {**good, "base_case": "yes"},
+        {**good, "surface": 3},
         [good],
     ]
     for doc in bad_docs:
@@ -329,6 +393,23 @@ def test_sd_check_rejects_non_integer_fiber_degree(d_v):
 def test_sd_check_rejects_non_integer_dimensions():
     with pytest.raises(InputError, match="t_w"):
         sd_check(Theorem.GENERAL, WORKED_PHI, 6, 0, t_v=2, t_w=2.0)
+
+
+def test_unknown_theorem_is_an_input_error():
+    with pytest.raises(InputError, match="bogus"):
+        sd_check("bogus", WORKED_PHI, 6, 0)
+    with pytest.raises(InputError, match="bogus"):
+        build_report(WORKED_PHI, 6, 0, theorems=("bogus",))
+    with pytest.raises(InputError, match="bogus"):
+        SearchTarget(6, 0, "bogus")
+
+
+def test_search_target_normalises_and_checks_theorem():
+    assert SearchTarget(6, 0, "k3").theorem is Theorem.K3
+    assert SearchTarget(6, 0, "general", t_v=2, t_w=2).theorem is Theorem.GENERAL
+    for t_v, t_w in ((None, None), (2, None), (None, 2)):
+        with pytest.raises(InputError, match="t_v and t_w"):
+            SearchTarget(6, 0, Theorem.GENERAL, t_v=t_v, t_w=t_w)
 
 
 def test_search_target_rejects_non_integers():
