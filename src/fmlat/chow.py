@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, as_int, q, qvec
+from .linalg import Mat, as_int, q, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ class SurfaceDescriptor:
         object.__setattr__(self, "fiber", _int_vec("fiber", self.fiber, n))
         object.__setattr__(self, "canonical", _int_vec("canonical", self.canonical, n))
         object.__setattr__(self, "chi_O", as_int("chi_O", self.chi_O))
-        if self._dot_int(self.fiber, self.fiber) != 0:
+        if dot(self, self.fiber, self.fiber) != 0:
             raise InputError("fiber: fiber.fiber must vanish")
         if self.section is not None:
             object.__setattr__(self, "section", _int_vec("section", self.section, n))
-            if self._dot_int(self.section, self.fiber) != 1:
+            if dot(self, self.section, self.fiber) != 1:
                 raise InputError("section: section.fiber must equal 1")
         # fiber degree of basis vector i: row i of the (symmetric) gram . fiber
         degs = [sum(g * f for g, f in zip(row, self.fiber)) for row in self.gram]
@@ -87,16 +87,22 @@ class SurfaceDescriptor:
     def rank(self) -> int:
         return len(self.basis_names)
 
-    def _dot_int(self, x, y) -> int:
-        return sum(x[i] * self.gram[i][j] * y[j]
-                   for i in range(self.rank) for j in range(self.rank))
-
 
 def _int_vec(key: str, xs, n: int) -> tuple[int, ...]:
     vec = tuple(as_int(key, x) for x in xs)
     if len(vec) != n:
         raise InputError(f"{key}: expected {n} entries, got {len(vec)}")
     return vec
+
+
+def dot(surface: SurfaceDescriptor, x: Iterable, y: Iterable) -> int | Fraction:
+    """Intersection pairing of two divisor vectors under the Gram form."""
+    xv, yv = qvec(x), qvec(y)
+    n = surface.rank
+    if len(xv) != n or len(yv) != n:
+        raise InputError(f"divisor vectors must have length {n}")
+    return q(sum(xv[i] * surface.gram[i][j] * yv[j]
+                 for i in range(n) for j in range(n)))
 
 
 STANDARD_K3 = SurfaceDescriptor(
@@ -139,9 +145,9 @@ class CohClass:
     integrality is reported by integrality_warnings rather than enforced.
     """
 
-    r: Fraction
-    div: tuple[Fraction, ...]
-    p: Fraction
+    r: int | Fraction
+    div: tuple[int | Fraction, ...]
+    p: int | Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "r", q(self.r))
@@ -165,7 +171,7 @@ class CohClass:
         k = q(k)
         return CohClass(k * self.r, tuple(k * d for d in self.div), k * self.p)
 
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple[int | Fraction, ...]:
         return (self.r, *self.div, self.p)
 
 
@@ -193,16 +199,6 @@ def _check_class(surface: SurfaceDescriptor, v: CohClass) -> None:
             f"{surface.name!r} has lattice rank {surface.rank}")
 
 
-def dot(surface: SurfaceDescriptor, x: Iterable, y: Iterable) -> Fraction:
-    """Intersection pairing of two divisor vectors under the Gram form."""
-    xv, yv = qvec(x), qvec(y)
-    n = surface.rank
-    if len(xv) != n or len(yv) != n:
-        raise InputError(f"divisor vectors must have length {n}")
-    return sum((xv[i] * surface.gram[i][j] * yv[j]
-                for i in range(n) for j in range(n)), Fraction(0))
-
-
 def ch_line_bundle(surface: SurfaceDescriptor, divisor: Iterable) -> CohClass:
     """Chern character (1, D, D^2/2) of the line bundle O(D)."""
     d = qvec(divisor)
@@ -210,7 +206,7 @@ def ch_line_bundle(surface: SurfaceDescriptor, divisor: Iterable) -> CohClass:
         raise InputError(
             f"divisor has {len(d)} entries, surface {surface.name!r} "
             f"has lattice rank {surface.rank}")
-    return CohClass(1, d, dot(surface, d, d) / 2)
+    return CohClass(1, d, qdiv(dot(surface, d, d), 2))
 
 
 def mult(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> CohClass:
@@ -229,11 +225,11 @@ def dual(v: CohClass) -> CohClass:
 
 def todd(surface: SurfaceDescriptor) -> CohClass:
     """Todd class (1, -K/2, chi(O))."""
-    return CohClass(1, tuple(Fraction(-k, 2) for k in surface.canonical),
+    return CohClass(1, tuple(qdiv(-k, 2) for k in surface.canonical),
                     surface.chi_O)
 
 
-def chi_tensor(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> Fraction:
+def chi_tensor(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> int | Fraction:
     """Euler characteristic of the derived tensor product, by Riemann-Roch.
 
     Integrates v.w.td over the surface; the integral extracts the point
@@ -242,7 +238,7 @@ def chi_tensor(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> Fraction
     return mult(surface, mult(surface, v, w), todd(surface)).p
 
 
-def fdeg(surface: SurfaceDescriptor, v: CohClass) -> Fraction:
+def fdeg(surface: SurfaceDescriptor, v: CohClass) -> int | Fraction:
     """Fiber degree: intersection of the divisor part with the fiber class."""
     _check_class(surface, v)
     return dot(surface, v.div, surface.fiber)
@@ -260,12 +256,12 @@ def moduli_dim_k3(surface: SurfaceDescriptor, v: CohClass) -> int:
     if dim.denominator != 1:
         raise InputError(f"moduli dimension {dim} is not an integer; "
                          "class is not a sheaf class")
-    return int(dim)
+    return dim
 
 
 # Standard-model coordinates: (r, s, t, p) for r + s.sigma + t.f + p.[pt].
 
-def to_coords(v: CohClass) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def to_coords(v: CohClass) -> tuple[int | Fraction, ...]:
     if len(v.div) != 2:
         raise InputError("standard-model coordinates need a rank-2 lattice class")
     return (v.r, v.div[0], v.div[1], v.p)

@@ -41,12 +41,7 @@ def _parse_d_range(text: str) -> tuple[int, int]:
 
 
 def _parse_vector(text: str) -> tuple:
-    try:
-        return qvec(tok.strip() for tok in text.split(","))
-    except FmlatError:
-        raise
-    except Exception:
-        raise InputError(f"bad vector {text!r}; expected comma-separated exact values")
+    return qvec(text.split(","))
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -103,11 +98,14 @@ def _cmd_verify(args) -> int:
 def _built_matrix(name: str, d: int | None, divisor_text: str | None) -> tuple[Mat, dict]:
     divisor = None
     if divisor_text is not None:
-        divisor = _parse_ints(divisor_text, 2, "--divisor")
+        divisor = _parse_vector(divisor_text)
+        if len(divisor) != 2:
+            raise InputError(f"--divisor needs 2 comma-separated exact values, "
+                             f"got {divisor_text!r}")
     built = build(name, d=d, divisor=divisor)
     matrix = built if isinstance(built, Mat) else built.matrix
     meta = {"schema": 1, "name": name, "d": d,
-            "divisor": list(divisor) if divisor else None}
+            "divisor": enc_qseq(divisor) if divisor else None}
     return matrix, meta
 
 
@@ -241,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="matrix name, e.g. FM_Pd, A_S, TensorL1")
     p.add_argument("--d", type=int, default=None, help="kernel degree parameter")
     p.add_argument("--divisor", default=None, metavar="S,T",
-                   help="divisor s·sigma + t·f for A_TL")
+                   help="divisor s·sigma + t·f for A_TL (n/d rationals accepted)")
     add_json(p)
     p.set_defaults(func=_cmd_matrix)
 

@@ -1,37 +1,55 @@
 """Small exact matrices over the rationals.
 
-Everything is immutable and built on fractions.Fraction; no floating point
-enters any computation. Matrices act on column vectors.
+Scalars are exact and integer-first: an integral value is a plain int, and
+only a value whose denominator is not 1 is a fractions.Fraction. No floating
+point enters any computation; all division goes through qdiv. Matrices act
+on column vectors.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, SingularMatrixError
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
-def q(x) -> Fraction:
-    """Coerce an int, a Fraction or a string like "3/4" to Fraction.
 
-    Floats are rejected on purpose: they would silently break exactness.
+def q(x) -> int | Fraction:
+    """Coerce an int, a Fraction or a string like "3/4" to its normal form:
+    an int when the value is integral, a Fraction otherwise.
+
+    Strings take the grammar [+-]digits[/digits] only, with surrounding
+    whitespace allowed. Floats, bools and decimal notation ("0.5", "1e3")
+    are rejected on purpose: they would silently break exactness.
     """
-    if isinstance(x, Fraction):
+    if type(x) is int:
         return x
-    if isinstance(x, bool):
-        raise InputError(f"not an exact rational: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, str) and (match := _RATIONAL.fullmatch(x)):
+        num, den = match.groups()
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            return int(num) if den is None else qdiv(int(num), int(den))
+        except (ValueError, InputError) as exc:
             raise InputError(f"not an exact rational: {x!r}") from exc
     raise InputError(f"not an exact rational: {x!r}")
 
 
-def qvec(xs: Iterable) -> tuple[Fraction, ...]:
+def qdiv(a, b) -> int | Fraction:
+    """Exact quotient a/b in the normal form of q; the one division of the
+    package. A zero divisor is an InputError."""
+    a, b = q(a), q(b)
+    if b == 0:
+        raise InputError(f"division by zero: {a}/0")
+    return q(Fraction(a, b))
+
+
+def qvec(xs: Iterable) -> tuple[int | Fraction, ...]:
     return tuple(q(x) for x in xs)
 
 
@@ -44,7 +62,8 @@ def as_int(label: str, x) -> int:
 
 
 class Mat:
-    """Immutable rectangular matrix with exact rational entries."""
+    """Immutable rectangular matrix with exact rational entries, each in
+    the normal form of q."""
 
     __slots__ = ("rows",)
 
@@ -106,20 +125,20 @@ class Mat:
             raise InputError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by "
                 f"{other.n_rows}x{other.n_cols}")
-        cols = other.transpose().rows
+        cols = tuple(zip(*other.rows))
         return Mat(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                    for row in self.rows)
 
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
+    def apply(self, vec: Sequence) -> tuple[int | Fraction, ...]:
         v = qvec(vec)
         if len(v) != self.n_cols:
             raise InputError(f"vector has length {len(v)}, expected {self.n_cols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return qvec(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "Mat":
         return Mat(zip(*self.rows))
 
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
         if self.n_rows != self.n_cols:
             raise InputError("determinant of a non-square matrix")
         return _eliminate([list(row) for row in self.rows], self.n_rows)
@@ -128,31 +147,32 @@ class Mat:
         if self.n_rows != self.n_cols:
             raise InputError("inverse of a non-square matrix")
         n = self.n_rows
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+        work = [list(row) + [int(i == j) for j in range(n)]
                 for i, row in enumerate(self.rows)]
         if _eliminate(work, n) == 0:
             raise SingularMatrixError("matrix is singular")
         return Mat(row[n:] for row in work)
 
 
-def _eliminate(work: list[list[Fraction]], n: int) -> Fraction:
-    """Gauss-Jordan elimination in place on the first n columns of work;
-    returns the determinant of that block (0, rows partly reduced, if singular)."""
-    det = Fraction(1)
+def _eliminate(work: list[list], n: int) -> int | Fraction:
+    """Gauss-Jordan elimination in place on the first n columns of work,
+    keeping every entry in the normal form of q; returns the determinant of
+    that block (0, rows partly reduced, if singular)."""
+    det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        work[col] = [a * inv for a in work[col]]
+        det = q(det * work[col][col])
+        inv = qdiv(1, work[col][col])
+        work[col] = [q(a * inv) for a in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                work[r] = [q(a - factor * b) for a, b in zip(work[r], work[col])]
     return det
 
 
@@ -169,12 +189,12 @@ def render_matrix(m: Mat) -> str:
 # JSON encoding of exact numbers: integers stay integers, everything else
 # becomes an "n/d" string so nothing is ever rounded.
 
-def enc_q(x: Fraction):
+def enc_q(x):
     x = q(x)
-    return int(x) if x.denominator == 1 else str(x)
+    return x if type(x) is int else str(x)
 
 
-def dec_q(v) -> Fraction:
+def dec_q(v) -> int | Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise InputError(f"not an encoded rational: {v!r}")
     return q(v)
@@ -184,7 +204,7 @@ def enc_qseq(xs) -> list:
     return [enc_q(x) for x in xs]
 
 
-def dec_qseq(xs) -> tuple[Fraction, ...]:
+def dec_qseq(xs) -> tuple[int | Fraction, ...]:
     return tuple(dec_q(x) for x in xs)
 
 

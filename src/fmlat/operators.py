@@ -25,7 +25,7 @@ from . import chow
 from .chow import (COORD_BASIS, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, as_int, qvec
+from .linalg import Mat, as_int, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def golden(name: GoldenName, d: int | None = None,
                     [0, 0, 0, 1]])
     if name is GoldenName.A_TL:
         s, t = divisor
-        half_sq = (-2 * s * s + 2 * s * t) / 2
+        half_sq = qdiv(-2 * s * s + 2 * s * t, 2)
         return Mat([[1, 0, 0, 0],
                     [s, 1, 0, 0],
                     [t, 0, 1, 0],

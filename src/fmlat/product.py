@@ -42,8 +42,8 @@ class FMOrientation(Enum):
 class ProductClass:
     """Decomposable grid plus diagonal coefficients; immutable and exact."""
 
-    decomp: tuple[tuple[Fraction, ...], ...]
-    diag: tuple[Fraction, Fraction, Fraction]
+    decomp: tuple[tuple[int | Fraction, ...], ...]
+    diag: tuple[int | Fraction, int | Fraction, int | Fraction]
 
     def __post_init__(self):
         dec = tuple(qvec(row) for row in self.decomp)
@@ -79,7 +79,7 @@ class ProductClass:
 
 
 def _single(i: int, j: int, value=1) -> ProductClass:
-    dec = [[Fraction(0)] * 4 for _ in range(4)]
+    dec = [[0] * 4 for _ in range(4)]
     dec[i][j] = q(value)
     return ProductClass(tuple(tuple(row) for row in dec), (0, 0, 0))
 
@@ -95,12 +95,12 @@ DELTA = ProductClass(((0,) * 4,) * 4, (1, 0, 0))
 _BASIS_LABELS = ("1", "sigma", "f", "*")
 
 
-def _mult4(x: CohClass, y: CohClass) -> tuple[Fraction, ...]:
+def _mult4(x: CohClass, y: CohClass) -> tuple[int | Fraction, ...]:
     return to_coords(mult(STANDARD_K3, x, y))
 
 
 # products of coordinate basis classes are constants; precompute them so
-# prod_mult is pure table-driven Fraction arithmetic
+# prod_mult is pure table-driven exact arithmetic
 _PAIR_TABLE = tuple(tuple(_mult4(ei, ek) for ek in COORD_BASIS)
                     for ei in COORD_BASIS)
 _TRIPLE_TABLE = tuple(
@@ -121,7 +121,7 @@ def pull(side: Side, v: CohClass) -> ProductClass:
     the other factor."""
     _require_standard_class(v)
     c = to_coords(v)
-    dec = [[Fraction(0)] * 4 for _ in range(4)]
+    dec = [[0] * 4 for _ in range(4)]
     for i, coeff in enumerate(c):
         if side is Side.FIRST:
             dec[i][0] = coeff
@@ -147,8 +147,8 @@ def push(side: Side, a: ProductClass) -> CohClass:
 
 def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     """Bilinear product; total codimension above four is discarded."""
-    dec = [[Fraction(0)] * 4 for _ in range(4)]
-    diag = [Fraction(0)] * 3
+    dec = [[0] * 4 for _ in range(4)]
+    diag = [0] * 3
 
     def add_outer(coeff, first, second):
         for u, fu in enumerate(first):
@@ -271,7 +271,7 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
 
 def render_product_class(a: ProductClass) -> str:
     """Basis-labeled sum, e.g. "[f x X] + [X x f] - [f x f] - Delta + 2[*]"."""
-    terms: list[tuple[Fraction, str]] = []
+    terms: list[tuple[int | Fraction, str]] = []
     for i in range(4):
         for j in range(4):
             coeff = a.decomp[i][j]

@@ -22,7 +22,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dot, fdeg, is_standard_k3, moduli_dim_k3)
 from .errors import AdmissibilityError, InputError
-from .linalg import as_int, dec_qseq, enc_qseq
+from .linalg import as_int, dec_qseq, enc_qseq, qdiv
 
 
 class Theorem(Enum):
@@ -53,8 +53,8 @@ class SDPair:
     v: CohClass
     w: CohClass
     no_higher_cohomology: bool = False
-    d_v: Fraction = field(init=False)
-    d_w: Fraction = field(init=False)
+    d_v: int | Fraction = field(init=False)
+    d_w: int | Fraction = field(init=False)
 
     def __post_init__(self):
         for label, cls in (("v", self.v), ("w", self.w)):
@@ -83,7 +83,7 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
         return False
     k = -v.p
     big_l = w.div
-    l = dot(surface, big_l, big_l) / 2 - w.p
+    l = qdiv(dot(surface, big_l, big_l), 2) - w.p
     if k.denominator != 1 or l.denominator != 1 or k <= 0 or l <= 0:
         return False
     chi_l = chi_tensor(surface, ch_line_bundle(surface, big_l),

@@ -41,8 +41,9 @@ class VerifyCase:
 
     @classmethod
     def from_json(cls, data: dict) -> "VerifyCase":
-        return cls(data["id"], data["description"], data["pass"],
-                   data["lhs"], data["rhs"])
+        return cls(*(_field(data, key, kind, "verify case") for key, kind in
+                     (("id", str), ("description", str), ("pass", bool),
+                      ("lhs", str), ("rhs", str))))
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,34 @@ class VerifyOutcome:
 
     @classmethod
     def from_json(cls, data: dict) -> "VerifyOutcome":
-        if data.get("schema") != 1:
+        if _field(data, "schema", int, "verify outcome") != 1:
             raise InputError("unknown verify schema")
-        return cls(data["suite"], data["d_range"][0], data["d_range"][1],
-                   tuple(VerifyCase.from_json(c) for c in data["cases"]))
+        d_range = _field(data, "d_range", list, "verify outcome")
+        if len(d_range) != 2:
+            raise InputError(f"malformed verify outcome: d_range needs 2 "
+                             f"entries, got {d_range!r}")
+        outcome = cls(_field(data, "suite", str, "verify outcome"),
+                      as_int("d_range", d_range[0]), as_int("d_range", d_range[1]),
+                      tuple(VerifyCase.from_json(c)
+                            for c in _field(data, "cases", list, "verify outcome")))
+        counts = (_field(data, "passed", int, "verify outcome"),
+                  _field(data, "failed", int, "verify outcome"))
+        if counts != (outcome.n_passed, outcome.n_failed):
+            raise InputError(f"malformed verify outcome: passed/failed {counts} "
+                             f"disagree with the cases")
+        return outcome
+
+
+def _field(data, key: str, kind: type, what: str):
+    """data[key], checked to be a kind (a bool is no int); InputError if
+    data is not a dict, lacks the key or holds another type."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"malformed {what}: missing {key!r} in {data!r}")
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"malformed {what}: {key} must be of type "
+                         f"{kind.__name__}, got {value!r}")
+    return value
 
 
 def _first_diff(a: Mat, b: Mat) -> str:

@@ -164,20 +164,20 @@ def test_chi_hilbert_pair_vanishing():
     lattice_l = (1, 4)
     lsq = dot(S, lattice_l, lattice_l)
     chi_l = chi_tensor(S, ch_line_bundle(S, lattice_l), ONE)
-    assert chi_l == 2 + lsq / 2
+    assert chi_l == 2 + Fraction(lsq, 2)
     for k in range(0, 6):
         l = chi_l - k
         v = CohClass(1, (0, 0), -k)
-        w = CohClass(1, lattice_l, lsq / 2 - l)
+        w = CohClass(1, lattice_l, Fraction(lsq, 2) - l)
         assert chi_tensor(S, v, w) == 0
-        w_off = CohClass(1, lattice_l, lsq / 2 - l - 1)
+        w_off = CohClass(1, lattice_l, Fraction(lsq, 2) - l - 1)
         assert chi_tensor(S, v, w_off) != 0
 
 
 def test_chi_of_section_line_bundle():
     # oracle: Riemann-Roch chi(O(D)) = chi(O) + (D^2 - D.K)/2 on K3 is 2 + D^2/2
     v = ch_line_bundle(S, (1, 0))
-    assert chi_tensor(S, v, ONE) == 2 + dot(S, (1, 0), (1, 0)) / 2 == 1
+    assert chi_tensor(S, v, ONE) == 2 + Fraction(dot(S, (1, 0), (1, 0)), 2) == 1
 
 
 def test_chi_riemann_roch_general_surface():
@@ -187,7 +187,7 @@ def test_chi_riemann_roch_general_surface():
                          CohClass(1, (0, 0), 0))
         dsq = dot(RATIONAL_ELLIPTIC, d_vec, d_vec)
         dk = dot(RATIONAL_ELLIPTIC, d_vec, RATIONAL_ELLIPTIC.canonical)
-        assert lhs == 1 + (dsq - dk) / 2
+        assert lhs == 1 + Fraction(dsq - dk, 2)
 
 
 @settings(max_examples=60)
@@ -243,7 +243,7 @@ def test_moduli_dim_independent_of_determinant():
         lam_vec = (rng.randint(-5, 5), rng.randint(-5, 5))
         n = rng.randint(0, 9)
         lsq = dot(S, lam_vec, lam_vec)
-        v = CohClass(1, lam_vec, lsq / 2 - n)
+        v = CohClass(1, lam_vec, Fraction(lsq, 2) - n)
         assert moduli_dim_k3(S, v) == 2 * n
 
 

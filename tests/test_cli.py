@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import fmlat.operators
 import fmlat.verify
 from fmlat.cli import main
-from fmlat.linalg import Mat, dec_mat, dec_qseq
+from fmlat.linalg import Mat, dec_mat, dec_qseq, render_matrix
 from fmlat.operators import GoldenName, golden
 from fmlat.sd import SDReport
 from fmlat.verify import VerifyOutcome
@@ -105,6 +106,26 @@ def test_matrix_twist_takes_divisor(capsys):
     assert code == 0
     assert dec_mat(json.loads(out)["matrix"]) == \
         golden(GoldenName.A_TL, divisor=(1, 3))
+
+
+def test_matrix_twist_takes_rational_divisor(capsys):
+    expected = golden(GoldenName.A_TL, divisor=(Fraction(1, 2), 1))
+    assert expected.rows[3][0] == Fraction(1, 4)
+    code, out, _ = run(capsys, "matrix", "A_TL", "--divisor", "1/2,1")
+    assert code == 0
+    assert out == f"A_TL(D=1/2,1) =\n{render_matrix(expected)}\n"
+    code, out, _ = run(capsys, "matrix", "A_TL", "--divisor", "1/2,1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["divisor"] == ["1/2", 1]
+    assert dec_mat(doc["matrix"]) == expected
+
+
+@pytest.mark.parametrize("divisor", ["1", "1/2,1,0", "1/0,1", "0.5,1", "1e3,0"])
+def test_matrix_divisor_rejects_bad_values(capsys, divisor):
+    code, _, err = run(capsys, "matrix", "A_TL", "--divisor", divisor)
+    assert code == 2
+    assert "error:" in err
 
 
 def test_matrix_unknown_name_is_input_error(capsys):
@@ -385,6 +406,15 @@ def test_bad_vector_is_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("vector", ["1e3,0,0,0", "0.5,0,0,0", "1,0,1.5,0"])
+def test_decimal_vector_is_input_error(capsys, vector):
+    code, out, err = run(capsys, "transform", "--matrix", "FM_Pd", "--d", "1",
+                         "--vector", vector)
+    assert code == 2
+    assert out == ""
+    assert "not an exact rational" in err
+
+
 def test_bad_phi_arity_is_input_error(capsys):
     code, _, err = run(capsys, "sd-check", "--phi", "3,1,-7",
                        "--dv", "6", "--dw", "0")
@@ -415,8 +445,34 @@ def test_run_verify_rejects_non_integer_range():
 
 def test_verify_outcome_rejects_unknown_schema():
     from fmlat.errors import InputError as IE
-    with pytest.raises(IE):
-        VerifyOutcome.from_json({"schema": 7})
+    good_case = {"id": "x", "description": "d", "pass": True,
+                 "lhs": "1", "rhs": "1"}
+    outcome = {"schema": 1, "suite": "fmlat-verify", "d_range": [1, 2],
+               "cases": [good_case], "passed": 1, "failed": 0}
+    assert VerifyOutcome.from_json(outcome).cases[0].id == "x"
+    malformed = [
+        {"schema": 7}, {"schema": True}, {"schema": "1"}, {}, [], None,
+        {"schema": 1},
+        {**outcome, "suite": 3},
+        {**outcome, "d_range": [1]},
+        {**outcome, "d_range": [1, 2, 3]},
+        {**outcome, "d_range": "1..2"},
+        {**outcome, "d_range": [1, "2"]},
+        {**outcome, "d_range": [True, 2]},
+        {**outcome, "cases": "abc"},
+        {**outcome, "cases": [{}]},
+        {**outcome, "cases": ["x"]},
+        {**outcome, "cases": [{**good_case, "pass": 1}]},
+        {**outcome, "cases": [{**good_case, "lhs": 1}]},
+        {**outcome, "cases": [{k: v for k, v in good_case.items() if k != "rhs"}]},
+        {**outcome, "passed": 99},
+        {**outcome, "failed": 1},
+        {**outcome, "passed": True},
+        {k: v for k, v in outcome.items() if k != "failed"},
+    ]
+    for doc in malformed:
+        with pytest.raises(IE):
+            VerifyOutcome.from_json(doc)
 
 
 # fuzzed argv: every outcome is an exit code, never an escaped exception

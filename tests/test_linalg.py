@@ -20,7 +20,8 @@ def test_q_accepts_exact_forms():
 
 def test_q_rejects_floats_and_garbage():
     # exactness contract: floats never enter silently
-    for bad in (0.5, float("nan"), "1.5e3x", "1/0", True, None):
+    for bad in (0.5, float("nan"), "1.5e3x", "1/0", True, None,
+                "1e3", "0.5", "1.5"):
         with pytest.raises(InputError):
             q(bad)
 

@@ -20,7 +20,7 @@ WORKED_PHI = FM2(3, 1, -7, -2, 1)
 def hilbert_pair(k, l, lattice_l=(1, 4)):
     lsq = dot(S, lattice_l, lattice_l)
     v = CohClass(1, (0, 0), -k)
-    w = CohClass(1, lattice_l, lsq / 2 - l)
+    w = CohClass(1, lattice_l, Fraction(lsq, 2) - l)
     return v, w
 
 
@@ -89,10 +89,10 @@ def test_mo_base_case_on_general_surface():
     lattice_l = (1, 3)
     lsq = dot(RATIONAL_ELLIPTIC, lattice_l, lattice_l)
     lk = dot(RATIONAL_ELLIPTIC, lattice_l, RATIONAL_ELLIPTIC.canonical)
-    n = 1 + (lsq - lk) / 2
+    n = 1 + Fraction(lsq - lk, 2)
     assert n == 4
     v = CohClass(1, (0, 0), -1)
-    w = CohClass(1, lattice_l, lsq / 2 - 3)
+    w = CohClass(1, lattice_l, Fraction(lsq, 2) - 3)
     assert mo_base_check(RATIONAL_ELLIPTIC, v, w, no_higher_cohomology=True)
 
 
