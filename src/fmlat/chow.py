@@ -150,9 +150,11 @@ class CohClass:
     p: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r", q(self.r))
+        if type(self.r) is not int:
+            object.__setattr__(self, "r", q(self.r))
         object.__setattr__(self, "div", qvec(self.div))
-        object.__setattr__(self, "p", q(self.p))
+        if type(self.p) is not int:
+            object.__setattr__(self, "p", q(self.p))
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if len(self.div) != len(other.div):
@@ -268,8 +270,10 @@ def to_coords(v: CohClass) -> tuple[int | Fraction, ...]:
 
 
 def from_coords(c: Iterable) -> CohClass:
-    r, s, t, p = qvec(c)
-    return CohClass(r, (s, t), p)
+    c = qvec(c)
+    if len(c) != 4:
+        raise InputError(f"standard-model coordinates have 4 entries, got {len(c)}")
+    return CohClass(c[0], c[1:3], c[3])
 
 
 UNIT_CLASS = from_coords((1, 0, 0, 0))
@@ -277,6 +281,11 @@ SIGMA_CLASS = from_coords((0, 1, 0, 0))
 FIBER_CLASS = from_coords((0, 0, 1, 0))
 POINT_CLASS = from_coords((0, 0, 0, 1))
 COORD_BASIS = (UNIT_CLASS, SIGMA_CLASS, FIBER_CLASS, POINT_CLASS)
+
+# Multiplication table of the coordinate basis: PAIR_TABLE[i][k] holds the
+# coordinates of e_i . e_k, so x . y = sum_ik x_i y_k PAIR_TABLE[i][k].
+PAIR_TABLE = tuple(tuple(to_coords(mult(STANDARD_K3, ei, ek)) for ek in COORD_BASIS)
+                   for ei in COORD_BASIS)
 
 
 @functools.cache

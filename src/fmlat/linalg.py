@@ -9,8 +9,10 @@ on column vectors.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Sequence
+from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
 
 from .errors import InputError, SingularMatrixError
 
@@ -49,8 +51,24 @@ def qdiv(a, b) -> int | Fraction:
     return q(Fraction(a, b))
 
 
+def _items(xs) -> Iterator:
+    """iter(xs) for a non-string iterable; InputError for anything else."""
+    if not isinstance(xs, str):
+        try:
+            return iter(xs)
+        except TypeError:
+            pass
+    raise InputError(f"expected a sequence, got {xs!r}")
+
+
 def qvec(xs: Iterable) -> tuple[int | Fraction, ...]:
-    return tuple(q(x) for x in xs)
+    """The entries of a sequence in the normal form of q; ints skip q."""
+    return tuple([x if type(x) is int else q(x) for x in _items(xs)])
+
+
+def qgrid(rows: Iterable[Iterable]) -> tuple[tuple[int | Fraction, ...], ...]:
+    """A sequence of rows, each through qvec."""
+    return tuple(map(qvec, _items(rows)))
 
 
 def as_int(label: str, x) -> int:
@@ -61,6 +79,15 @@ def as_int(label: str, x) -> int:
     return x
 
 
+def as_member(label: str, kind: type[Enum], x) -> Enum:
+    """x as a member of kind, given as one or by its value; else InputError."""
+    try:
+        return kind(x)
+    except ValueError:
+        known = ", ".join(m.value for m in kind)
+        raise InputError(f"unknown {label} {x!r}; known: {known}") from None
+
+
 class Mat:
     """Immutable rectangular matrix with exact rational entries, each in
     the normal form of q."""
@@ -68,7 +95,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        frozen = tuple(tuple(q(x) for x in row) for row in rows)
+        frozen = qgrid(rows)
         if not frozen or not frozen[0]:
             raise InputError("matrix must be nonempty")
         if any(len(r) != len(frozen[0]) for r in frozen):
@@ -126,8 +153,7 @@ class Mat:
                 f"cannot multiply {self.n_rows}x{self.n_cols} by "
                 f"{other.n_rows}x{other.n_cols}")
         cols = tuple(zip(*other.rows))
-        return Mat(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                   for row in self.rows)
+        return Mat([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
     def apply(self, vec: Sequence) -> tuple[int | Fraction, ...]:
         v = qvec(vec)

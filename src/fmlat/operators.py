@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Iterable
 
 from . import chow
-from .chow import (COORD_BASIS, CohClass, STANDARD_K3, ch_line_bundle,
-                   from_coords, mult, render_class, to_coords)
+from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
+                   from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, as_int, qdiv, qvec
+from .linalg import Mat, as_int, as_member, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class Operator:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.matrix, Mat):
+            raise InputError(f"an operator needs a Mat, got {self.matrix!r}")
         if self.matrix.n_rows != 4 or self.matrix.n_cols != 4:
             raise InputError("operators in the standard model are 4x4")
 
@@ -61,10 +64,24 @@ class Operator:
 IDENTITY = Operator(Mat.identity(4), "id")
 
 
+# PAIR_TABLE indexed [row][k][i]: entry [row][k] of the matrix of
+# multiplication by the class with coordinates x is x . _TENSOR_TABLE[row][k]
+_TENSOR_TABLE = tuple(tuple(tuple(PAIR_TABLE[i][k][row] for i in range(4)) for k in range(4))
+                      for row in range(4))
+
+
+def _tensor_rows(x) -> list[list]:
+    """Rows of the matrix of multiplication by the class with coordinates x."""
+    return [[sum(map(mul, x, t)) for t in row] for row in _TENSOR_TABLE]
+
+
 def op_tensor(c: CohClass) -> Operator:
     """Multiplication by the class c, as a matrix."""
-    cols = [to_coords(mult(STANDARD_K3, c, basis)) for basis in COORD_BASIS]
-    return Operator(Mat(cols).transpose(), f"tensor{render_class(c)}")
+    return Operator(Mat(_tensor_rows(to_coords(c))), f"tensor{render_class(c)}")
+
+
+def _pi_coords(r, s, t, p) -> tuple:
+    return (s, 0, 2 * r - s + p, 0)
 
 
 def pi_pushpull(v: CohClass) -> CohClass:
@@ -73,15 +90,13 @@ def pi_pushpull(v: CohClass) -> CohClass:
     The base curve is P^1, so the result has no point part; the fiber
     coefficient picks up the Todd correction 2r of the K3.
     """
-    r, s, t, p = to_coords(v)
-    return from_coords((s, 0, 2 * r - s + p, 0))
+    return from_coords(_pi_coords(*to_coords(v)))
 
 
 def op_pi_tensor(c: CohClass) -> Operator:
     """The family v -> pi^* pi_* (v.c), as a matrix."""
-    cols = [to_coords(pi_pushpull(mult(STANDARD_K3, basis, c)))
-            for basis in COORD_BASIS]
-    return Operator(Mat(cols).transpose(), f"pi_pushpull{render_class(c)}")
+    cols = [_pi_coords(*col) for col in zip(*_tensor_rows(to_coords(c)))]
+    return Operator(Mat(zip(*cols)), f"pi_pushpull{render_class(c)}")
 
 
 # Distinguished classes of the degree-d kernel construction.
@@ -124,18 +139,13 @@ _NEEDS_D = {GoldenName.TensorL1, GoldenName.Tw_d, GoldenName.FM_Pd,
             GoldenName.FM_Fd}
 
 
-def _sigma_ch() -> CohClass:
-    return ch_line_bundle(STANDARD_K3, (1, 0))
+_SIGMA_CH = ch_line_bundle(STANDARD_K3, (1, 0))
 
 
 def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
     """The argument check shared by build and golden: d exactly for the
     names in _NEEDS_D, a two-entry divisor exactly for A_TL."""
-    try:
-        name = GoldenName(name)
-    except ValueError:
-        known = ", ".join(n.value for n in GoldenName)
-        raise InputError(f"unknown matrix name {name!r}; known: {known}") from None
+    name = as_member("matrix name", GoldenName, name)
     if name in _NEEDS_D:
         _check_d(d)
     elif d is not None:
@@ -163,18 +173,18 @@ def build(name: GoldenName, d: int | None = None,
     if name is GoldenName.TensorL1:
         op = op_tensor(pd_line_class(d))
     elif name is GoldenName.TensorSigma:
-        op = op_tensor(_sigma_ch())
+        op = op_tensor(_SIGMA_CH)
     elif name is GoldenName.PiPushPull:
         op = op_pi_tensor(chow.UNIT_CLASS)
     elif name is GoldenName.PiPushPullSigma:
-        op = op_pi_tensor(_sigma_ch())
+        op = op_pi_tensor(_SIGMA_CH)
     elif name is GoldenName.FM_Pd:
-        inner = op_pi_tensor(_sigma_ch()) - op_tensor(_sigma_ch())
+        inner = op_pi_tensor(_SIGMA_CH) - op_tensor(_SIGMA_CH)
         op = op_tensor(pd_line_class(d)) @ inner
     elif name is GoldenName.Tw_d:
         op = op_tensor(pd_pushforward_twist_class(d))
     elif name is GoldenName.FM_Fd:
-        op = build(GoldenName.FM_Pd, d) + op_pi_tensor(pd_pushforward_twist_class(d))
+        op = _fm_fd(build(GoldenName.FM_Pd, d), d)
     elif name is GoldenName.A_S:
         op = op_pi_tensor(chow.UNIT_CLASS) - IDENTITY
     elif name is GoldenName.A_Sprime:
@@ -187,6 +197,11 @@ def build(name: GoldenName, d: int | None = None,
     else:  # pragma: no cover - enum is exhaustive
         raise InputError(f"unknown operator name {name!r}")
     return Operator(op.matrix, f"{name.value}={op.label}")
+
+
+def _fm_fd(fm_pd: Operator, d: int) -> Operator:
+    """FM_Fd from the FM_Pd built at the same d."""
+    return fm_pd + op_pi_tensor(pd_pushforward_twist_class(d))
 
 
 def golden(name: GoldenName, d: int | None = None,

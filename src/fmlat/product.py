@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
-from .chow import (COORD_BASIS, CohClass, STANDARD_K3, ch_line_bundle,
+from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, to_coords, todd)
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, q, qvec
-from .operators import Operator, _check_d
+from .linalg import Mat, as_member, q, qgrid, qvec
+from .operators import Operator, _check_d, _tensor_rows
 
 
 class Side(Enum):
@@ -46,7 +47,7 @@ class ProductClass:
     diag: tuple[int | Fraction, int | Fraction, int | Fraction]
 
     def __post_init__(self):
-        dec = tuple(qvec(row) for row in self.decomp)
+        dec = qgrid(self.decomp)
         if len(dec) != 4 or any(len(r) != 4 for r in dec):
             raise InputError("decomposable part must be a 4x4 grid")
         dg = qvec(self.diag)
@@ -91,22 +92,20 @@ F_CROSS_F = _single(2, 2)      # [f x f]
 POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f
 DELTA = ProductClass(((0,) * 4,) * 4, (1, 0, 0))
+_PD_BASE = PI - F_CROSS_F - DELTA + 2 * POINT   # the d-free factor of "Pd"
 
 _BASIS_LABELS = ("1", "sigma", "f", "*")
 
 
-def _mult4(x: CohClass, y: CohClass) -> tuple[int | Fraction, ...]:
-    return to_coords(mult(STANDARD_K3, x, y))
-
-
-# products of coordinate basis classes are constants; precompute them so
-# prod_mult is pure table-driven exact arithmetic
-_PAIR_TABLE = tuple(tuple(_mult4(ei, ek) for ek in COORD_BASIS)
-                    for ei in COORD_BASIS)
-_TRIPLE_TABLE = tuple(
-    tuple(tuple(_mult4(from_coords(_PAIR_TABLE[u][i]), ej) for ej in COORD_BASIS)
-          for i in range(4))
-    for u in range(3))
+# the nonzero coordinates (slot, value) of each product e_i . e_k
+_PAIR_TERMS = tuple(tuple(tuple((u, x) for u, x in enumerate(p) if x) for p in products)
+                    for products in PAIR_TABLE)
+# e_u . e_i . e_j for the diagonal slots u = 1, sigma, f
+_TRIPLE_TABLE = tuple(tuple(tuple(zip(*_tensor_rows(PAIR_TABLE[u][i]))) for i in range(4))
+                      for u in range(3))
+# (e_j . e_k)[pt], and multiplication by the Todd class, for fm_matrix
+_POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in PAIR_TABLE)
+_TODD_TENSOR = Mat(_tensor_rows(to_coords(todd(STANDARD_K3))))
 
 
 def _require_standard_class(v: CohClass) -> None:
@@ -119,15 +118,12 @@ def _require_standard_class(v: CohClass) -> None:
 def pull(side: Side, v: CohClass) -> ProductClass:
     """Pullback along one projection: coefficients go against the unit of
     the other factor."""
+    side = as_member("side", Side, side)
     _require_standard_class(v)
     c = to_coords(v)
-    dec = [[0] * 4 for _ in range(4)]
-    for i, coeff in enumerate(c):
-        if side is Side.FIRST:
-            dec[i][0] = coeff
-        else:
-            dec[0][i] = coeff
-    return ProductClass(tuple(tuple(row) for row in dec), (0, 0, 0))
+    if side is Side.FIRST:
+        return ProductClass(tuple((x, 0, 0, 0) for x in c), (0, 0, 0))
+    return ProductClass((c,) + ((0, 0, 0, 0),) * 3, (0, 0, 0))
 
 
 def push(side: Side, a: ProductClass) -> CohClass:
@@ -136,10 +132,10 @@ def push(side: Side, a: ProductClass) -> CohClass:
     Integrating a factor keeps only its point coefficient; the diagonal is a
     section of either projection, so delta_*(g) pushes to g.
     """
-    if side is Side.FIRST:
-        coords = [a.decomp[i][3] for i in range(4)]
+    if as_member("side", Side, side) is Side.FIRST:
+        coords = [row[3] for row in a.decomp]
     else:
-        coords = [a.decomp[3][j] for j in range(4)]
+        coords = list(a.decomp[3])
     for u in range(3):
         coords[u] += a.diag[u]
     return from_coords(coords)
@@ -151,11 +147,9 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     diag = [0] * 3
 
     def add_outer(coeff, first, second):
-        for u, fu in enumerate(first):
-            if fu:
-                for w, sw in enumerate(second):
-                    if sw:
-                        dec[u][w] += coeff * fu * sw
+        for u, fu in first:
+            for w, sw in second:
+                dec[u][w] += coeff * fu * sw
 
     # decomposable x decomposable: factorwise surface products
     for i in range(4):
@@ -168,7 +162,7 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
                     cb = b.decomp[k][l]
                     if not cb:
                         continue
-                    add_outer(ca * cb, _PAIR_TABLE[i][k], _PAIR_TABLE[j][l])
+                    add_outer(ca * cb, _PAIR_TERMS[i][k], _PAIR_TERMS[j][l])
 
     # diagonal x decomposable: delta_*(g) . q1^*al . q2^*be = delta_*(g.al.be)
     for dg, dc in ((a.diag, b.decomp), (b.diag, a.decomp)):
@@ -241,11 +235,11 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
         pi_sq = prod_mult(PI, PI)
         return PI - Fraction(1, 2) * pi_sq - DELTA + 2 * POINT
     _check_d(d)
-    base = PI - F_CROSS_F - DELTA + 2 * POINT
-    out = prod_mult(base, pull(Side.FIRST, ch_line_bundle(STANDARD_K3, (d + 1, 0))))
-    out = prod_mult(out, pull(Side.SECOND, ch_line_bundle(STANDARD_K3, (1, 0))))
-    out = prod_mult(out, pull(Side.FIRST, ch_line_bundle(STANDARD_K3, (0, 2 * (d + 1)))))
-    return out
+    # pull is a ring map: multiply the first-factor line bundles on X first
+    first = mult(STANDARD_K3, ch_line_bundle(STANDARD_K3, (d + 1, 0)),
+                 ch_line_bundle(STANDARD_K3, (0, 2 * (d + 1))))
+    out = prod_mult(_PD_BASE, pull(Side.FIRST, first))
+    return prod_mult(out, pull(Side.SECOND, ch_line_bundle(STANDARD_K3, (1, 0))))
 
 
 def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
@@ -253,20 +247,19 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
 
     Riemann-Roch for the projections: the source class is multiplied by the
     surface Todd class, pulled up, multiplied with the kernel and pushed
-    down; the target-side Todd correction cancels and is omitted.
+    down; the target-side Todd correction cancels and is omitted. Before the
+    Todd factor e_k maps to sum_ij K_ij (e_j . e_k)[pt] e_i + delta . e_k
+    (K transposed when pushing along the second factor).
     """
-    if orientation is FMOrientation.PUSH_FIRST_PULL_SECOND:
-        src, tgt = Side.SECOND, Side.FIRST
-    else:
-        src, tgt = Side.FIRST, Side.SECOND
-    t = todd(STANDARD_K3)
-    cols = []
-    for basis in COORD_BASIS:
-        y = mult(STANDARD_K3, basis, t)
-        image = push(tgt, prod_mult(kernel, pull(src, y)))
-        cols.append(to_coords(image))
-    matrix = Mat(cols).transpose()
-    return Operator(matrix, f"fm[{orientation.value}]")
+    orientation = as_member("orientation", FMOrientation, orientation)
+    grid = kernel.decomp
+    if orientation is FMOrientation.PUSH_SECOND_PULL_FIRST:
+        grid = tuple(zip(*grid))
+    delta = _tensor_rows((*kernel.diag, 0))
+    images = Mat([[sum(map(mul, row, pairing)) + dk
+                   for pairing, dk in zip(_POINT_PAIRING, delta_row)]
+                  for row, delta_row in zip(grid, delta)])
+    return Operator(images * _TODD_TENSOR, f"fm[{orientation.value}]")
 
 
 def render_product_class(a: ProductClass) -> str:

@@ -19,7 +19,8 @@ from .bridgeland import canonical_ab, mat2_mul, phi_family, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
 from .linalg import Mat, as_int
-from .operators import GoldenName, build, op_pi_tensor, op_tensor, restrict2
+from .operators import (GoldenName, _fm_fd, build, op_pi_tensor, op_tensor,
+                        restrict2)
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
                       push, render_product_class)
 from .sd import Theorem, sd_check
@@ -150,16 +151,21 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
     golden = golden_fn if golden_fn is not None else operators.golden
     cases: list[VerifyCase] = []
     d_range = range(d_lo, d_hi + 1)
+    # each degree's FM_Pd and kernel class serve several sections below
+    fm_pd = {d: build(GoldenName.FM_Pd, d=d) for d in d_range}
+    kernels = {d: kernel_class("Pd", d) for d in d_range}
 
     # reference tables against operator compositions
     for d in d_range:
-        for name in (GoldenName.TensorL1, GoldenName.Tw_d, GoldenName.FM_Pd,
-                     GoldenName.FM_Fd):
+        for name, op in ((GoldenName.TensorL1, build(GoldenName.TensorL1, d=d)),
+                         (GoldenName.Tw_d, build(GoldenName.Tw_d, d=d)),
+                         (GoldenName.FM_Pd, fm_pd[d]),
+                         (GoldenName.FM_Fd, _fm_fd(fm_pd[d], d))):
             cases.append(_mat_case(
                 f"golden_vs_built:{name.value}:d={d}",
                 f"{name.value} built from elementary operators matches the "
                 f"pinned table at d={d}",
-                _op_matrix(name, d=d), golden(name, d=d)))
+                op.matrix, golden(name, d=d)))
     for name in (GoldenName.TensorSigma, GoldenName.PiPushPull,
                  GoldenName.PiPushPullSigma, GoldenName.A_S,
                  GoldenName.A_Sprime, GoldenName.B_S):
@@ -191,7 +197,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
             f"grr_vs_golden:FM_Pd:d={d}",
             f"transform of the degree-{d} kernel class equals the pinned "
             f"FM_Pd at d={d}",
-            product.fm_matrix(kernel_class("Pd", d),
+            product.fm_matrix(kernels[d],
                               FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
             golden(GoldenName.FM_Pd, d=d)))
     cases.append(_mat_case(
@@ -222,7 +228,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
         render_product_class(idelta_expected)))
     for d in d_range:
         pushed = push(Side.SECOND, prod_mult(
-            kernel_class("Pd", d), pull(Side.FIRST, chow.todd(STANDARD_K3))))
+            kernels[d], pull(Side.FIRST, chow.todd(STANDARD_K3))))
         expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
         cases.append(_class_case(
             f"product:pd_pushforward:d={d}",
@@ -254,7 +260,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
 
     # two-by-two reductions
     for d in d_range:
-        reduced = restrict2(build(GoldenName.FM_Pd, d=d))
+        reduced = restrict2(fm_pd[d])
         cases.append(_mat_case(
             f"restrict2:FM_Pd:d={d}",
             f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",

@@ -21,6 +21,13 @@ def coh_k3():
                      small_q(), small_q(), small_q(), small_q())
 
 
+def product_classes():
+    """Random classes on X x X: a 4x4 grid and three diagonal slots."""
+    return st.lists(small_q(), min_size=19, max_size=19).map(
+        lambda xs: ProductClass(tuple(tuple(xs[4 * i:4 * i + 4]) for i in range(4)),
+                                tuple(xs[16:])))
+
+
 def random_coh(rng: random.Random) -> CohClass:
     def pick():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))

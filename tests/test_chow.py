@@ -84,6 +84,13 @@ def test_ch_line_bundle_fiber():
 def test_ch_line_bundle_dimension_mismatch():
     with pytest.raises(InputError):
         ch_line_bundle(S, (1, 0, 0))
+    # the characters of a string are not divisor coefficients
+    with pytest.raises(InputError, match="expected a sequence"):
+        ch_line_bundle(S, "13")
+    with pytest.raises(InputError, match="expected a sequence"):
+        CohClass(1, 5, 0)
+    with pytest.raises(InputError, match="4 entries"):
+        from_coords((1, 2, 3))
 
 
 # multiplication

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fmlat.errors import InputError, SingularMatrixError
 from fmlat.linalg import (Mat, as_int, dec_mat, dec_q, dec_qseq, enc_mat,
-                          enc_q, enc_qseq, q, render_matrix)
+                          enc_q, enc_qseq, q, qvec, render_matrix)
 
 from helpers import small_q
 
@@ -44,6 +44,13 @@ def test_mat_shape_validation():
         Mat([[1, 2]]) + Mat([[1], [2]])
     with pytest.raises(InputError):
         Mat([[1, 2]]) * Mat([[1, 2]])
+    # a string is not a row of digits, and a scalar is not a row
+    for bad in (["12", "34"], 5, [1, 2], None, "", [[1, 2], 3]):
+        with pytest.raises(InputError, match="expected a sequence"):
+            Mat(bad)
+    for bad in ("12", 5, None):
+        with pytest.raises(InputError, match="expected a sequence"):
+            qvec(bad)
 
 
 def test_mat_det_and_inverse():

@@ -128,6 +128,9 @@ def test_build_needs_d_where_parameterized():
 def test_build_and_golden_share_argument_check(fn):
     with pytest.raises(InputError, match="2 entries"):
         fn(GoldenName.A_TL, divisor=(1, 2, 3))
+    for bad in ("12", 5):
+        with pytest.raises(InputError, match="expected a sequence"):
+            fn(GoldenName.A_TL, divisor=bad)
     with pytest.raises(InputError, match="takes no kernel degree"):
         fn(GoldenName.TensorSigma, d=3)
     with pytest.raises(InputError, match="takes no divisor"):
@@ -297,6 +300,9 @@ def test_operator_labels_carry_provenance():
 def test_operator_requires_4x4():
     with pytest.raises(InputError):
         Operator(Mat([[1, 0], [0, 1]]), "too-small")
+    for bad in (5, [[1, 0], [0, 1]], None):
+        with pytest.raises(InputError, match="needs a Mat"):
+            Operator(bad)
 
 
 def test_golden_twist_needs_divisor():

@@ -42,6 +42,38 @@ def test_pull_rejects_other_lattices():
         pull(Side.FIRST, CohClass(1, (0, 0, 0), 0))
 
 
+def test_sides_and_orientations_are_taken_by_value():
+    # a value names its member; "first" once fell through to the second side
+    assert pull("first", SIGMA_CLASS) == SIGMA_FIRST
+    assert pull("second", SIGMA_CLASS) == SIGMA_SECOND
+    a = prod_mult(pull(Side.FIRST, POINT_CLASS), pull(Side.SECOND, FIBER_CLASS))
+    assert push("first", a) == push(Side.FIRST, a) == from_coords((0, 0, 0, 0))
+    assert push("second", a) == push(Side.SECOND, a) == FIBER_CLASS
+    kernel = kernel_class("Pd", 2)
+    for orientation in FMOrientation:
+        assert fm_matrix(kernel, orientation.value) == fm_matrix(kernel, orientation)
+
+
+def test_unknown_sides_and_orientations_are_input_errors():
+    for bad in ("First", "left", 0, None, True, FMOrientation.PUSH_FIRST_PULL_SECOND):
+        with pytest.raises(InputError, match="unknown side"):
+            pull(bad, SIGMA_CLASS)
+        with pytest.raises(InputError, match="unknown side"):
+            push(bad, DELTA)
+    for bad in ("PushFirst", "pushfirstpullsecond", Side.FIRST, None, 1):
+        with pytest.raises(InputError, match="unknown orientation"):
+            fm_matrix(kernel_class("IDelta"), bad)
+
+
+def test_product_class_rejects_non_grids():
+    for decomp in (5, "1234", ((0,) * 4,) * 3, (5, 5, 5, 5)):
+        with pytest.raises(InputError):
+            ProductClass(decomp, (0, 0, 0))
+    for diag in (5, "000", (0, 0)):
+        with pytest.raises(InputError):
+            ProductClass(((0,) * 4,) * 4, diag)
+
+
 # products
 
 def test_delta_times_points_todd_correction():

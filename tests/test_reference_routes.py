@@ -1,0 +1,94 @@
+"""The per-basis-vector routes that op_tensor, op_pi_tensor, fm_matrix and
+kernel_class took before they were read off the multiplication table, kept
+here as references: one ring product (`mult` or `prod_mult`) per basis
+vector, with no table in between."""
+
+import pytest
+from hypothesis import given, settings
+
+from fmlat.chow import (COORD_BASIS, PAIR_TABLE, STANDARD_K3, ch_line_bundle,
+                        from_coords, mult, render_class, to_coords, todd)
+from fmlat.linalg import Mat
+from fmlat.operators import Operator, op_pi_tensor, op_tensor, pi_pushpull
+from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT, Side,
+                           _TRIPLE_TABLE, fm_matrix, kernel_class, prod_mult,
+                           pull, push)
+
+from helpers import coh_k3, product_classes
+
+S = STANDARD_K3
+
+
+def reference_op_tensor(c):
+    cols = [to_coords(mult(S, c, basis)) for basis in COORD_BASIS]
+    return Operator(Mat(cols).transpose(), f"tensor{render_class(c)}")
+
+
+def reference_pi_pushpull(v):
+    r, s, t, p = to_coords(v)
+    return from_coords((s, 0, 2 * r - s + p, 0))
+
+
+def reference_op_pi_tensor(c):
+    cols = [to_coords(reference_pi_pushpull(mult(S, basis, c)))
+            for basis in COORD_BASIS]
+    return Operator(Mat(cols).transpose(), f"pi_pushpull{render_class(c)}")
+
+
+def reference_fm_matrix(kernel, orientation):
+    if orientation is FMOrientation.PUSH_FIRST_PULL_SECOND:
+        src, tgt = Side.SECOND, Side.FIRST
+    else:
+        src, tgt = Side.FIRST, Side.SECOND
+    t = todd(S)
+    cols = []
+    for basis in COORD_BASIS:
+        y = mult(S, basis, t)
+        cols.append(to_coords(push(tgt, prod_mult(kernel, pull(src, y)))))
+    return Operator(Mat(cols).transpose(), f"fm[{orientation.value}]")
+
+
+def reference_kernel_pd(d):
+    base = PI - F_CROSS_F - DELTA + 2 * POINT
+    out = prod_mult(base, pull(Side.FIRST, ch_line_bundle(S, (d + 1, 0))))
+    out = prod_mult(out, pull(Side.SECOND, ch_line_bundle(S, (1, 0))))
+    return prod_mult(out, pull(Side.FIRST, ch_line_bundle(S, (0, 2 * (d + 1)))))
+
+
+def test_tables_match_ring_products():
+    for i, ei in enumerate(COORD_BASIS):
+        for j, ej in enumerate(COORD_BASIS):
+            assert PAIR_TABLE[i][j] == to_coords(mult(S, ei, ej))
+            if i < 3:
+                for k, ek in enumerate(COORD_BASIS):
+                    assert _TRIPLE_TABLE[i][j][k] == \
+                        to_coords(mult(S, mult(S, ei, ej), ek))
+
+
+@settings(max_examples=60)
+@given(coh_k3())
+def test_elementary_operators_match_reference(c):
+    assert op_tensor(c) == reference_op_tensor(c)
+    assert op_pi_tensor(c) == reference_op_pi_tensor(c)
+    assert pi_pushpull(c) == reference_pi_pushpull(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_classes())
+def test_fm_matrix_matches_reference(kernel):
+    for orientation in FMOrientation:
+        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_kernel_pd_matches_reference(d):
+    kernel = kernel_class("Pd", d)
+    assert kernel == reference_kernel_pd(d)
+    for orientation in FMOrientation:
+        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)
+
+
+def test_kernel_idelta_transforms_match_reference():
+    kernel = kernel_class("IDelta")
+    for orientation in FMOrientation:
+        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)

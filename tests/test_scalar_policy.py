@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmlat.chow import STANDARD_K3, chi_tensor, dot, fdeg, mult
+from fmlat.chow import (STANDARD_K3, CohClass, chi_tensor, dot, fdeg,
+                        from_coords, mult)
 from fmlat.errors import InputError, SingularMatrixError
-from fmlat.linalg import Mat, q, qdiv
-from fmlat.operators import GoldenName, build, golden
+from fmlat.linalg import Mat, q, qdiv, qgrid, qvec
+from fmlat.operators import GoldenName, build, golden, op_pi_tensor, op_tensor
 from fmlat.product import (FMOrientation, ProductClass, kernel_class,
                            fm_matrix, prod_mult)
 
-from helpers import coh_k3, small_q
+from helpers import coh_k3, product_classes, small_q
 
 S = STANDARD_K3
 _NEEDS_D = ("TensorL1", "Tw_d", "FM_Pd", "FM_Fd")
@@ -43,12 +44,6 @@ def mats(n):
                     min_size=n, max_size=n).map(Mat)
 
 
-def product_classes():
-    return st.lists(small_q(), min_size=19, max_size=19).map(
-        lambda xs: ProductClass(tuple(tuple(xs[4 * i:4 * i + 4]) for i in range(4)),
-                                tuple(xs[16:])))
-
-
 def test_q_normal_form():
     for x, expected in ((3, 3), (Fraction(6, 2), 3), ("4/2", 2), (" -7 ", -7),
                         ("+3/4", Fraction(3, 4)), (Fraction(-5, 2), Fraction(-5, 2))):
@@ -65,6 +60,39 @@ def test_qdiv_is_exact_and_normal():
     for a, b in ((1, 0), (0.5, 1), (1, 2.0), (True, 1)):
         with pytest.raises(InputError):
             qdiv(a, b)
+
+
+class Count(int):
+    """An int subclass: not the plain int the constructors pass through."""
+
+
+def raw_scalars():
+    """Every accepted spelling of an exact rational, including a Fraction
+    and an int subclass with an integral value and the string form."""
+    return small_q().flatmap(lambda x: st.sampled_from(
+        [x, str(x), Fraction(x.numerator * 3, x.denominator * 3)]
+        + ([int(x), Count(int(x)), Fraction(int(x), 1)] if x.denominator == 1 else [])))
+
+
+@settings(max_examples=30)
+@given(st.lists(raw_scalars(), min_size=19, max_size=19))
+def test_constructors_normalise_every_entry(xs):
+    grid = [xs[4 * i:4 * i + 4] for i in range(4)]
+    for row in qgrid(grid):
+        assert_normal(*row)
+    assert_normal(*qvec(xs))
+    assert_normal_mat(Mat(grid))
+    assert_normal_product(ProductClass(grid, xs[16:]))
+    assert_normal(*CohClass(xs[0], xs[1:3], xs[3]).coords())
+    assert_normal(*from_coords(xs[:4]).coords())
+    assert all(type(x) is not Count for x in qvec(xs))
+
+
+@settings(max_examples=40)
+@given(coh_k3())
+def test_elementary_operators_are_normal(c):
+    assert_normal_mat(op_tensor(c).matrix)
+    assert_normal_mat(op_pi_tensor(c).matrix)
 
 
 @settings(max_examples=40)
