@@ -6,9 +6,8 @@ the SL2(Z) calculus on (rank, fiber degree), and the numerical hypothesis
 checks behind Strange Duality.
 """
 
-from .bridgeland import (FM2, FM2Family, GenBiratClass, RankFdeg,
-                         canonical_ab, gen_birat_classify, phi_family,
-                         transform2, wit1_forced)
+from .bridgeland import (FM2, GenBiratClass, canonical_ab, gen_birat_classify,
+                         wit1_forced)
 from .chow import (CohClass, STANDARD_K3, SurfaceDescriptor, ch_line_bundle,
                    chi_tensor, dual, fdeg, from_coords, is_standard_k3,
                    load_surface, moduli_dim_k3, mult, pairing_gram,

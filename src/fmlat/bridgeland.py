@@ -16,13 +16,10 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      InputError)
-from .linalg import as_int
-
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
+from .linalg import Mat, _expect, as_int
 
 
 @dataclass(frozen=True)
@@ -52,52 +49,39 @@ class FM2:
             raise AdmissibilityError(failures)
 
     @property
-    def matrix(self) -> Mat2:
-        return ((self.c, self.a), (self.e, self.b))
+    def matrix(self) -> Mat:
+        return Mat(((self.c, self.a), (self.e, self.b)))
+
+    # psi is the almost-inverse of phi; omega and xi come from the dualized
+    # kernel. Written out, never via inverse(), so their relations stay checks.
+    @property
+    def psi(self) -> Mat:
+        return Mat(((-self.b, self.a), (self.e, -self.c)))
+
+    @property
+    def omega(self) -> Mat:
+        return Mat(((self.b, self.a), (self.e, self.c)))
+
+    @property
+    def xi(self) -> Mat:
+        return Mat(((-self.c, self.a), (self.e, -self.b)))
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.c, self.a, self.e, self.b)
 
 
-def mat2_mul(m: Mat2, n: Mat2) -> Mat2:
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-class RankFdeg(NamedTuple):
-    rk: int
-    fd: int
-
-
-def transform2(m: Mat2, v) -> RankFdeg:
-    """Apply a 2x2 integer matrix to a (rank, fiber degree) pair."""
-    rk, fd = v
+def _rank_fdeg(v) -> tuple[int, int]:
+    """v as a (rank, fiber degree) pair of integers with positive rank;
+    InputError otherwise."""
+    try:
+        rk, fd = v
+    except (TypeError, ValueError):
+        raise InputError(f"expected a (rank, fiber degree) pair, got {v!r}") from None
     as_int("rank", rk)
     as_int("fiber degree", fd)
-    return RankFdeg(m[0][0] * rk + m[0][1] * fd, m[1][0] * rk + m[1][1] * fd)
-
-
-@dataclass(frozen=True)
-class FM2Family:
-    """The four matrices attached to one kernel choice.
-
-    psi is the almost-inverse of phi and omega, xi come from the dual
-    kernel, so that phi.psi = psi.phi = -1 and xi.omega = omega.xi = -1.
-    """
-
-    phi: FM2
-    psi: Mat2
-    omega: Mat2
-    xi: Mat2
-
-
-def phi_family(c: int, a: int, e: int, b: int, lam: int = 1) -> FM2Family:
-    """Build the four-matrix family for an admissible (c, a, e, b)."""
-    phi = FM2(c, a, e, b, lam)   # raises AdmissibilityError when violated
-    return FM2Family(phi, psi=((-b, a), (e, -c)), omega=((b, a), (e, c)),
-                     xi=((-c, a), (e, -b)))
+    if rk <= 0:
+        raise InputError(f"rank must be positive, got {rk}")
+    return rk, fd
 
 
 def canonical_ab(r: int, d: int) -> tuple[int, int]:
@@ -118,20 +102,16 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
     return a, b
 
 
-def wit1_forced(v: RankFdeg, a: int, b: int) -> bool:
+def wit1_forced(v: tuple[int, int], a: int, b: int) -> bool:
     """Whether the slope bound b/a > fd/rk holds, forcing every stable
     sheaf with these invariants into cohomological degree one.
 
     Strict inequality, compared as b.rk > a.fd in integers.
     """
-    rk, fd = v
-    as_int("rank", rk)
-    as_int("fiber degree", fd)
+    rk, fd = _rank_fdeg(v)
     if as_int("a", a) <= 0:
         raise InputError(f"a must be positive, got {a}")
     as_int("b", b)
-    if rk <= 0:
-        raise InputError(f"rank must be positive, got {rk}")
     return b * rk > a * fd
 
 
@@ -145,7 +125,7 @@ class GenBiratClass(Enum):
     NOT_COVERED = "NotCovered"
 
 
-def gen_birat_classify(v: RankFdeg, phi: FM2, t: int | None = None,
+def gen_birat_classify(v: tuple[int, int], phi: FM2, t: int | None = None,
                        k3: bool = False) -> GenBiratClass:
     """Classify how the moduli space of v relates to its transform.
 
@@ -157,15 +137,12 @@ def gen_birat_classify(v: RankFdeg, phi: FM2, t: int | None = None,
     offset t. Without t the regular-isomorphism branch cannot be evaluated
     and is skipped.
     """
-    rk, fd = v
-    as_int("rank", rk)
-    as_int("fiber degree", fd)
-    if rk <= 0:
-        raise InputError(f"rank must be positive, got {rk}")
+    rk, fd = _rank_fdeg(v)
     if math.gcd(rk, fd) != 1:
         raise CoprimalityError(f"gcd({rk}, {fd}) must be 1")
     if t is not None:
         as_int("t", t)
+    _expect("phi", FM2, phi)
     rk_w = phi.b * rk - phi.a * fd
     if rk_w > 1:
         if k3 and rk_w >= 3:

@@ -88,6 +88,13 @@ def as_member(label: str, kind: type[Enum], x) -> Enum:
         raise InputError(f"unknown {label} {x!r}; known: {known}") from None
 
 
+def _expect(label: str, kind: type, x):
+    """x itself if it is a kind; else an InputError naming the label."""
+    if not isinstance(x, kind):
+        raise InputError(f"{label} must be of type {kind.__name__}, got {x!r}")
+    return x
+
+
 class Mat:
     """Immutable rectangular matrix with exact rational entries, each in
     the normal form of q."""
@@ -116,6 +123,7 @@ class Mat:
         return len(self.rows[0])
 
     def _same_shape(self, other: "Mat") -> None:
+        other = _expect("operand", Mat, other)
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
             raise InputError(
                 f"shape mismatch: {self.n_rows}x{self.n_cols} vs "
@@ -148,7 +156,7 @@ class Mat:
         return Mat(tuple(k * a for a in row) for row in self.rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        if self.n_cols != other.n_rows:
+        if self.n_cols != _expect("operand", Mat, other).n_rows:
             raise InputError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by "
                 f"{other.n_rows}x{other.n_cols}")

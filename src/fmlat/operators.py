@@ -26,7 +26,7 @@ from . import chow
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, as_int, as_member, qdiv, qvec
+from .linalg import Mat, _expect, as_int, as_member, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,18 @@ class Operator:
         return from_coords(self.matrix.apply(to_coords(v)))
 
     def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix + other.matrix,
+        return Operator(self.matrix + _expect("operand", Operator, other).matrix,
                         f"({self.label} + {other.label})")
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix - other.matrix,
+        return Operator(self.matrix - _expect("operand", Operator, other).matrix,
                         f"({self.label} - {other.label})")
 
     def __neg__(self) -> "Operator":
         return Operator(-self.matrix, f"-({self.label})")
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix * other.matrix,
+        return Operator(self.matrix * _expect("operand", Operator, other).matrix,
                         f"({self.label} . {other.label})")
 
 
@@ -273,7 +273,7 @@ def restrict2(op: Operator) -> Mat:
     Well-defined only when the (r, s) output rows ignore the (t, p) inputs;
     anything else cannot act on the rank/fiber-degree plane alone.
     """
-    m = op.matrix.rows
+    m = _expect("op", Operator, op).matrix.rows
     leak = [(i, j) for i in (0, 1) for j in (2, 3) if m[i][j] != 0]
     if leak:
         raise ReductionError(
@@ -285,5 +285,5 @@ def restrict2(op: Operator) -> Mat:
 def pairing_preserved(op: Operator) -> bool:
     """Whether the operator preserves the Euler pairing: A^T G A = G."""
     g = chow.pairing_gram()
-    a = op.matrix
+    a = _expect("op", Operator, op).matrix
     return a.transpose() * g * a == g

@@ -22,7 +22,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dot, fdeg, is_standard_k3, moduli_dim_k3)
 from .errors import AdmissibilityError, InputError
-from .linalg import as_int, dec_qseq, enc_qseq, qdiv
+from .linalg import _expect, as_int, as_member, dec_qseq, enc_qseq, qdiv
 
 
 class Theorem(Enum):
@@ -31,13 +31,6 @@ class Theorem(Enum):
 
 
 PASS, FAIL, NOT_EVALUATED = "pass", "fail", "not-evaluated"
-
-
-def _theorem(value) -> Theorem:
-    try:
-        return Theorem(value)
-    except ValueError as exc:
-        raise InputError(f"unknown theorem {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,10 +90,12 @@ def transformed_ranks(phi: FM2, d_v: int, d_w: int) -> tuple[int, int]:
     """Ranks of the two transformed vectors: (a.d_v - c, c + a.d_w)."""
     as_int("d_v", d_v)
     as_int("d_w", d_w)
+    _expect("phi", FM2, phi)
     return (phi.a * d_v - phi.c, phi.c + phi.a * d_w)
 
 
 def _check_sd_constraints(phi: FM2) -> None:
+    _expect("phi", FM2, phi)
     failures = []
     if not phi.c > phi.a:
         failures.append(f"c = {phi.c} must exceed a = {phi.a}")
@@ -108,6 +103,15 @@ def _check_sd_constraints(phi: FM2) -> None:
         failures.append(f"-b = {-phi.b} must exceed a = {phi.a}")
     if failures:
         raise AdmissibilityError(failures)
+
+
+def _thresholds(theorem: Theorem, t_v, t_w) -> tuple[int, int]:
+    """(t_v, t_w) in a.d_v > a.t_v + c and a.d_w > a.t_w - c; 2, 2 on K3."""
+    if theorem is Theorem.K3:
+        return 2, 2
+    if t_v is None or t_w is None:
+        raise InputError("the general-surface check needs t_v and t_w")
+    return as_int("t_v", t_v), as_int("t_w", t_w)
 
 
 @dataclass(frozen=True)
@@ -139,18 +143,13 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
     K3 thresholds: a.d_v > 2a + c and a.d_w > 2a - c. The general-surface
     version replaces 2 by the caller-supplied moduli dimensions t_v, t_w.
     """
-    theorem = _theorem(theorem)
+    theorem = as_member("theorem", Theorem, theorem)
     _check_sd_constraints(phi)
     rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
+    t_v, t_w = _thresholds(theorem, t_v, t_w)
     a, c = phi.a, phi.c
-    if theorem is Theorem.K3:
-        m1 = a * d_v - (2 * a + c)
-        m2 = a * d_w - (2 * a - c)
-    else:
-        if t_v is None or t_w is None:
-            raise InputError("the general-surface check needs t_v and t_w")
-        m1 = a * d_v - (a * as_int("t_v", t_v) + c)
-        m2 = a * d_w - (a * as_int("t_w", t_w) - c)
+    m1 = a * d_v - (a * t_v + c)
+    m2 = a * d_w - (a * t_w - c)
     return SDCheckResult(
         theorem=theorem,
         passed=m1 > 0 and m2 > 0,
@@ -291,7 +290,7 @@ def build_report(phi: FM2, d_v: int, d_w: int,
             notes.append(f"supplied fiber degrees ({d_v}, {d_w}) disagree with "
                          f"the classes ({pair.d_v}, {pair.d_w})")
     for theorem in theorems:
-        theorem = _theorem(theorem)
+        theorem = as_member("theorem", Theorem, theorem)
         if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
             if pair is not None and is_standard_k3(pair.surface):
                 t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
@@ -327,10 +326,9 @@ class SearchTarget:
         for label in ("t_v", "t_w"):
             if getattr(self, label) is not None:
                 as_int(label, getattr(self, label))
-        object.__setattr__(self, "theorem", _theorem(self.theorem))
-        if self.theorem is Theorem.GENERAL and (self.t_v is None
-                                                or self.t_w is None):
-            raise InputError("the general-surface check needs t_v and t_w")
+        object.__setattr__(self, "theorem",
+                           as_member("theorem", Theorem, self.theorem))
+        _thresholds(self.theorem, self.t_v, self.t_w)   # general needs both
 
 
 @dataclass(frozen=True)
@@ -357,9 +355,7 @@ def search_phi(lam: int, bound: int,
     if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {lam!r}")
     if target is not None:
-        # a.d_v > a.t_v + c and a.d_w > a.t_w - c, with t = 2 on K3
-        t_v, t_w = ((2, 2) if target.theorem is Theorem.K3
-                    else (target.t_v, target.t_w))
+        t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
         above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2

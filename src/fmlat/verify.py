@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import bridgeland, chow, operators, product, sd
-from .bridgeland import canonical_ab, mat2_mul, phi_family, random_admissible
+from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
 from .linalg import Mat, as_int
@@ -279,17 +279,15 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
 
     # SL2(Z) family relations on pseudo-random admissible matrices
     rng = random.Random(_SEED)
-    neg_id = ((-1, 0), (0, -1))
+    neg_id = -Mat.identity(2)
     relations_ok = True
     slope_ok = True
     slope_checked = 0
     for _ in range(100):
         phi = random_admissible(rng)
-        fam = phi_family(*phi.entries(), phi.lam)
-        m = phi.matrix
+        m, psi, omega, xi = phi.matrix, phi.psi, phi.omega, phi.xi
         relations_ok = relations_ok and (
-            mat2_mul(m, fam.psi) == mat2_mul(fam.psi, m) == neg_id
-            == mat2_mul(fam.xi, fam.omega) == mat2_mul(fam.omega, fam.xi))
+            m * psi == psi * m == neg_id == xi * omega == omega * xi)
         r = rng.randint(1, 12)
         d = rng.randint(-12, 12)
         c, a, e, b = phi.entries()
@@ -309,11 +307,13 @@ def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
 
     brute_ok = True
     for r in range(2, 51):
+        # (1 + a.d) mod r depends on d mod r alone: scan a once per residue
+        solutions = {x: [a for a in range(1, r) if (1 + a * x) % r == 0]
+                     for x in range(r) if math.gcd(r, x) == 1}
         for d in range(-50, 51):
             if math.gcd(r, d) != 1:
                 continue
-            found = [(a, (1 + a * d) // r) for a in range(1, r)
-                     if (1 + a * d) % r == 0]
+            found = [(a, (1 + a * d) // r) for a in solutions[d % r]]
             if len(found) != 1 or canonical_ab(r, d) != found[0]:
                 brute_ok = False
     cases.append(_bool_case(

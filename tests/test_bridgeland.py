@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmlat.bridgeland import (FM2, GenBiratClass, RankFdeg, canonical_ab,
-                              gen_birat_classify, mat2_mul, phi_family,
-                              random_admissible, transform2, wit1_forced)
+from fmlat.bridgeland import (FM2, GenBiratClass, canonical_ab,
+                              gen_birat_classify, random_admissible,
+                              wit1_forced)
 from fmlat.errors import AdmissibilityError, CoprimalityError, InputError
+from fmlat.linalg import Mat
+from fmlat.verify import run_verify
 
-NEG_ID = ((-1, 0), (0, -1))
+NEG_ID = -Mat.identity(2)
 
 
 # FM2 admissibility
 
 def test_fm2_accepts_admissible():
     phi = FM2(3, 1, -7, -2)
-    assert phi.matrix == ((3, 1), (-7, -2))
+    assert phi.matrix == Mat([[3, 1], [-7, -2]])
     assert phi.entries() == (3, 1, -7, -2)
 
 
@@ -70,29 +72,61 @@ def test_canonical_ab_brute_force_oracle():
 # families and relations
 
 def test_phi_family_worked_example():
-    fam = phi_family(3, 1, -7, -2)
-    assert mat2_mul(fam.phi.matrix, fam.psi) == NEG_ID
-    assert fam.psi == ((2, 1), (-7, -3))
-    assert fam.omega == ((-2, 1), (-7, 3))
-    assert fam.xi == ((-3, 1), (-7, 2))
+    phi = FM2(3, 1, -7, -2)
+    assert phi.matrix * phi.psi == NEG_ID
+    assert phi.psi == Mat([[2, 1], [-7, -3]])
+    assert phi.omega == Mat([[-2, 1], [-7, 3]])
+    assert phi.xi == Mat([[-3, 1], [-7, 2]])
 
 
 def test_phi_family_admissibility_errors():
-    fam = phi_family(1, 1, 0, 1)     # det = 1, passes
-    assert mat2_mul(fam.phi.matrix, fam.psi) == NEG_ID
+    phi = FM2(1, 1, 0, 1)     # det = 1, passes
+    assert phi.matrix * phi.psi == NEG_ID
     with pytest.raises(AdmissibilityError, match="lambda"):
-        phi_family(0, 1, -1, 1, lam=2)
+        FM2(0, 1, -1, 1, lam=2)
 
 
 def test_family_relations_random_admissible():
     rng = random.Random(31337)
     for _ in range(100):
         phi = random_admissible(rng)
-        fam = phi_family(*phi.entries(), phi.lam)
         m = phi.matrix
-        assert mat2_mul(m, fam.psi) == mat2_mul(fam.psi, m) == NEG_ID
-        assert mat2_mul(fam.xi, fam.omega) == mat2_mul(fam.omega, fam.xi) == NEG_ID
+        assert m * phi.psi == phi.psi * m == NEG_ID
+        assert phi.xi * phi.omega == phi.omega * phi.xi == NEG_ID
         assert max(abs(x) for x in phi.entries()) <= 50
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+def test_family_entry_formulas_and_relations(seed, lam):
+    phi = random_admissible(random.Random(seed), lam=lam)
+    c, a, e, b = phi.entries()
+    assert phi.matrix == Mat([[c, a], [e, b]])
+    assert phi.psi == Mat([[-b, a], [e, -c]])
+    assert phi.omega == Mat([[b, a], [e, c]])
+    assert phi.xi == Mat([[-c, a], [e, -b]])
+    assert phi.matrix * phi.psi == phi.psi * phi.matrix == NEG_ID
+    assert phi.xi * phi.omega == phi.omega * phi.xi == NEG_ID
+
+
+def _verify_case(case_id):
+    return next(c for c in run_verify(1, 1).cases if c.id == case_id)
+
+
+def test_verify_family_relations_fails_on_a_wrong_psi(monkeypatch):
+    assert _verify_case("bridgeland:family_relations").passed
+    monkeypatch.setattr(FM2, "psi", property(lambda self: Mat.identity(2)))
+    case = _verify_case("bridgeland:family_relations")
+    assert not case.passed and case.lhs == "False"
+
+
+def test_verify_canonical_ab_fails_on_a_wrong_answer(monkeypatch):
+    assert _verify_case("bridgeland:canonical_ab").passed
+    # one wrong answer among the 2,994 pairs: (7, 3) has (a, b) = (2, 1)
+    monkeypatch.setattr("fmlat.verify.canonical_ab",
+                        lambda r, d: (2, 2) if (r, d) == (7, 3)
+                        else canonical_ab(r, d))
+    assert not _verify_case("bridgeland:canonical_ab").passed
 
 
 def test_vb_slope_inequality_reduces_to_determinant():
@@ -109,46 +143,46 @@ def test_vb_slope_inequality_reduces_to_determinant():
     assert checked > 20
 
 
-# transform2
+# the 2x2 action on (rank, fiber degree)
 
 def test_transform2_fiber_sheaf_image():
     phi = FM2(3, 1, -7, -2)
-    assert transform2(phi.matrix, RankFdeg(0, 1)) == RankFdeg(1, -2)
+    assert phi.matrix.apply((0, 1)) == (1, -2)
 
 
 def test_transform2_negated_psi_column():
     # -psi = [[b, -a], [-e, c]] sends (r, d) to (br - ad, cd - er)
     for (c, a, e, b) in ((3, 1, -7, -2), (5, 2, -8, -3)):
-        FM2(c, a, e, b)
-        neg_psi = ((b, -a), (-e, c))
+        neg_psi = -FM2(c, a, e, b).psi
+        assert neg_psi == Mat([[b, -a], [-e, c]])
         for (r, d) in ((5, 3), (2, 1), (7, -4)):
-            assert transform2(neg_psi, (r, d)) == (b * r - a * d, c * d - e * r)
+            assert neg_psi.apply((r, d)) == (b * r - a * d, c * d - e * r)
 
 
 def test_transform2_identity():
-    assert transform2(((1, 0), (0, 1)), RankFdeg(4, -9)) == RankFdeg(4, -9)
+    assert Mat.identity(2).apply((4, -9)) == (4, -9)
 
 
 # forced degree-one transforms
 
 def test_wit1_forced_examples():
-    assert wit1_forced(RankFdeg(5, 3), 3, 2)      # 2/3 > 3/5
-    assert not wit1_forced(RankFdeg(2, 1), 1, 0)  # 0 > 1/2 fails
-    assert not wit1_forced(RankFdeg(2, 1), 2, 1)  # equality is not enough
+    assert wit1_forced((5, 3), 3, 2)      # 2/3 > 3/5
+    assert not wit1_forced((2, 1), 1, 0)  # 0 > 1/2 fails
+    assert not wit1_forced((2, 1), 2, 1)  # equality is not enough
 
 
 def test_wit1_forced_rejects_nonpositive_rank():
     with pytest.raises(InputError):
-        wit1_forced(RankFdeg(0, 1), 1, 1)
+        wit1_forced((0, 1), 1, 1)
     with pytest.raises(InputError):
-        wit1_forced(RankFdeg(1, 1), 0, 1)
+        wit1_forced((1, 1), 0, 1)
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 8),
        st.integers(-20, 20))
 def test_wit1_forced_monotone_in_b(r, d, a, b):
-    v = RankFdeg(r, d)
+    v = (r, d)
     if wit1_forced(v, a, b):
         assert wit1_forced(v, a, b + 1)
 
@@ -157,8 +191,8 @@ def test_wit1_forced_monotone_in_b(r, d, a, b):
 @given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 8),
        st.integers(-20, 20))
 def test_wit1_forced_antitone_in_d(r, d, a, b):
-    if wit1_forced(RankFdeg(r, d), a, b):
-        assert wit1_forced(RankFdeg(r, d - 1), a, b)
+    if wit1_forced((r, d), a, b):
+        assert wit1_forced((r, d - 1), a, b)
 
 
 # birationality classification
@@ -176,40 +210,40 @@ def _phi_ab(a, b):
 def test_classify_rank_one_birational():
     phi = _phi_ab(3, 2)
     assert 2 * 5 - 3 * 3 == 1
-    assert gen_birat_classify(RankFdeg(5, 3), phi) is GenBiratClass.BIRATIONAL_RANK_ONE
+    assert gen_birat_classify((5, 3), phi) is GenBiratClass.BIRATIONAL_RANK_ONE
 
 
 def test_classify_regular_isomorphism_with_dimension():
     phi = _phi_ab(3, 2)
-    assert gen_birat_classify(RankFdeg(5, 3), phi, t=1) is \
+    assert gen_birat_classify((5, 3), phi, t=1) is \
         GenBiratClass.REGULAR_ISOMORPHISM
 
 
 def test_classify_codim_two_on_k3():
     # rk w = b*r - a*d = 3 with (a, b) = (1, 1), (r, d) = (5, 2)
     phi = _phi_ab(1, 1)
-    assert gen_birat_classify(RankFdeg(5, 2), phi, k3=True) is \
+    assert gen_birat_classify((5, 2), phi, k3=True) is \
         GenBiratClass.BIRATIONAL_CODIM_TWO
-    assert gen_birat_classify(RankFdeg(5, 2), phi, k3=False) is \
+    assert gen_birat_classify((5, 2), phi, k3=False) is \
         GenBiratClass.BIRATIONAL_HIGH_RANK
 
 
 def test_classify_rank_two_stays_high_rank_on_k3():
     phi = _phi_ab(1, 1)   # rk w = r - d
-    assert gen_birat_classify(RankFdeg(5, 3), phi, k3=True) is \
+    assert gen_birat_classify((5, 3), phi, k3=True) is \
         GenBiratClass.BIRATIONAL_HIGH_RANK
 
 
 def test_classify_not_covered():
     phi = _phi_ab(3, 2)
     # rk w = 2*2 - 3*1 = 1 but r = 2 is not above a = 3
-    assert gen_birat_classify(RankFdeg(2, 1), phi) is GenBiratClass.NOT_COVERED
+    assert gen_birat_classify((2, 1), phi) is GenBiratClass.NOT_COVERED
 
 
 def test_classify_requires_coprime_input():
     phi = _phi_ab(1, 1)
     with pytest.raises(CoprimalityError):
-        gen_birat_classify(RankFdeg(4, 2), phi)
+        gen_birat_classify((4, 2), phi)
 
 
 def test_classify_regular_implies_rank_one_inequality():
@@ -221,7 +255,7 @@ def test_classify_regular_implies_rank_one_inequality():
         if math.gcd(r, d) != 1:
             continue
         t = rng.randint(1, 5)
-        got = gen_birat_classify(RankFdeg(r, d), phi, t=t)
+        got = gen_birat_classify((r, d), phi, t=t)
         if got is GenBiratClass.REGULAR_ISOMORPHISM:
             assert r > phi.a   # t >= 1 makes the rank-one bound automatic
 
@@ -249,11 +283,24 @@ def test_random_admissible_rejects_bad_lambda_and_bound():
 
 def test_integer_entry_points_reject_floats_and_strings():
     phi = FM2(3, 1, -7, -2)
-    with pytest.raises(InputError, match="rank"):
-        transform2(phi.matrix, (1.5, 2))
+    with pytest.raises(InputError, match="not an exact rational"):
+        phi.matrix.apply((1.5, 2))
+    with pytest.raises(InputError, match="rank must be an integer"):
+        wit1_forced((1.5, 2), 1, 1)
     with pytest.raises(InputError, match="d must be an integer"):
         canonical_ab(5, 2.0)
     with pytest.raises(InputError, match="b must be an integer"):
-        wit1_forced(RankFdeg(2, 1), 1, "1")
+        wit1_forced((2, 1), 1, "1")
     with pytest.raises(InputError, match="t must be an integer"):
-        gen_birat_classify(RankFdeg(2, 1), phi, t=1.0)
+        gen_birat_classify((2, 1), phi, t=1.0)
+    # a (rank, fiber degree) pair has two entries, and phi is an FM2
+    for bad in ((1, 2, 3), (1,), 5, None):
+        with pytest.raises(InputError, match="pair"):
+            wit1_forced(bad, 1, 1)
+        with pytest.raises(InputError, match="pair"):
+            gen_birat_classify(bad, phi)
+    with pytest.raises(InputError, match="fiber degree must be an integer"):
+        gen_birat_classify((0, "1"), phi)
+    for bad in ((3, 1, -7, -2), phi.matrix, None):
+        with pytest.raises(InputError, match="phi must be of type FM2"):
+            gen_birat_classify((5, 3), bad)

@@ -51,6 +51,12 @@ def test_mat_shape_validation():
     for bad in ("12", 5, None):
         with pytest.raises(InputError, match="expected a sequence"):
             qvec(bad)
+    # an operand that is not a Mat
+    for bad in (5, "x", None, [[1]], ((1,),)):
+        for op in (lambda: Mat([[1]]) + bad, lambda: Mat([[1]]) - bad,
+                   lambda: Mat([[1]]) * bad):
+            with pytest.raises(InputError, match="operand must be of type Mat"):
+                op()
 
 
 def test_mat_det_and_inverse():

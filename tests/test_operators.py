@@ -303,6 +303,13 @@ def test_operator_requires_4x4():
     for bad in (5, [[1, 0], [0, 1]], None):
         with pytest.raises(InputError, match="needs a Mat"):
             Operator(bad)
+    # an operand or argument that is not an Operator
+    fm = build(GoldenName.FM_Pd, d=1)
+    for bad in (Mat.identity(4), 1, None):
+        for call in (lambda: fm @ bad, lambda: fm + bad, lambda: fm - bad,
+                     lambda: restrict2(bad), lambda: pairing_preserved(bad)):
+            with pytest.raises(InputError, match="must be of type Operator"):
+                call()
 
 
 def test_golden_twist_needs_divisor():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from fmlat.bridgeland import FM2, transform2
+from fmlat.bridgeland import FM2
 from fmlat.chow import CohClass, STANDARD_K3, chi_tensor, dot, from_coords
 from fmlat.errors import AdmissibilityError, InputError
+from fmlat.linalg import Mat
 from fmlat.sd import (NOT_EVALUATED, SDPair, SDReport, SearchTarget, Theorem,
                       build_report, mo_base_check, orthogonal_check, sd_check,
                       search_phi, transformed_ranks)
@@ -105,10 +106,11 @@ def test_transformed_ranks_worked_values():
 
 def test_transformed_rank_agrees_with_xi_action():
     for phi in (WORKED_PHI, FM2(5, 2, -8, -3)):
-        xi = ((-phi.c, phi.a), (phi.e, -phi.b))
+        xi = phi.xi
+        assert xi == Mat([[-phi.c, phi.a], [phi.e, -phi.b]])
         for d_v in range(-4, 8):
-            assert transform2(xi, (1, d_v)).rk == transformed_ranks(phi, d_v, 0)[0]
-        omega_first = transform2(phi.matrix, (1, 2)).rk
+            assert xi.apply((1, d_v))[0] == transformed_ranks(phi, d_v, 0)[0]
+        omega_first = phi.matrix.apply((1, 2))[0]
         assert omega_first == transformed_ranks(phi, 0, 2)[1]
 
 
@@ -150,6 +152,18 @@ def test_sd_check_rejects_inadmissible_phi():
         sd_check(Theorem.K3, FM2(1, 1, 0, 1), 6, 0)
     message = str(err.value)
     assert "c = 1" in message and "-b = -1" in message
+    # the theorem and admissibility checks come before the dimension check
+    with pytest.raises(AdmissibilityError):
+        sd_check(Theorem.GENERAL, FM2(1, 1, 0, 1), 6, 0)
+    with pytest.raises(InputError, match="bogus"):
+        sd_check("bogus", FM2(1, 1, 0, 1), 6, 0)
+    # phi must be an FM2, not its entries or its matrix
+    for bad in ((3, 1, -7, -2), WORKED_PHI.matrix, None):
+        for call in (lambda: sd_check("k3", bad, 6, 0),
+                     lambda: build_report(bad, 6, 0),
+                     lambda: transformed_ranks(bad, 6, 0)):
+            with pytest.raises(InputError, match="phi must be of type FM2"):
+                call()
 
 
 def test_threshold_pass_implies_rank_form_when_a_is_one():
@@ -243,12 +257,10 @@ def test_search_lambda_forces_even_e():
 
 
 def test_search_hits_have_valid_families():
-    from fmlat.bridgeland import mat2_mul, phi_family
-    neg_id = ((-1, 0), (0, -1))
+    neg_id = -Mat.identity(2)
     for hit in search_phi(1, 9):
-        fam = phi_family(*hit.phi.entries(), hit.phi.lam)
-        assert mat2_mul(fam.phi.matrix, fam.psi) == neg_id
-        assert mat2_mul(fam.omega, fam.xi) == neg_id
+        assert hit.phi.matrix * hit.phi.psi == neg_id
+        assert hit.phi.omega * hit.phi.xi == neg_id
 
 
 def test_search_complete_against_naive_scan():
