@@ -331,10 +331,10 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
     def split_items(value: str) -> list[str]:
         return value.replace(",", " ").split()
 
-    def int_list(key: str) -> list[int]:
-        lineno, value = entries[key]
+    def int_list(key: str, value: str | None = None) -> list[int]:
+        lineno, whole = entries[key]
         out = []
-        for tok in split_items(value):
+        for tok in split_items(whole if value is None else value):
             try:
                 out.append(int(tok))
             except ValueError:
@@ -349,18 +349,8 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
             raise InputError(f"{filename}:{lineno}: key {key!r}: expected one integer")
         return vals[0]
 
-    gram_lineno, gram_value = entries["gram"]
-    gram_rows = []
-    for chunk in gram_value.split(";"):
-        row = []
-        for tok in split_items(chunk):
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise InputError(
-                    f"{filename}:{gram_lineno}: key 'gram': not an integer: {tok!r}")
-        if row:
-            gram_rows.append(tuple(row))
+    gram_rows = [tuple(int_list("gram", chunk))
+                 for chunk in entries["gram"][1].split(";") if split_items(chunk)]
 
     try:
         return SurfaceDescriptor(

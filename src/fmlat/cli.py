@@ -96,12 +96,7 @@ def _cmd_verify(args) -> int:
 
 
 def _built_matrix(name: str, d: int | None, divisor_text: str | None) -> tuple[Mat, dict]:
-    divisor = None
-    if divisor_text is not None:
-        divisor = _parse_vector(divisor_text)
-        if len(divisor) != 2:
-            raise InputError(f"--divisor needs 2 comma-separated exact values, "
-                             f"got {divisor_text!r}")
+    divisor = None if divisor_text is None else _parse_vector(divisor_text)
     built = build(name, d=d, divisor=divisor)
     matrix = built if isinstance(built, Mat) else built.matrix
     meta = {"schema": 1, "name": name, "d": d,

@@ -139,16 +139,12 @@ def _op_matrix(name: GoldenName, d=None, divisor=None) -> Mat:
     return built if isinstance(built, Mat) else built.matrix
 
 
-def run_verify(d_lo: int = 1, d_hi: int = 12, golden_fn=None) -> VerifyOutcome:
-    """Run the whole suite for kernel degrees d_lo..d_hi inclusive.
-
-    golden_fn defaults to the pinned reference tables; tests substitute a
-    corrupted table to exercise the failure path.
-    """
+def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
+    """Run the whole suite for kernel degrees d_lo..d_hi inclusive."""
     if not (1 <= as_int("d_lo", d_lo) <= as_int("d_hi", d_hi) <= 64):
         raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, "
                          f"got {d_lo}..{d_hi}")
-    golden = golden_fn if golden_fn is not None else operators.golden
+    golden = operators.golden
     cases: list[VerifyCase] = []
     d_range = range(d_lo, d_hi + 1)
     # each degree's FM_Pd and kernel class serve several sections below

@@ -335,6 +335,13 @@ def test_parse_surface_reports_line_and_key(mutation, fragment):
     assert "k3.cfg" in str(err.value)
 
 
+def test_parse_surface_gram_token_error_names_file_and_line():
+    text = GOOD_CFG.replace("gram = -2 1; 1 0", "gram = -2 1; x 0")
+    with pytest.raises(InputError) as err:
+        parse_surface(text, filename="k3.cfg")
+    assert str(err.value) == "k3.cfg:6: key 'gram': not an integer: 'x'"
+
+
 def test_parse_surface_missing_required_key():
     text = GOOD_CFG.replace("fiber = 0 1", "")
     with pytest.raises(InputError, match="fiber"):

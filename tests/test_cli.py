@@ -126,6 +126,9 @@ def test_matrix_divisor_rejects_bad_values(capsys, divisor):
     code, _, err = run(capsys, "matrix", "A_TL", "--divisor", divisor)
     assert code == 2
     assert "error:" in err
+    if divisor in ("1", "1/2,1,0"):  # exact values, wrong length
+        count = divisor.count(",") + 1
+        assert f"A_TL needs a divisor with 2 entries, got {count}" in err
 
 
 def test_matrix_unknown_name_is_input_error(capsys):
@@ -179,6 +182,10 @@ def test_matrix_rejects_parameters_the_name_ignores(capsys):
                          "--divisor", "1,0")
     assert code == 2 and out == ""
     assert "takes no divisor" in err
+    code, out, err = run(capsys, "matrix", "FM_Pd", "--d", "1",
+                         "--divisor", "1,2,3")
+    assert code == 2 and out == ""
+    assert "FM_Pd takes no divisor" in err
 
 
 # transform

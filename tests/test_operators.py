@@ -219,7 +219,7 @@ def test_restrict2_a_s_is_b_s():
     assert restrict2(golden_op(GoldenName.A_S)) == golden(GoldenName.B_S)
 
 
-@pytest.mark.parametrize("divisor", [(1, 0), (0, 1), (3, -2)])
+@pytest.mark.parametrize("divisor", [(1, 0), (0, 1), (3, -2), (-1, 5)])
 def test_restrict2_twist_records_fiber_degree(divisor):
     got = restrict2(build(GoldenName.A_TL, divisor=divisor))
     assert got == Mat([[1, 0], [divisor[0], 1]])
