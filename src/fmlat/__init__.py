@@ -17,7 +17,7 @@ from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      UnsupportedModelError)
 from .linalg import Mat, render_matrix
 from .operators import (GoldenName, Operator, build, golden, op_pi_tensor,
-                        op_tensor, pairing_preserved, restrict2)
+                        op_tensor, restrict2)
 from .product import (FMOrientation, ProductClass, Side, diag_push_grr,
                       fm_matrix, kernel_class, prod_mult, product_todd, pull,
                       push, render_product_class)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, as_int, q, qdiv, qvec
+from .linalg import Mat, _items, as_int, q, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,16 @@ class SurfaceDescriptor:
     lam: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "basis_names", tuple(str(b) for b in self.basis_names))
+        object.__setattr__(self, "basis_names",
+                           tuple(str(b) for b in _items(self.basis_names)))
         n = len(self.basis_names)
         if n == 0:
             raise InputError("basis: divisor basis must be nonempty")
         if len(set(self.basis_names)) != n:
             raise InputError(f"basis: names must be distinct, got {self.basis_names}")
         object.__setattr__(self, "gram",
-                           tuple(tuple(as_int("gram", x) for x in row) for row in self.gram))
+                           tuple(tuple(as_int("gram", x) for x in _items(row))
+                                 for row in _items(self.gram)))
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise InputError(f"gram: must be a {n}x{n} matrix (one row per basis name)")
         if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
@@ -89,7 +92,7 @@ class SurfaceDescriptor:
 
 
 def _int_vec(key: str, xs, n: int) -> tuple[int, ...]:
-    vec = tuple(as_int(key, x) for x in xs)
+    vec = tuple(as_int(key, x) for x in _items(xs))
     if len(vec) != n:
         raise InputError(f"{key}: expected {n} entries, got {len(vec)}")
     return vec
@@ -349,25 +352,29 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
             raise InputError(f"{filename}:{lineno}: key {key!r}: expected one integer")
         return vals[0]
 
-    gram_rows = [tuple(int_list("gram", chunk))
-                 for chunk in entries["gram"][1].split(";") if split_items(chunk)]
-
+    # token errors already name the file and line, so they stay outside the
+    # try that prefixes the descriptor's own errors with the file name
+    fields = dict(
+        gram=tuple(tuple(int_list("gram", chunk))
+                   for chunk in entries["gram"][1].split(";") if split_items(chunk)),
+        name=entries["name"][1],
+        chi_O=int_scalar("chi_O"),
+        basis_names=tuple(split_items(entries["basis"][1])),
+        fiber=tuple(int_list("fiber")),
+        canonical=tuple(int_list("canonical")),
+        section=tuple(int_list("section")) if "section" in entries else None,
+        lam=int_scalar("lambda") if "lambda" in entries else None,
+    )
     try:
-        return SurfaceDescriptor(
-            name=entries["name"][1],
-            chi_O=int_scalar("chi_O"),
-            basis_names=tuple(split_items(entries["basis"][1])),
-            gram=tuple(gram_rows),
-            fiber=tuple(int_list("fiber")),
-            canonical=tuple(int_list("canonical")),
-            section=tuple(int_list("section")) if "section" in entries else None,
-            lam=int_scalar("lambda") if "lambda" in entries else None,
-        )
+        return SurfaceDescriptor(**fields)
     except InputError as exc:
         raise InputError(f"{filename}: {exc}") from exc
 
 
-def load_surface(path) -> SurfaceDescriptor:
+def load_surface(path: str | os.PathLike) -> SurfaceDescriptor:
+    # open() also takes a file descriptor, which it would read and close
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"surface file must be a path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -221,30 +221,17 @@ def render_matrix(m: Mat) -> str:
 
 
 # JSON encoding of exact numbers: integers stay integers, everything else
-# becomes an "n/d" string so nothing is ever rounded.
+# becomes an "n/d" string so nothing is ever rounded. Mat and q read the
+# encoded values back.
 
 def enc_q(x):
     x = q(x)
     return x if type(x) is int else str(x)
 
 
-def dec_q(v) -> int | Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise InputError(f"not an encoded rational: {v!r}")
-    return q(v)
-
-
 def enc_qseq(xs) -> list:
     return [enc_q(x) for x in xs]
 
 
-def dec_qseq(xs) -> tuple[int | Fraction, ...]:
-    return tuple(dec_q(x) for x in xs)
-
-
 def enc_mat(m: Mat) -> list[list]:
     return [enc_qseq(row) for row in m.rows]
-
-
-def dec_mat(rows) -> Mat:
-    return Mat(dec_qseq(row) for row in rows)

@@ -81,22 +81,15 @@ def op_tensor(c: CohClass) -> Operator:
 
 
 def _pi_coords(r, s, t, p) -> tuple:
+    """Coordinates of pi^* pi_* v for the base curve P^1: no point part, and
+    the fiber coefficient picks up the Todd correction 2r of the K3."""
     return (s, 0, 2 * r - s + p, 0)
-
-
-def pi_pushpull(v: CohClass) -> CohClass:
-    """Pullback of the pushforward along the fibration to the base curve.
-
-    The base curve is P^1, so the result has no point part; the fiber
-    coefficient picks up the Todd correction 2r of the K3.
-    """
-    return from_coords(_pi_coords(*to_coords(v)))
 
 
 def op_pi_tensor(c: CohClass) -> Operator:
     """The family v -> pi^* pi_* (v.c), as a matrix."""
     cols = [_pi_coords(*col) for col in zip(*_tensor_rows(to_coords(c)))]
-    return Operator(Mat(zip(*cols)), f"pi_pushpull{render_class(c)}")
+    return Operator(Mat(zip(*cols)), f"pi_tensor{render_class(c)}")
 
 
 # Distinguished classes of the degree-d kernel construction.
@@ -280,10 +273,3 @@ def restrict2(op: Operator) -> Mat:
             f"operator {op.label or '<anonymous>'} does not reduce: "
             f"nonzero entries at {leak}")
     return Mat([[m[0][0], m[0][1]], [m[1][0], m[1][1]]])
-
-
-def pairing_preserved(op: Operator) -> bool:
-    """Whether the operator preserves the Euler pairing: A^T G A = G."""
-    g = chow.pairing_gram()
-    a = _expect("op", Operator, op).matrix
-    return a.transpose() * g * a == g

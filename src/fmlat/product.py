@@ -56,10 +56,6 @@ class ProductClass:
         object.__setattr__(self, "decomp", dec)
         object.__setattr__(self, "diag", dg)
 
-    @classmethod
-    def zero(cls) -> "ProductClass":
-        return cls(((0,) * 4,) * 4, (0, 0, 0))
-
     def __add__(self, other: "ProductClass") -> "ProductClass":
         return ProductClass(
             tuple(tuple(a + b for a, b in zip(ra, rb))
@@ -86,8 +82,6 @@ def _single(i: int, j: int, value=1) -> ProductClass:
 
 
 UNIT = _single(0, 0)
-SIGMA_FIRST = _single(1, 0)    # [sigma x X]
-SIGMA_SECOND = _single(0, 1)   # [X x sigma]
 F_CROSS_F = _single(2, 2)      # [f x f]
 POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f

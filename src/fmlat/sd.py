@@ -22,7 +22,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dot, fdeg, is_standard_k3, moduli_dim_k3)
 from .errors import AdmissibilityError, InputError
-from .linalg import _expect, as_int, as_member, dec_qseq, enc_qseq, qdiv
+from .linalg import _expect, as_int, as_member, enc_qseq, qdiv
 
 
 class Theorem(Enum):
@@ -207,60 +207,6 @@ class SDReport:
             "margins": margins,
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SDReport":
-        try:
-            if data.get("schema") != 1:
-                raise InputError("unknown report schema")
-            c, a, e, b = data["phi"]
-            checks = data["checks"]
-            if {checks["k3"], checks["general"]} - {PASS, FAIL, NOT_EVALUATED}:
-                raise InputError(f"unknown check verdict in {checks!r}")
-            margins = data.get("margins") or {}
-            mk3, mgen = margins.get("k3"), margins.get("general")
-
-            def ints(values):
-                return tuple(as_int("margin", x) for x in values)
-
-            def optional(label, kind):
-                value = data[label]
-                if value is not None and not isinstance(value, kind):
-                    raise InputError(f"{label} must be a {kind.__name__} "
-                                     f"or null, got {value!r}")
-                return value
-
-            notes = data.get("notes", [])
-            if not (isinstance(notes, list)
-                    and all(isinstance(note, str) for note in notes)):
-                raise InputError(f"notes must be a list of strings, got {notes!r}")
-
-            def as_class(values):
-                if values is None:
-                    return None
-                coords = dec_qseq(values)
-                return CohClass(coords[0], coords[1:-1], coords[-1])
-
-            return cls(
-                phi=FM2(c, a, e, b, data["lambda"]),
-                d_v=as_int("d_v", data["d_v"]),
-                d_w=as_int("d_w", data["d_w"]),
-                rk_xi_v=as_int("rk_xi_v", data["rk_xi_v"]),
-                rk_phi_w=as_int("rk_phi_w", data["rk_phi_w"]),
-                k3_check=checks["k3"],
-                general_check=checks["general"],
-                margins_k3=None if mk3 is None else (
-                    ints(mk3["threshold"]), ints(mk3["rank"])),
-                margins_general=None if mgen is None else ints(mgen["threshold"]),
-                orthogonal=optional("orthogonal", bool),
-                base_case=optional("base_case", bool),
-                surface=optional("surface", str),
-                v=as_class(data["v"]),
-                w=as_class(data["w"]),
-                notes=tuple(notes),
-            )
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed report: {exc!r}") from exc
 
 
 def build_report(phi: FM2, d_v: int, d_w: int,

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import bridgeland, chow, operators, product, sd
+from . import bridgeland, chow, operators, product
 from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
@@ -39,12 +39,6 @@ class VerifyCase:
     def to_json(self) -> dict:
         return {"id": self.id, "description": self.description,
                 "pass": self.passed, "lhs": self.lhs, "rhs": self.rhs}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VerifyCase":
-        return cls(*(_field(data, key, kind, "verify case") for key, kind in
-                     (("id", str), ("description", str), ("pass", bool),
-                      ("lhs", str), ("rhs", str))))
 
 
 @dataclass(frozen=True)
@@ -71,37 +65,6 @@ class VerifyOutcome:
                 "d_range": [self.d_lo, self.d_hi],
                 "cases": [case.to_json() for case in self.cases],
                 "passed": self.n_passed, "failed": self.n_failed}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VerifyOutcome":
-        if _field(data, "schema", int, "verify outcome") != 1:
-            raise InputError("unknown verify schema")
-        d_range = _field(data, "d_range", list, "verify outcome")
-        if len(d_range) != 2:
-            raise InputError(f"malformed verify outcome: d_range needs 2 "
-                             f"entries, got {d_range!r}")
-        outcome = cls(_field(data, "suite", str, "verify outcome"),
-                      as_int("d_range", d_range[0]), as_int("d_range", d_range[1]),
-                      tuple(VerifyCase.from_json(c)
-                            for c in _field(data, "cases", list, "verify outcome")))
-        counts = (_field(data, "passed", int, "verify outcome"),
-                  _field(data, "failed", int, "verify outcome"))
-        if counts != (outcome.n_passed, outcome.n_failed):
-            raise InputError(f"malformed verify outcome: passed/failed {counts} "
-                             f"disagree with the cases")
-        return outcome
-
-
-def _field(data, key: str, kind: type, what: str):
-    """data[key], checked to be a kind (a bool is no int); InputError if
-    data is not a dict, lacks the key or holds another type."""
-    if not isinstance(data, dict) or key not in data:
-        raise InputError(f"malformed {what}: missing {key!r} in {data!r}")
-    value = data[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InputError(f"malformed {what}: {key} must be of type "
-                         f"{kind.__name__}, got {value!r}")
-    return value
 
 
 def _first_diff(a: Mat, b: Mat) -> str:

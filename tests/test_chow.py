@@ -1,3 +1,5 @@
+import contextlib
+import os
 import random
 from fractions import Fraction
 
@@ -342,6 +344,22 @@ def test_parse_surface_gram_token_error_names_file_and_line():
     assert str(err.value) == "k3.cfg:6: key 'gram': not an integer: 'x'"
 
 
+@pytest.mark.parametrize("line, bad, message", [
+    ("chi_O = 2", "chi_O = x", "k3.cfg:4: key 'chi_O': not an integer: 'x'"),
+    ("chi_O = 2", "chi_O = 2 3", "k3.cfg:4: key 'chi_O': expected one integer"),
+    ("fiber = 0 1", "fiber = 0 x", "k3.cfg:7: key 'fiber': not an integer: 'x'"),
+    ("section = 1 0", "section = y 0", "k3.cfg:8: key 'section': not an integer: 'y'"),
+    ("canonical = 0 0", "canonical = 0 1/2",
+     "k3.cfg:9: key 'canonical': not an integer: '1/2'"),
+    ("lambda = 1", "lambda = one", "k3.cfg:10: key 'lambda': not an integer: 'one'"),
+    ("gram = -2 1; 1 0", "gram = -2 1; 2 0", "k3.cfg: gram: must be symmetric"),
+], ids=["chi_O", "chi_O-count", "fiber", "section", "canonical", "lambda", "gram"])
+def test_parse_surface_names_the_file_once(line, bad, message):
+    with pytest.raises(InputError) as err:
+        parse_surface(GOOD_CFG.replace(line, bad), filename="k3.cfg")
+    assert str(err.value) == message
+
+
 def test_parse_surface_missing_required_key():
     text = GOOD_CFG.replace("fiber = 0 1", "")
     with pytest.raises(InputError, match="fiber"):
@@ -365,6 +383,12 @@ def test_descriptor_scalar_validation():
     with pytest.raises(InputError, match="entries"):
         SurfaceDescriptor("bad", 2, ("a", "b"), ((-2, 1), (1, 0)),
                           (0, 1, 1), (0, 0))
+    good = dict(name="k3", chi_O=2, basis_names=("a", "b"), gram=((-2, 1), (1, 0)),
+                fiber=(0, 1), canonical=(0, 0), section=(1, 0))
+    for key, bad in (("basis_names", 5), ("gram", 5), ("gram", ((-2, 1), 1)),
+                     ("fiber", 5), ("canonical", 5), ("section", 5)):
+        with pytest.raises(InputError, match="expected a sequence"):
+            SurfaceDescriptor(**{**good, key: bad})
 
 
 def test_parse_surface_rejects_multivalued_scalar():
@@ -383,6 +407,24 @@ def test_load_surface_rejects_non_utf8(tmp_path):
     path.write_bytes(GOOD_CFG.replace("standard-k3", "k3-\u00e9").encode("latin-1"))
     with pytest.raises(InputError, match="cannot read"):
         load_surface(path)
+
+
+def test_load_surface_takes_only_paths():
+    from fmlat.chow import load_surface
+    for bad in (None, 1.5, b"k3.cfg"):
+        with pytest.raises(InputError, match="must be a path"):
+            load_surface(bad)
+    # open() would read a descriptor to its end and then close it
+    r, w = os.pipe()
+    os.write(w, GOOD_CFG.encode())
+    os.close(w)
+    try:
+        with pytest.raises(InputError, match="must be a path"):
+            load_surface(r)
+        assert os.read(r, 6) == b"\n# the"
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(r)
 
 
 def test_load_surface_missing_file(tmp_path):

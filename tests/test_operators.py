@@ -8,9 +8,8 @@ from fmlat.chow import (STANDARD_K3, UNIT_CLASS, ch_line_bundle,
 from fmlat.errors import InputError, ReductionError, SingularMatrixError
 from fmlat.linalg import Mat
 from fmlat.operators import (GoldenName, IDENTITY, Operator, build, golden,
-                             op_pi_tensor, op_tensor, pairing_preserved,
-                             pd_line_class, pd_pushforward_twist_class,
-                             pi_pushpull, restrict2)
+                             op_pi_tensor, op_tensor, pd_line_class,
+                             pd_pushforward_twist_class, restrict2)
 
 from helpers import coh_k3, small_q
 
@@ -155,7 +154,7 @@ def test_golden_literal_spot_checks():
 
 def test_a_s_applied_to_structure_sheaf():
     # oracle: pi^* pi_* O = O + O(-2f) in class terms, so [SO] = 2f - 1
-    assert pi_pushpull(UNIT_CLASS) == from_coords((0, 0, 2, 0))
+    assert op_pi_tensor(UNIT_CLASS).apply(UNIT_CLASS) == from_coords((0, 0, 2, 0))
     got = build(GoldenName.A_S).apply(from_coords((1, 0, 0, 0)))
     assert got == from_coords((-1, 0, 2, 0))
 
@@ -257,6 +256,11 @@ def test_restrict2_rejects_leaky_operator():
 
 # pairing preservation
 
+def pairing_preserved(op):
+    g = pairing_gram()
+    return op.matrix.transpose() * g * op.matrix == g
+
+
 @pytest.mark.parametrize("d", D_RANGE)
 def test_fm_pd_preserves_pairing(d):
     assert pairing_preserved(build(GoldenName.FM_Pd, d=d))
@@ -307,7 +311,7 @@ def test_operator_requires_4x4():
     fm = build(GoldenName.FM_Pd, d=1)
     for bad in (Mat.identity(4), 1, None):
         for call in (lambda: fm @ bad, lambda: fm + bad, lambda: fm - bad,
-                     lambda: restrict2(bad), lambda: pairing_preserved(bad)):
+                     lambda: restrict2(bad)):
             with pytest.raises(InputError, match="must be of type Operator"):
                 call()
 

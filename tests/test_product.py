@@ -10,14 +10,16 @@ from fmlat.chow import (CohClass, FIBER_CLASS, POINT_CLASS, SIGMA_CLASS,
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.operators import GoldenName, golden, pd_pushforward_twist_class
 from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT,
-                           ProductClass, Side, SIGMA_FIRST, SIGMA_SECOND,
-                           UNIT, diag_push_grr, fm_matrix, kernel_class,
+                           ProductClass, Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
                            prod_mult, product_todd, pull, push,
                            render_product_class)
 
 from helpers import coh_k3, random_product_class
 
 S = STANDARD_K3
+ZERO = ProductClass(((0,) * 4,) * 4, (0, 0, 0))
+SIGMA_FIRST = ProductClass(((0,) * 4, (1, 0, 0, 0), (0,) * 4, (0,) * 4), (0, 0, 0))
+SIGMA_SECOND = ProductClass(((0, 1, 0, 0),) + ((0,) * 4,) * 3, (0, 0, 0))
 
 
 # pull
@@ -209,7 +211,7 @@ def test_fm_pd_matches_pinned_matrix(d):
 
 
 def test_fm_zero_kernel_is_zero_operator():
-    op = fm_matrix(ProductClass.zero(), FMOrientation.PUSH_FIRST_PULL_SECOND)
+    op = fm_matrix(ZERO, FMOrientation.PUSH_FIRST_PULL_SECOND)
     assert all(x == 0 for row in op.matrix.rows for x in row)
 
 
@@ -221,7 +223,7 @@ def test_render_product_class():
 
 
 def test_render_zero():
-    assert render_product_class(ProductClass.zero()) == "0"
+    assert render_product_class(ZERO) == "0"
 
 
 @settings(max_examples=30)

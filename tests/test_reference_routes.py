@@ -6,10 +6,11 @@ vector, with no table in between."""
 import pytest
 from hypothesis import given, settings
 
-from fmlat.chow import (COORD_BASIS, PAIR_TABLE, STANDARD_K3, ch_line_bundle,
-                        from_coords, mult, render_class, to_coords, todd)
+from fmlat.chow import (COORD_BASIS, PAIR_TABLE, STANDARD_K3, UNIT_CLASS,
+                        ch_line_bundle, from_coords, mult, render_class,
+                        to_coords, todd)
 from fmlat.linalg import Mat
-from fmlat.operators import Operator, op_pi_tensor, op_tensor, pi_pushpull
+from fmlat.operators import Operator, op_pi_tensor, op_tensor
 from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT, Side,
                            _TRIPLE_TABLE, fm_matrix, kernel_class, prod_mult,
                            pull, push)
@@ -32,7 +33,7 @@ def reference_pi_pushpull(v):
 def reference_op_pi_tensor(c):
     cols = [to_coords(reference_pi_pushpull(mult(S, basis, c)))
             for basis in COORD_BASIS]
-    return Operator(Mat(cols).transpose(), f"pi_pushpull{render_class(c)}")
+    return Operator(Mat(cols).transpose(), f"pi_tensor{render_class(c)}")
 
 
 def reference_fm_matrix(kernel, orientation):
@@ -70,7 +71,7 @@ def test_tables_match_ring_products():
 def test_elementary_operators_match_reference(c):
     assert op_tensor(c) == reference_op_tensor(c)
     assert op_pi_tensor(c) == reference_op_pi_tensor(c)
-    assert pi_pushpull(c) == reference_pi_pushpull(c)
+    assert op_pi_tensor(UNIT_CLASS).apply(c) == reference_pi_pushpull(c)
 
 
 @settings(max_examples=30, deadline=None)
