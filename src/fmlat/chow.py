@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, _items, as_int, q, qdiv, qvec
+from .linalg import Mat, _expect, _items, as_int, q, qdiv, qvec
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,9 @@ STANDARD_K3 = SurfaceDescriptor(
 
 def is_standard_k3(surface: SurfaceDescriptor) -> bool:
     """True when the descriptor is numerically the standard K3 model."""
-    return (surface.chi_O == 2
-            and surface.rank == 2
-            and surface.gram == ((-2, 1), (1, 0))
-            and surface.fiber == (0, 1)
-            and surface.section == (1, 0)
-            and surface.canonical == (0, 0)
-            and surface.lam == 1)
+    s, k = _expect("surface", SurfaceDescriptor, surface), STANDARD_K3
+    return ((s.chi_O, s.gram, s.fiber, s.section, s.canonical, s.lam)
+            == (k.chi_O, k.gram, k.fiber, k.section, k.canonical, k.lam))
 
 
 def _require_standard(surface: SurfaceDescriptor) -> None:
@@ -198,7 +194,8 @@ def integrality_warnings(v: CohClass) -> list[str]:
 
 
 def _check_class(surface: SurfaceDescriptor, v: CohClass) -> None:
-    if len(v.div) != surface.rank:
+    _expect("surface", SurfaceDescriptor, surface)
+    if len(_expect("class", CohClass, v).div) != surface.rank:
         raise InputError(
             f"class has {len(v.div)} divisor coordinates, surface "
             f"{surface.name!r} has lattice rank {surface.rank}")

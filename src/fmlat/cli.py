@@ -153,15 +153,14 @@ def _report_text(report: SDReport) -> str:
     if report.orthogonal is not None:
         lines.append(f"orthogonal = {report.orthogonal}   "
                      f"base_case = {report.base_case}")
-    k3 = f"k3: {report.k3_check}"
-    if report.margins_k3 is not None:
-        k3 += (f"   threshold margins {report.margins_k3[0]}"
-               f"   rank margins {report.margins_k3[1]}")
-    lines.append(k3)
-    general = f"general: {report.general_check}"
-    if report.margins_general is not None:
-        general += f"   threshold margins {report.margins_general}"
-    lines.append(general)
+    for theorem in Theorem:
+        line = f"{theorem.value}: {report.verdict(theorem)}"
+        result = report.check(theorem)
+        if result is not None:
+            line += f"   threshold margins {result.threshold_margins}"
+            if theorem is Theorem.K3:
+                line += f"   rank margins {result.rank_margins}"
+        lines.append(line)
     for note in report.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)
@@ -182,8 +181,7 @@ def _cmd_sd_check(args) -> int:
     report = build_report(phi, args.dv, args.dw, theorems=(theorem,),
                           pair=pair, t_v=args.tv, t_w=args.tw)
     _emit(report.to_json(), args.json, _report_text(report))
-    verdict = report.k3_check if theorem is Theorem.K3 else report.general_check
-    return EXIT_OK if verdict == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if report.verdict(theorem) == "pass" else EXIT_CHECK_FAILED
 
 
 def _cmd_search(args) -> int:

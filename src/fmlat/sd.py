@@ -14,7 +14,7 @@ hypotheses placed on the numerical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -51,7 +51,7 @@ class SDPair:
 
     def __post_init__(self):
         for label, cls in (("v", self.v), ("w", self.w)):
-            if cls.r != 1:
+            if _expect(label, CohClass, cls).r != 1:
                 raise InputError(f"{label} must have rank one, got rank {cls.r}")
         object.__setattr__(self, "d_v", fdeg(self.surface, self.v))
         object.__setattr__(self, "d_w", fdeg(self.surface, self.w))
@@ -70,7 +70,8 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
     attestation that L has no higher cohomology. A missing attestation
     makes the check fail; it is an input, not something computed here.
     """
-    if v.r != 1 or w.r != 1:
+    _expect("surface", SurfaceDescriptor, surface)
+    if (_expect("v", CohClass, v).r, _expect("w", CohClass, w).r) != (1, 1):
         return False
     if any(d != 0 for d in v.div):
         return False
@@ -162,39 +163,46 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
 
 @dataclass(frozen=True)
 class SDReport:
-    """Structured outcome of the hypothesis checks for one kernel matrix."""
+    """Structured outcome of the hypothesis checks for one kernel matrix:
+    the result of each evaluated theorem, and the class pair if one was given."""
 
     phi: FM2
     d_v: int
     d_w: int
     rk_xi_v: int
     rk_phi_w: int
-    k3_check: str = NOT_EVALUATED
-    general_check: str = NOT_EVALUATED
-    margins_k3: tuple[tuple[int, int], tuple[int, int]] | None = None
-    margins_general: tuple[int, int] | None = None
+    checks: tuple[SDCheckResult, ...] = ()
+    pair: SDPair | None = None
     orthogonal: bool | None = None
     base_case: bool | None = None
-    surface: str | None = None
-    v: CohClass | None = None
-    w: CohClass | None = None
     notes: tuple[str, ...] = ()
 
+    def check(self, theorem: Theorem) -> SDCheckResult | None:
+        """The result for one theorem, or None when it was not evaluated."""
+        theorem = as_member("theorem", Theorem, theorem)
+        return next((r for r in self.checks if r.theorem is theorem), None)
+
+    def verdict(self, theorem: Theorem) -> str:
+        """PASS or FAIL for an evaluated theorem, else NOT_EVALUATED."""
+        result = self.check(theorem)
+        return NOT_EVALUATED if result is None else result.verdict
+
     def to_json(self) -> dict:
+        k3, general = self.check(Theorem.K3), self.check(Theorem.GENERAL)
         margins = {
-            "k3": None if self.margins_k3 is None else {
-                "threshold": enc_qseq(self.margins_k3[0]),
-                "rank": enc_qseq(self.margins_k3[1]),
+            "k3": None if k3 is None else {
+                "threshold": enc_qseq(k3.threshold_margins),
+                "rank": enc_qseq(k3.rank_margins),
             },
-            "general": None if self.margins_general is None else {
-                "threshold": enc_qseq(self.margins_general),
+            "general": None if general is None else {
+                "threshold": enc_qseq(general.threshold_margins),
             },
         }
         return {
             "schema": 1,
-            "surface": self.surface,
-            "v": None if self.v is None else enc_qseq(self.v.coords()),
-            "w": None if self.w is None else enc_qseq(self.w.coords()),
+            "surface": None if self.pair is None else self.pair.surface.name,
+            "v": None if self.pair is None else enc_qseq(self.pair.v.coords()),
+            "w": None if self.pair is None else enc_qseq(self.pair.w.coords()),
             "phi": list(self.phi.entries()),
             "lambda": self.phi.lam,
             "d_v": self.d_v,
@@ -203,7 +211,7 @@ class SDReport:
             "base_case": self.base_case,
             "rk_xi_v": self.rk_xi_v,
             "rk_phi_w": self.rk_phi_w,
-            "checks": {"k3": self.k3_check, "general": self.general_check},
+            "checks": {theorem.value: self.verdict(theorem) for theorem in Theorem},
             "margins": margins,
             "notes": list(self.notes),
         }
@@ -221,39 +229,31 @@ def build_report(phi: FM2, d_v: int, d_w: int,
     """
     notes: list[str] = []
     rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
-    report = SDReport(phi=phi, d_v=d_v, d_w=d_w,
-                      rk_xi_v=rk_xi_v, rk_phi_w=rk_phi_w)
+    orth = base = None
     if pair is not None:
+        _expect("pair", SDPair, pair)
         orth = orthogonal_check(pair.surface, pair.v, pair.w)
         base = mo_base_check(pair.surface, pair.v, pair.w,
                              pair.no_higher_cohomology)
         if not pair.no_higher_cohomology:
             notes.append("no-higher-cohomology attestation missing; "
                          "base case cannot hold")
-        report = replace(report, orthogonal=orth, base_case=base,
-                         surface=pair.surface.name, v=pair.v, w=pair.w)
         if pair.d_v != d_v or pair.d_w != d_w:
             notes.append(f"supplied fiber degrees ({d_v}, {d_w}) disagree with "
                          f"the classes ({pair.d_v}, {pair.d_w})")
+    checks: dict[Theorem, SDCheckResult] = {}   # a repeated theorem counts once
     for theorem in theorems:
         theorem = as_member("theorem", Theorem, theorem)
         if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
-            if pair is not None and is_standard_k3(pair.surface):
-                t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
-                t_w = moduli_dim_k3(pair.surface, pair.w) if t_w is None else t_w
-                notes.append("general-surface dimensions defaulted to the "
-                             "K3 moduli dimension formula")
-            else:
-                raise InputError("the general-surface check needs t_v and t_w")
-        result = sd_check(theorem, phi, d_v, d_w, t_v=t_v, t_w=t_w)
-        if theorem is Theorem.K3:
-            report = replace(report, k3_check=result.verdict,
-                             margins_k3=(result.threshold_margins,
-                                         result.rank_margins))
-        else:
-            report = replace(report, general_check=result.verdict,
-                             margins_general=result.threshold_margins)
-    return replace(report, notes=tuple(notes))
+            if pair is None or not is_standard_k3(pair.surface):
+                _thresholds(theorem, t_v, t_w)   # raises: a dimension is missing
+            t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
+            t_w = moduli_dim_k3(pair.surface, pair.w) if t_w is None else t_w
+            notes.append("general-surface dimensions defaulted to the "
+                         "K3 moduli dimension formula")
+        checks[theorem] = sd_check(theorem, phi, d_v, d_w, t_v=t_v, t_w=t_w)
+    return SDReport(phi, d_v, d_w, rk_xi_v, rk_phi_w, tuple(checks.values()),
+                    pair, orth, base, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -301,6 +301,7 @@ def search_phi(lam: int, bound: int,
     if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {lam!r}")
     if target is not None:
+        _expect("target", SearchTarget, target)
         t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
         above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
@@ -327,8 +328,6 @@ def search_phi(lam: int, bound: int,
                 report = build_report(phi, target.d_v, target.d_w,
                                       theorems=(target.theorem,),
                                       t_v=target.t_v, t_w=target.t_w)
-                verdict = (report.k3_check if target.theorem is Theorem.K3
-                           else report.general_check)
-                if verdict == PASS:
+                if report.verdict(target.theorem) == PASS:
                     hits.append(SearchHit(phi, report))
     return hits

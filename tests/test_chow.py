@@ -22,9 +22,42 @@ ONE = from_coords((1, 0, 0, 0))
 
 # descriptor validation
 
+def _k3_like(**changes):
+    fields = dict(name="standard-k3", chi_O=2, basis_names=("sigma", "f"),
+                  gram=((-2, 1), (1, 0)), fiber=(0, 1), canonical=(0, 0),
+                  section=(1, 0), lam=1)
+    return SurfaceDescriptor(**{**fields, **changes})
+
+
 def test_standard_k3_is_standard():
     assert is_standard_k3(S)
     assert not is_standard_k3(RATIONAL_ELLIPTIC)
+    # the name and the basis names do not matter
+    assert is_standard_k3(_k3_like(name="other", basis_names=("s", "fib")))
+    # each numerical field does; fiber (-1, -1) still squares to zero and
+    # meets the section once
+    for changes in (dict(chi_O=3), dict(gram=((-4, 1), (1, 0))),
+                    dict(fiber=(-1, -1)), dict(section=(1, 3)),
+                    dict(section=None), dict(canonical=(0, 1))):
+        assert not is_standard_k3(_k3_like(**changes)), changes
+    # lambda must divide sigma.f = 1, so no valid descriptor differs in
+    # lambda alone; set it past the constructor's check
+    other_lam = _k3_like()
+    object.__setattr__(other_lam, "lam", 2)
+    assert not is_standard_k3(other_lam)
+    with pytest.raises(InputError, match="surface must be of type"):
+        is_standard_k3(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mult(S, 5, ONE), lambda: mult(5, ONE, ONE),
+    lambda: chi_tensor(S, ONE, 5), lambda: fdeg(S, 5), lambda: fdeg(5, ONE),
+    lambda: moduli_dim_k3(S, 5), lambda: moduli_dim_k3(5, ONE),
+], ids=["mult-class", "mult-surface", "chi_tensor-class", "fdeg-class",
+        "fdeg-surface", "moduli_dim_k3-class", "moduli_dim_k3-surface"])
+def test_class_arithmetic_rejects_wrong_types(call):
+    with pytest.raises(InputError, match="must be of type"):
+        call()
 
 
 def test_gram_must_be_symmetric():

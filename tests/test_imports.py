@@ -20,3 +20,28 @@ def test_no_unused_top_level_imports():
                            for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+# The paper's birationality step; ROADMAP item 3 decides whether `reduce`
+# calls these two or they go.
+UNUSED_ON_PURPOSE = {"wit1_forced", "gen_birat_classify"}
+
+
+def test_every_public_name_is_used_elsewhere_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(fmlat.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+
+    def uses(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    all_uses = [name for tree in trees for name in uses(tree)]
+    defs = [node for tree in trees for top in tree.body
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    # a definition's own body (recursion, a class naming itself) is no use
+    unused = {node.name for node in defs
+              if all_uses.count(node.name) == uses(node).count(node.name)}
+    assert unused == UNUSED_ON_PURPOSE

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fmlat.sd as sd
 from fmlat.bridgeland import FM2
 from fmlat.chow import CohClass, STANDARD_K3, chi_tensor, dot, from_coords
 from fmlat.errors import AdmissibilityError, InputError
@@ -158,6 +159,13 @@ def test_sd_check_rejects_inadmissible_phi():
         sd_check(Theorem.GENERAL, FM2(1, 1, 0, 1), 6, 0)
     with pytest.raises(InputError, match="bogus"):
         sd_check("bogus", FM2(1, 1, 0, 1), 6, 0)
+    # build_report asks for missing dimensions first, and checks their type
+    # only after admissibility, inside sd_check
+    with pytest.raises(InputError, match="needs t_v and t_w"):
+        build_report(FM2(1, 1, 0, 1), 6, 0, theorems=("general",))
+    with pytest.raises(AdmissibilityError):
+        build_report(FM2(1, 1, 0, 1), 6, 0, theorems=("general",),
+                     t_v=1.5, t_w=3)
     # phi must be an FM2, not its entries or its matrix
     for bad in ((3, 1, -7, -2), WORKED_PHI.matrix, None):
         for call in (lambda: sd_check("k3", bad, 6, 0),
@@ -165,6 +173,28 @@ def test_sd_check_rejects_inadmissible_phi():
                      lambda: transformed_ranks(bad, 6, 0)):
             with pytest.raises(InputError, match="phi must be of type FM2"):
                 call()
+
+
+_V, _W = CohClass(1, (0, 0), -2), CohClass(1, (1, 4), 0)
+
+
+@pytest.mark.parametrize("call, label", [
+    (lambda: SDPair(S, 5, _W), "v must be of type CohClass"),
+    (lambda: SDPair(S, _V, 5), "w must be of type CohClass"),
+    (lambda: SDPair(5, _V, _W), "surface must be of type SurfaceDescriptor"),
+    (lambda: orthogonal_check(S, 5, _W), "class must be of type CohClass"),
+    (lambda: orthogonal_check(5, _V, _W), "surface must be of type"),
+    (lambda: mo_base_check(S, 5, _W, True), "v must be of type CohClass"),
+    (lambda: mo_base_check(S, _V, 5, True), "w must be of type CohClass"),
+    (lambda: mo_base_check(5, _V, _W, True), "surface must be of type"),
+    (lambda: build_report(WORKED_PHI, 6, 0, pair=5), "pair must be of type SDPair"),
+    (lambda: search_phi(1, 5, target=5), "target must be of type SearchTarget"),
+], ids=["SDPair-v", "SDPair-w", "SDPair-surface", "orthogonal-v",
+        "orthogonal-surface", "mo_base-v", "mo_base-w", "mo_base-surface",
+        "build_report-pair", "search_phi-target"])
+def test_sd_entry_points_reject_wrong_types(call, label):
+    with pytest.raises(InputError, match=label):
+        call()
 
 
 def test_threshold_pass_implies_rank_form_when_a_is_one():
@@ -193,10 +223,12 @@ def test_threshold_pass_implies_rank_form_when_a_is_one():
 
 def test_build_report_populates_both_forms():
     report = build_report(WORKED_PHI, 6, 0, theorems=(Theorem.K3,))
-    assert report.k3_check == "pass"
-    assert report.general_check == NOT_EVALUATED
-    assert report.margins_k3 == ((1, 1), (0, 0))
-    assert report.margins_general is None
+    assert report.verdict(Theorem.K3) == "pass"
+    assert report.verdict(Theorem.GENERAL) == NOT_EVALUATED
+    k3 = report.check(Theorem.K3)
+    assert (k3.threshold_margins, k3.rank_margins) == ((1, 1), (0, 0))
+    assert report.check(Theorem.GENERAL) is None
+    assert report.check("k3") is k3
     assert (report.rk_xi_v, report.rk_phi_w) == (3, 3)
 
 
@@ -208,7 +240,7 @@ def test_build_report_with_pair_and_defaulted_dimensions():
                           theorems=(Theorem.K3, Theorem.GENERAL), pair=pair)
     assert report.orthogonal is True
     assert report.base_case is True
-    assert report.general_check in ("pass", "fail")
+    assert report.verdict(Theorem.GENERAL) in ("pass", "fail")
     assert any("disagree" in note for note in report.notes)
 
 
@@ -218,6 +250,25 @@ def test_build_report_notes_missing_attestation():
     report = build_report(WORKED_PHI, 0, 1, theorems=(Theorem.K3,), pair=pair)
     assert report.base_case is False
     assert any("attestation" in note for note in report.notes)
+
+
+def test_report_is_built_once(monkeypatch):
+    built = []
+
+    class CountingReport(sd.SDReport):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sd, "SDReport", CountingReport)
+    pair = SDPair(S, *hilbert_pair(2, 3), no_higher_cohomology=True)
+    build_report(WORKED_PHI, 6, 0, theorems=(Theorem.K3, Theorem.GENERAL),
+                 pair=pair)
+    assert len(built) == 1
+    built.clear()
+    hits = search_phi(1, 40, SearchTarget(6, 0))
+    assert len(hits) == 102
+    assert len(built) == len(hits)
 
 
 def test_sdpair_requires_rank_one():
@@ -353,7 +404,7 @@ def test_search_with_target_contains_worked_example():
     assert (3, 1, -7, -2) in entries
     for hit in hits:
         assert hit.report is not None
-        assert hit.report.k3_check == "pass"
+        assert hit.report.verdict(Theorem.K3) == "pass"
         res = sd_check(Theorem.K3, hit.phi, 6, 0)
         assert res.passed
 
@@ -391,6 +442,8 @@ def test_unknown_theorem_is_an_input_error():
         sd_check("bogus", WORKED_PHI, 6, 0)
     with pytest.raises(InputError, match="bogus"):
         build_report(WORKED_PHI, 6, 0, theorems=("bogus",))
+    with pytest.raises(InputError, match="bogus"):
+        build_report(WORKED_PHI, 6, 0).verdict("bogus")
     with pytest.raises(InputError, match="bogus"):
         SearchTarget(6, 0, "bogus")
 
