@@ -100,6 +100,7 @@ def _int_vec(key: str, xs, n: int) -> tuple[int, ...]:
 
 def dot(surface: SurfaceDescriptor, x: Iterable, y: Iterable) -> int | Fraction:
     """Intersection pairing of two divisor vectors under the Gram form."""
+    _expect("surface", SurfaceDescriptor, surface)
     xv, yv = qvec(x), qvec(y)
     n = surface.rank
     if len(xv) != n or len(yv) != n:
@@ -156,14 +157,14 @@ class CohClass:
             object.__setattr__(self, "p", q(self.p))
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        if len(self.div) != len(other.div):
+        if len(self.div) != len(_expect("operand", CohClass, other).div):
             raise InputError("cannot add classes over different lattices")
         return CohClass(self.r + other.r,
                         tuple(a + b for a, b in zip(self.div, other.div)),
                         self.p + other.p)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (-1) * other
+        return self + (-1) * _expect("operand", CohClass, other)
 
     def __neg__(self) -> "CohClass":
         return (-1) * self
@@ -177,11 +178,12 @@ class CohClass:
 
 
 def render_class(v: CohClass) -> str:
-    return "(" + ", ".join(str(x) for x in v.coords()) + ")"
+    return "(" + ", ".join(str(x) for x in _expect("class", CohClass, v).coords()) + ")"
 
 
 def integrality_warnings(v: CohClass) -> list[str]:
     """Advisory notes when a class cannot be ch of a sheaf complex."""
+    _expect("class", CohClass, v)
     notes = []
     if v.r.denominator != 1:
         notes.append(f"rank {v.r} is not an integer")
@@ -203,6 +205,7 @@ def _check_class(surface: SurfaceDescriptor, v: CohClass) -> None:
 
 def ch_line_bundle(surface: SurfaceDescriptor, divisor: Iterable) -> CohClass:
     """Chern character (1, D, D^2/2) of the line bundle O(D)."""
+    _expect("surface", SurfaceDescriptor, surface)
     d = qvec(divisor)
     if len(d) != surface.rank:
         raise InputError(
@@ -222,11 +225,13 @@ def mult(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> CohClass:
 
 def dual(v: CohClass) -> CohClass:
     """Chern character of the derived dual: odd degree flips sign."""
+    _expect("class", CohClass, v)
     return CohClass(v.r, tuple(-d for d in v.div), v.p)
 
 
 def todd(surface: SurfaceDescriptor) -> CohClass:
     """Todd class (1, -K/2, chi(O))."""
+    _expect("surface", SurfaceDescriptor, surface)
     return CohClass(1, tuple(qdiv(-k, 2) for k in surface.canonical),
                     surface.chi_O)
 
@@ -264,7 +269,7 @@ def moduli_dim_k3(surface: SurfaceDescriptor, v: CohClass) -> int:
 # Standard-model coordinates: (r, s, t, p) for r + s.sigma + t.f + p.[pt].
 
 def to_coords(v: CohClass) -> tuple[int | Fraction, ...]:
-    if len(v.div) != 2:
+    if len(_expect("class", CohClass, v).div) != 2:
         raise InputError("standard-model coordinates need a rank-2 lattice class")
     return (v.r, v.div[0], v.div[1], v.p)
 
@@ -309,7 +314,7 @@ _REQUIRED_KEYS = ("name", "chi_O", "basis", "gram", "fiber", "canonical")
 
 def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
     entries: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_expect("text", str, text).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -148,18 +148,17 @@ def _report_text(report: SDReport) -> str:
         f"phi = [[{report.phi.c},{report.phi.a}],[{report.phi.e},{report.phi.b}]]"
         f"   lambda = {report.phi.lam}",
         f"d_v = {report.d_v}   d_w = {report.d_w}",
-        f"rk_xi_v = {report.rk_xi_v}   rk_phi_w = {report.rk_phi_w}",
+        f"rk_xi_v = {report.check.rk_xi_v}   rk_phi_w = {report.check.rk_phi_w}",
     ]
     if report.orthogonal is not None:
         lines.append(f"orthogonal = {report.orthogonal}   "
                      f"base_case = {report.base_case}")
     for theorem in Theorem:
         line = f"{theorem.value}: {report.verdict(theorem)}"
-        result = report.check(theorem)
-        if result is not None:
-            line += f"   threshold margins {result.threshold_margins}"
+        if theorem is report.check.theorem:
+            line += f"   threshold margins {report.check.threshold_margins}"
             if theorem is Theorem.K3:
-                line += f"   rank margins {result.rank_margins}"
+                line += f"   rank margins {report.check.rank_margins}"
         lines.append(line)
     for note in report.notes:
         lines.append(f"note: {note}")
@@ -169,7 +168,6 @@ def _report_text(report: SDReport) -> str:
 def _cmd_sd_check(args) -> int:
     c, a, e, b = _parse_ints(args.phi, 4, "--phi")
     phi = FM2(c, a, e, b, args.lam)
-    theorem = Theorem(args.theorem)
     pair = None
     if args.v is not None or args.w is not None:
         if args.v is None or args.w is None:
@@ -178,10 +176,10 @@ def _cmd_sd_check(args) -> int:
         pair = SDPair(surface, _class_from_vector(surface, args.v),
                       _class_from_vector(surface, args.w),
                       no_higher_cohomology=args.attest_no_higher_cohomology)
-    report = build_report(phi, args.dv, args.dw, theorems=(theorem,),
+    report = build_report(phi, args.dv, args.dw, args.theorem,
                           pair=pair, t_v=args.tv, t_w=args.tw)
     _emit(report.to_json(), args.json, _report_text(report))
-    return EXIT_OK if report.verdict(theorem) == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if report.check.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_search(args) -> int:
@@ -205,8 +203,8 @@ def _cmd_search(args) -> int:
         for hit in hits:
             line = ",".join(str(x) for x in hit.phi.entries())
             if hit.report is not None:
-                line += (f"   rk_xi_v={hit.report.rk_xi_v}"
-                         f" rk_phi_w={hit.report.rk_phi_w}")
+                line += (f"   rk_xi_v={hit.report.check.rk_xi_v}"
+                         f" rk_phi_w={hit.report.check.rk_phi_w}")
             print(line)
         print(f"# {len(hits)} hit(s)", file=sys.stderr)
     return EXIT_OK

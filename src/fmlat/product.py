@@ -23,7 +23,7 @@ from operator import mul
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, to_coords, todd)
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, as_member, q, qgrid, qvec
+from .linalg import Mat, _expect, as_member, q, qgrid, qvec
 from .operators import Operator, _check_d, _tensor_rows
 
 
@@ -57,13 +57,14 @@ class ProductClass:
         object.__setattr__(self, "diag", dg)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
+        _expect("operand", ProductClass, other)
         return ProductClass(
             tuple(tuple(a + b for a, b in zip(ra, rb))
                   for ra, rb in zip(self.decomp, other.decomp)),
             tuple(a + b for a, b in zip(self.diag, other.diag)))
 
     def __sub__(self, other: "ProductClass") -> "ProductClass":
-        return self + (-1) * other
+        return self + (-1) * _expect("operand", ProductClass, other)
 
     def __neg__(self) -> "ProductClass":
         return (-1) * self
@@ -103,7 +104,7 @@ _TODD_TENSOR = Mat(_tensor_rows(to_coords(todd(STANDARD_K3))))
 
 
 def _require_standard_class(v: CohClass) -> None:
-    if len(v.div) != 2:
+    if len(_expect("class", CohClass, v).div) != 2:
         raise UnsupportedModelError(
             "product classes live over the standard K3 model; "
             f"got a class with lattice rank {len(v.div)}")
@@ -126,6 +127,7 @@ def push(side: Side, a: ProductClass) -> CohClass:
     Integrating a factor keeps only its point coefficient; the diagonal is a
     section of either projection, so delta_*(g) pushes to g.
     """
+    _expect("class", ProductClass, a)
     if as_member("side", Side, side) is Side.FIRST:
         coords = [row[3] for row in a.decomp]
     else:
@@ -137,6 +139,8 @@ def push(side: Side, a: ProductClass) -> CohClass:
 
 def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     """Bilinear product; total codimension above four is discarded."""
+    _expect("operand", ProductClass, a)
+    _expect("operand", ProductClass, b)
     dec = [[0] * 4 for _ in range(4)]
     diag = [0] * 3
 
@@ -246,7 +250,7 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
     (K transposed when pushing along the second factor).
     """
     orientation = as_member("orientation", FMOrientation, orientation)
-    grid = kernel.decomp
+    grid = _expect("kernel", ProductClass, kernel).decomp
     if orientation is FMOrientation.PUSH_SECOND_PULL_FIRST:
         grid = tuple(zip(*grid))
     delta = _tensor_rows((*kernel.diag, 0))
@@ -258,6 +262,7 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
 
 def render_product_class(a: ProductClass) -> str:
     """Basis-labeled sum, e.g. "[f x X] + [X x f] - [f x f] - Delta + 2[*]"."""
+    _expect("class", ProductClass, a)
     terms: list[tuple[int | Fraction, str]] = []
     for i in range(4):
         for j in range(4):

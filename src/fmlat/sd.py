@@ -53,6 +53,7 @@ class SDPair:
         for label, cls in (("v", self.v), ("w", self.w)):
             if _expect(label, CohClass, cls).r != 1:
                 raise InputError(f"{label} must have rank one, got rank {cls.r}")
+        _expect("no_higher_cohomology", bool, self.no_higher_cohomology)
         object.__setattr__(self, "d_v", fdeg(self.surface, self.v))
         object.__setattr__(self, "d_w", fdeg(self.surface, self.w))
 
@@ -71,6 +72,7 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
     makes the check fail; it is an input, not something computed here.
     """
     _expect("surface", SurfaceDescriptor, surface)
+    _expect("no_higher_cohomology", bool, no_higher_cohomology)
     if (_expect("v", CohClass, v).r, _expect("w", CohClass, w).r) != (1, 1):
         return False
     if any(d != 0 for d in v.div):
@@ -84,7 +86,7 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
                        CohClass(1, (0,) * surface.rank, 0))
     if k + l != chi_l:
         return False
-    return bool(no_higher_cohomology)
+    return no_higher_cohomology
 
 
 def transformed_ranks(phi: FM2, d_v: int, d_w: int) -> tuple[int, int]:
@@ -164,40 +166,28 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
 @dataclass(frozen=True)
 class SDReport:
     """Structured outcome of the hypothesis checks for one kernel matrix:
-    the result of each evaluated theorem, and the class pair if one was given."""
+    the result of the one theorem checked, and the class pair if one was given."""
 
     phi: FM2
     d_v: int
     d_w: int
-    rk_xi_v: int
-    rk_phi_w: int
-    checks: tuple[SDCheckResult, ...] = ()
+    check: SDCheckResult
     pair: SDPair | None = None
     orthogonal: bool | None = None
     base_case: bool | None = None
     notes: tuple[str, ...] = ()
 
-    def check(self, theorem: Theorem) -> SDCheckResult | None:
-        """The result for one theorem, or None when it was not evaluated."""
-        theorem = as_member("theorem", Theorem, theorem)
-        return next((r for r in self.checks if r.theorem is theorem), None)
-
     def verdict(self, theorem: Theorem) -> str:
-        """PASS or FAIL for an evaluated theorem, else NOT_EVALUATED."""
-        result = self.check(theorem)
-        return NOT_EVALUATED if result is None else result.verdict
+        """PASS or FAIL for the theorem checked, NOT_EVALUATED for the other."""
+        theorem = as_member("theorem", Theorem, theorem)
+        return self.check.verdict if theorem is self.check.theorem else NOT_EVALUATED
 
     def to_json(self) -> dict:
-        k3, general = self.check(Theorem.K3), self.check(Theorem.GENERAL)
-        margins = {
-            "k3": None if k3 is None else {
-                "threshold": enc_qseq(k3.threshold_margins),
-                "rank": enc_qseq(k3.rank_margins),
-            },
-            "general": None if general is None else {
-                "threshold": enc_qseq(general.threshold_margins),
-            },
-        }
+        check = self.check
+        margins = {"k3": None, "general": None}
+        margins[check.theorem.value] = {"threshold": enc_qseq(check.threshold_margins)}
+        if check.theorem is Theorem.K3:
+            margins["k3"]["rank"] = enc_qseq(check.rank_margins)
         return {
             "schema": 1,
             "surface": None if self.pair is None else self.pair.surface.name,
@@ -209,26 +199,26 @@ class SDReport:
             "d_w": self.d_w,
             "orthogonal": self.orthogonal,
             "base_case": self.base_case,
-            "rk_xi_v": self.rk_xi_v,
-            "rk_phi_w": self.rk_phi_w,
+            "rk_xi_v": check.rk_xi_v,
+            "rk_phi_w": check.rk_phi_w,
             "checks": {theorem.value: self.verdict(theorem) for theorem in Theorem},
             "margins": margins,
             "notes": list(self.notes),
         }
 
 
-def build_report(phi: FM2, d_v: int, d_w: int,
-                 theorems: tuple[Theorem, ...] = (Theorem.K3,),
+def build_report(phi: FM2, d_v: int, d_w: int, theorem: Theorem = Theorem.K3,
                  pair: SDPair | None = None,
                  t_v: int | None = None, t_w: int | None = None) -> SDReport:
-    """Assemble the full report for one kernel matrix.
+    """Assemble the report of one theorem check for one kernel matrix.
 
     When a class pair is supplied, orthogonality and the base case are
     evaluated and, on the standard K3 model, missing moduli dimensions for
     the general-surface check default to the Mukai dimension formula.
     """
+    theorem = as_member("theorem", Theorem, theorem)
+    transformed_ranks(phi, d_v, d_w)   # rejects a bad phi, d_v or d_w first
     notes: list[str] = []
-    rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
     orth = base = None
     if pair is not None:
         _expect("pair", SDPair, pair)
@@ -241,19 +231,18 @@ def build_report(phi: FM2, d_v: int, d_w: int,
         if pair.d_v != d_v or pair.d_w != d_w:
             notes.append(f"supplied fiber degrees ({d_v}, {d_w}) disagree with "
                          f"the classes ({pair.d_v}, {pair.d_w})")
-    checks: dict[Theorem, SDCheckResult] = {}   # a repeated theorem counts once
-    for theorem in theorems:
-        theorem = as_member("theorem", Theorem, theorem)
-        if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
-            if pair is None or not is_standard_k3(pair.surface):
-                _thresholds(theorem, t_v, t_w)   # raises: a dimension is missing
-            t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
-            t_w = moduli_dim_k3(pair.surface, pair.w) if t_w is None else t_w
-            notes.append("general-surface dimensions defaulted to the "
-                         "K3 moduli dimension formula")
-        checks[theorem] = sd_check(theorem, phi, d_v, d_w, t_v=t_v, t_w=t_w)
-    return SDReport(phi, d_v, d_w, rk_xi_v, rk_phi_w, tuple(checks.values()),
-                    pair, orth, base, tuple(notes))
+        if phi.lam != pair.surface.lam:
+            notes.append(f"kernel matrix lambda {phi.lam} disagrees with the "
+                         f"surface's lambda {pair.surface.lam}")
+    if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
+        if pair is None or not is_standard_k3(pair.surface):
+            _thresholds(theorem, t_v, t_w)   # raises: a dimension is missing
+        t_v = moduli_dim_k3(pair.surface, pair.v) if t_v is None else t_v
+        t_w = moduli_dim_k3(pair.surface, pair.w) if t_w is None else t_w
+        notes.append("general-surface dimensions defaulted to the "
+                     "K3 moduli dimension formula")
+    check = sd_check(theorem, phi, d_v, d_w, t_v=t_v, t_w=t_w)
+    return SDReport(phi, d_v, d_w, check, pair, orth, base, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -326,8 +315,8 @@ def search_phi(lam: int, bound: int,
                     hits.append(SearchHit(phi))
                     continue
                 report = build_report(phi, target.d_v, target.d_w,
-                                      theorems=(target.theorem,),
+                                      target.theorem,
                                       t_v=target.t_v, t_w=target.t_w)
-                if report.verdict(target.theorem) == PASS:
+                if report.check.passed:
                     hits.append(SearchHit(phi, report))
     return hits

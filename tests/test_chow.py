@@ -1,6 +1,7 @@
 import contextlib
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from fmlat.chow import (CohClass, STANDARD_K3, SurfaceDescriptor,
                         ch_line_bundle, chi_tensor, dot, dual, fdeg,
                         from_coords, integrality_warnings, is_standard_k3,
                         moduli_dim_k3, mult, pairing_gram, parse_surface,
-                        to_coords, todd)
+                        render_class, to_coords, todd)
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.linalg import Mat
 
@@ -53,11 +54,25 @@ def test_standard_k3_is_standard():
     lambda: mult(S, 5, ONE), lambda: mult(5, ONE, ONE),
     lambda: chi_tensor(S, ONE, 5), lambda: fdeg(S, 5), lambda: fdeg(5, ONE),
     lambda: moduli_dim_k3(S, 5), lambda: moduli_dim_k3(5, ONE),
+    lambda: dual(5), lambda: to_coords(5), lambda: ONE + 5,
+    lambda: dot(5, (1, 0), (0, 1)), lambda: todd(5),
+    lambda: ch_line_bundle(5, (1, 0)), lambda: parse_surface(5),
+    lambda: render_class(5), lambda: integrality_warnings(5),
 ], ids=["mult-class", "mult-surface", "chi_tensor-class", "fdeg-class",
-        "fdeg-surface", "moduli_dim_k3-class", "moduli_dim_k3-surface"])
+        "fdeg-surface", "moduli_dim_k3-class", "moduli_dim_k3-surface",
+        "dual-class", "to_coords-class", "CohClass-add", "dot-surface",
+        "todd-surface", "ch_line_bundle-surface", "parse_surface-text",
+        "render_class-class", "integrality_warnings-class"])
 def test_class_arithmetic_rejects_wrong_types(call):
     with pytest.raises(InputError, match="must be of type"):
         call()
+
+
+def test_class_subtraction_names_the_operand_given():
+    # scaled first, "x" would become "" and [1] would become []
+    for bad in ("x", [1]):
+        with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
+            ONE - bad
 
 
 def test_gram_must_be_symmetric():

@@ -76,6 +76,25 @@ def test_product_class_rejects_non_grids():
             ProductClass(((0,) * 4,) * 4, diag)
 
 
+@pytest.mark.parametrize("call, label", [
+    (lambda: push(Side.FIRST, 5), "class must be of type ProductClass"),
+    (lambda: prod_mult(5, DELTA), "operand must be of type ProductClass"),
+    (lambda: prod_mult(DELTA, 5), "operand must be of type ProductClass"),
+    (lambda: fm_matrix(5, FMOrientation.PUSH_FIRST_PULL_SECOND),
+     "kernel must be of type ProductClass"),
+    (lambda: DELTA + 5, "operand must be of type ProductClass"),
+    (lambda: pull(Side.FIRST, 5), "class must be of type CohClass"),
+    (lambda: diag_push_grr(5), "class must be of type CohClass"),
+    (lambda: render_product_class(5), "class must be of type ProductClass"),
+    (lambda: DELTA - "x", "operand must be of type ProductClass, got 'x'"),
+], ids=["push-class", "prod_mult-first", "prod_mult-second", "fm_matrix-kernel",
+        "ProductClass-add", "pull-class", "diag_push_grr-class",
+        "render_product_class-class", "ProductClass-sub"])
+def test_product_entry_points_reject_wrong_types(call, label):
+    with pytest.raises(InputError, match=label):
+        call()
+
+
 # products
 
 def test_delta_times_points_todd_correction():

@@ -162,9 +162,9 @@ def test_sd_check_rejects_inadmissible_phi():
     # build_report asks for missing dimensions first, and checks their type
     # only after admissibility, inside sd_check
     with pytest.raises(InputError, match="needs t_v and t_w"):
-        build_report(FM2(1, 1, 0, 1), 6, 0, theorems=("general",))
+        build_report(FM2(1, 1, 0, 1), 6, 0, theorem="general")
     with pytest.raises(AdmissibilityError):
-        build_report(FM2(1, 1, 0, 1), 6, 0, theorems=("general",),
+        build_report(FM2(1, 1, 0, 1), 6, 0, theorem="general",
                      t_v=1.5, t_w=3)
     # phi must be an FM2, not its entries or its matrix
     for bad in ((3, 1, -7, -2), WORKED_PHI.matrix, None):
@@ -176,6 +176,9 @@ def test_sd_check_rejects_inadmissible_phi():
 
 
 _V, _W = CohClass(1, (0, 0), -2), CohClass(1, (1, 4), 0)
+# unchecked, 'False' and 1 would read as an attestation that holds
+_NOT_BOOL = ("False", 1, None)
+_ATTESTATION = "no_higher_cohomology must be of type bool"
 
 
 @pytest.mark.parametrize("call, label", [
@@ -189,9 +192,14 @@ _V, _W = CohClass(1, (0, 0), -2), CohClass(1, (1, 4), 0)
     (lambda: mo_base_check(5, _V, _W, True), "surface must be of type"),
     (lambda: build_report(WORKED_PHI, 6, 0, pair=5), "pair must be of type SDPair"),
     (lambda: search_phi(1, 5, target=5), "target must be of type SearchTarget"),
+    *((lambda flag=flag: SDPair(S, _V, _W, flag), _ATTESTATION) for flag in _NOT_BOOL),
+    *((lambda flag=flag: mo_base_check(S, _V, _W, flag), _ATTESTATION)
+      for flag in _NOT_BOOL),
 ], ids=["SDPair-v", "SDPair-w", "SDPair-surface", "orthogonal-v",
         "orthogonal-surface", "mo_base-v", "mo_base-w", "mo_base-surface",
-        "build_report-pair", "search_phi-target"])
+        "build_report-pair", "search_phi-target",
+        *(f"{call}-attestation-{type(flag).__name__}" for call in ("SDPair", "mo_base")
+          for flag in _NOT_BOOL)])
 def test_sd_entry_points_reject_wrong_types(call, label):
     with pytest.raises(InputError, match=label):
         call()
@@ -222,34 +230,47 @@ def test_threshold_pass_implies_rank_form_when_a_is_one():
 # reports
 
 def test_build_report_populates_both_forms():
-    report = build_report(WORKED_PHI, 6, 0, theorems=(Theorem.K3,))
+    report = build_report(WORKED_PHI, 6, 0, theorem=Theorem.K3)
     assert report.verdict(Theorem.K3) == "pass"
-    assert report.verdict(Theorem.GENERAL) == NOT_EVALUATED
-    k3 = report.check(Theorem.K3)
+    assert report.verdict("general") == NOT_EVALUATED
+    k3 = report.check
+    assert k3.theorem is Theorem.K3
     assert (k3.threshold_margins, k3.rank_margins) == ((1, 1), (0, 0))
-    assert report.check(Theorem.GENERAL) is None
-    assert report.check("k3") is k3
-    assert (report.rk_xi_v, report.rk_phi_w) == (3, 3)
+    assert (k3.rk_xi_v, k3.rk_phi_w) == (3, 3)
+    assert build_report(WORKED_PHI, 6, 0, theorem="k3") == report
+    # the report holds its one check and no copies of it
+    for gone in ("checks", "rk_xi_v", "rk_phi_w"):
+        assert not hasattr(report, gone)
 
 
 def test_build_report_with_pair_and_defaulted_dimensions():
     v, w = hilbert_pair(2, 3)
     pair = SDPair(S, v, w, no_higher_cohomology=True)
     assert (pair.d_v, pair.d_w) == (0, 1)
-    report = build_report(WORKED_PHI, 6, 0,
-                          theorems=(Theorem.K3, Theorem.GENERAL), pair=pair)
+    report = build_report(WORKED_PHI, 6, 0, theorem=Theorem.GENERAL, pair=pair)
     assert report.orthogonal is True
     assert report.base_case is True
     assert report.verdict(Theorem.GENERAL) in ("pass", "fail")
+    assert report.verdict(Theorem.K3) == NOT_EVALUATED
     assert any("disagree" in note for note in report.notes)
+    assert any("defaulted" in note for note in report.notes)
 
 
 def test_build_report_notes_missing_attestation():
     v, w = hilbert_pair(2, 3)
     pair = SDPair(S, v, w, no_higher_cohomology=False)
-    report = build_report(WORKED_PHI, 0, 1, theorems=(Theorem.K3,), pair=pair)
+    report = build_report(WORKED_PHI, 0, 1, theorem=Theorem.K3, pair=pair)
     assert report.base_case is False
     assert any("attestation" in note for note in report.notes)
+
+
+def test_build_report_notes_lambda_mismatch():
+    # phi is admissible for lambda = 2; the standard K3 declares lambda = 1
+    pair = SDPair(S, *hilbert_pair(2, 3), no_higher_cohomology=True)
+    report = build_report(FM2(3, 1, -10, -3, 2), 0, 1, pair=pair)
+    assert report.notes == ("kernel matrix lambda 2 disagrees with the "
+                            "surface's lambda 1",)
+    assert build_report(WORKED_PHI, 0, 1, pair=pair).notes == ()
 
 
 def test_report_is_built_once(monkeypatch):
@@ -262,8 +283,7 @@ def test_report_is_built_once(monkeypatch):
 
     monkeypatch.setattr(sd, "SDReport", CountingReport)
     pair = SDPair(S, *hilbert_pair(2, 3), no_higher_cohomology=True)
-    build_report(WORKED_PHI, 6, 0, theorems=(Theorem.K3, Theorem.GENERAL),
-                 pair=pair)
+    build_report(WORKED_PHI, 6, 0, theorem=Theorem.GENERAL, pair=pair)
     assert len(built) == 1
     built.clear()
     hits = search_phi(1, 40, SearchTarget(6, 0))
@@ -279,22 +299,30 @@ def test_sdpair_requires_rank_one():
 def test_report_json_roundtrip():
     v, w = hilbert_pair(2, 3)
     pair = SDPair(S, v, w, no_higher_cohomology=True)
-    report = build_report(WORKED_PHI, 6, 0,
-                          theorems=(Theorem.K3, Theorem.GENERAL), pair=pair,
-                          t_v=2, t_w=2)
-    doc = report.to_json()
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc == {
+    common = {
         "schema": 1, "surface": "standard-k3",
         "v": [1, 0, 0, -2], "w": [1, 1, 4, 0],
         "phi": [3, 1, -7, -2], "lambda": 1, "d_v": 6, "d_w": 0,
         "orthogonal": True, "base_case": True, "rk_xi_v": 3, "rk_phi_w": 3,
-        "checks": {"k3": "pass", "general": "pass"},
-        "margins": {"k3": {"threshold": [1, 1], "rank": [0, 0]},
-                    "general": {"threshold": [1, 1]}},
         "notes": ["supplied fiber degrees (6, 0) disagree with the classes (0, 1)"],
     }
-    assert (qvec(doc["v"]), qvec(doc["w"])) == (v.coords(), w.coords())
+    expected = {
+        Theorem.K3: {
+            "checks": {"k3": "pass", "general": "not-evaluated"},
+            "margins": {"k3": {"threshold": [1, 1], "rank": [0, 0]},
+                        "general": None},
+        },
+        Theorem.GENERAL: {
+            "checks": {"k3": "not-evaluated", "general": "pass"},
+            "margins": {"k3": None, "general": {"threshold": [1, 1]}},
+        },
+    }
+    for theorem, fields in expected.items():
+        doc = build_report(WORKED_PHI, 6, 0, theorem=theorem, pair=pair,
+                           t_v=2, t_w=2).to_json()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc == {**common, **fields}
+        assert (qvec(doc["v"]), qvec(doc["w"])) == (v.coords(), w.coords())
 
 
 # search
@@ -358,8 +386,7 @@ def _cubic_reference_search(lam, bound, target=None):
                                   t_v=target.t_v, t_w=target.t_w)
                 if result.passed:
                     hits.append((phi, build_report(
-                        phi, target.d_v, target.d_w,
-                        theorems=(target.theorem,),
+                        phi, target.d_v, target.d_w, theorem=target.theorem,
                         t_v=target.t_v, t_w=target.t_w)))
     return hits
 
@@ -440,8 +467,10 @@ def test_sd_check_rejects_non_integer_dimensions():
 def test_unknown_theorem_is_an_input_error():
     with pytest.raises(InputError, match="bogus"):
         sd_check("bogus", WORKED_PHI, 6, 0)
-    with pytest.raises(InputError, match="bogus"):
-        build_report(WORKED_PHI, 6, 0, theorems=("bogus",))
+    # one theorem, never a sequence of them
+    for bad in ("bogus", 5, "k3x", ("k3",)):
+        with pytest.raises(InputError, match="unknown theorem"):
+            build_report(WORKED_PHI, 6, 0, theorem=bad)
     with pytest.raises(InputError, match="bogus"):
         build_report(WORKED_PHI, 6, 0).verdict("bogus")
     with pytest.raises(InputError, match="bogus"):
