@@ -14,39 +14,34 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      InputError)
-from .linalg import Mat, _expect, as_int
+from .linalg import Mat, _Record, _expect, as_int
 
 
-@dataclass(frozen=True)
-class FM2:
+class FM2(_Record):
     """Admissible 2x2 kernel matrix [[c, a], [e, b]] with its lambda."""
 
-    c: int
-    a: int
-    e: int
-    b: int
-    lam: int = 1
+    __slots__ = ("c", "a", "e", "b", "lam")
 
-    def __post_init__(self):
-        for label in ("c", "a", "e", "b", "lam"):
-            as_int(label, getattr(self, label))
-        if self.lam <= 0:
-            raise InputError(f"lambda must be positive, got {self.lam}")
+    def __init__(self, c: int, a: int, e: int, b: int, lam: int = 1):
+        for label, x in (("c", c), ("a", a), ("e", e), ("b", b), ("lam", lam)):
+            as_int(label, x)
+        if lam <= 0:
+            raise InputError(f"lambda must be positive, got {lam}")
         failures = []
-        det = self.c * self.b - self.a * self.e
+        det = c * b - a * e
         if det != 1:
             failures.append(f"determinant cb - ae = {det}, must be 1")
-        if self.a <= 0:
-            failures.append(f"a = {self.a}, must be positive")
-        if self.e % self.lam != 0:
-            failures.append(f"e = {self.e} is not a multiple of lambda = {self.lam}")
+        if a <= 0:
+            failures.append(f"a = {a}, must be positive")
+        if e % lam != 0:
+            failures.append(f"e = {e} is not a multiple of lambda = {lam}")
         if failures:
             raise AdmissibilityError(failures)
+        self._fill(c, a, e, b, lam)
 
     @property
     def matrix(self) -> Mat:

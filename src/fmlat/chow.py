@@ -16,16 +16,14 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, _expect, _items, as_int, q, qdiv, qvec
+from .linalg import Mat, _Record, _expect, _items, as_int, q, qdiv, qvec
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class SurfaceDescriptor(_Record):
     """Numerical model of an elliptic surface.
 
     gram is the intersection form on the declared divisor sublattice; the
@@ -36,55 +34,49 @@ class SurfaceDescriptor:
     multisection degree).
     """
 
-    name: str
-    chi_O: int
-    basis_names: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    fiber: tuple[int, ...]
-    canonical: tuple[int, ...]
-    section: tuple[int, ...] | None = None
-    lam: int | None = None
+    __slots__ = ("name", "chi_O", "basis_names", "gram", "fiber", "canonical",
+                 "section", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis_names",
-                           tuple(str(b) for b in _items(self.basis_names)))
-        n = len(self.basis_names)
+    def __init__(self, name: str, chi_O: int, basis_names: tuple[str, ...],
+                 gram: tuple[tuple[int, ...], ...], fiber: tuple[int, ...],
+                 canonical: tuple[int, ...], section: tuple[int, ...] | None = None,
+                 lam: int | None = None):
+        basis_names = tuple(str(b) for b in _items(basis_names))
+        n = len(basis_names)
         if n == 0:
             raise InputError("basis: divisor basis must be nonempty")
-        if len(set(self.basis_names)) != n:
-            raise InputError(f"basis: names must be distinct, got {self.basis_names}")
-        object.__setattr__(self, "gram",
-                           tuple(tuple(as_int("gram", x) for x in _items(row))
-                                 for row in _items(self.gram)))
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
+        if len(set(basis_names)) != n:
+            raise InputError(f"basis: names must be distinct, got {basis_names}")
+        gram = tuple(tuple(as_int("gram", x) for x in _items(row)) for row in _items(gram))
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise InputError(f"gram: must be a {n}x{n} matrix (one row per basis name)")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise InputError("gram: must be symmetric")
-        object.__setattr__(self, "fiber", _int_vec("fiber", self.fiber, n))
-        object.__setattr__(self, "canonical", _int_vec("canonical", self.canonical, n))
-        object.__setattr__(self, "chi_O", as_int("chi_O", self.chi_O))
-        if dot(self, self.fiber, self.fiber) != 0:
-            raise InputError("fiber: fiber.fiber must vanish")
-        if self.section is not None:
-            object.__setattr__(self, "section", _int_vec("section", self.section, n))
-            if dot(self, self.section, self.fiber) != 1:
-                raise InputError("section: section.fiber must equal 1")
+        fiber = _int_vec("fiber", fiber, n)
+        canonical = _int_vec("canonical", canonical, n)
+        chi_O = as_int("chi_O", chi_O)
         # fiber degree of basis vector i: row i of the (symmetric) gram . fiber
-        degs = [sum(g * f for g, f in zip(row, self.fiber)) for row in self.gram]
-        if self.lam is None:
-            g = 0
+        degs = [sum(g * f for g, f in zip(row, fiber)) for row in gram]
+        if sum(f * d for f, d in zip(fiber, degs)) != 0:
+            raise InputError("fiber: fiber.fiber must vanish")
+        if section is not None:
+            section = _int_vec("section", section, n)
+            if sum(s * d for s, d in zip(section, degs)) != 1:
+                raise InputError("section: section.fiber must equal 1")
+        if lam is None:
+            lam = 0
             for d in degs:
-                g = math.gcd(g, abs(d))
-            if g == 0:
+                lam = math.gcd(lam, abs(d))
+            if lam == 0:
                 raise InputError("lambda: fiber pairs to zero with the whole lattice, "
                                  "smallest fiber degree is undefined")
-            object.__setattr__(self, "lam", g)
         else:
-            object.__setattr__(self, "lam", as_int("lambda", self.lam))
-            if self.lam <= 0:
+            lam = as_int("lambda", lam)
+            if lam <= 0:
                 raise InputError("lambda: must be positive")
-            if any(d % self.lam for d in degs):
+            if any(d % lam for d in degs):
                 raise InputError("lambda: must divide the fiber degree of every basis vector")
+        self._fill(name, chi_O, basis_names, gram, fiber, canonical, section, lam)
 
     @property
     def rank(self) -> int:
@@ -134,8 +126,7 @@ def _require_standard(surface: SurfaceDescriptor) -> None:
             f"surface {surface.name!r} is not the standard K3 model")
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(_Record):
     """An even Chow class (rank, divisor part, point part).
 
     r is ch0, div holds the ch1 coefficients over the surface basis, and p
@@ -145,16 +136,12 @@ class CohClass:
     integrality is reported by integrality_warnings rather than enforced.
     """
 
-    r: int | Fraction
-    div: tuple[int | Fraction, ...]
-    p: int | Fraction
+    __slots__ = ("r", "div", "p")
 
-    def __post_init__(self):
-        if type(self.r) is not int:
-            object.__setattr__(self, "r", q(self.r))
-        object.__setattr__(self, "div", qvec(self.div))
-        if type(self.p) is not int:
-            object.__setattr__(self, "p", q(self.p))
+    def __init__(self, r: int | Fraction, div: tuple[int | Fraction, ...],
+                 p: int | Fraction):
+        self._fill(r if type(r) is int else q(r), qvec(div),
+                   p if type(p) is int else q(p))
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if len(self.div) != len(_expect("operand", CohClass, other).div):

@@ -166,6 +166,8 @@ def _report_text(report: SDReport) -> str:
 
 
 def _cmd_sd_check(args) -> int:
+    if args.theorem == "k3" and (args.tv is not None or args.tw is not None):
+        raise InputError("--tv and --tw apply to --theorem general only")
     c, a, e, b = _parse_ints(args.phi, 4, "--phi")
     phi = FM2(c, a, e, b, args.lam)
     pair = None
@@ -176,6 +178,8 @@ def _cmd_sd_check(args) -> int:
         pair = SDPair(surface, _class_from_vector(surface, args.v),
                       _class_from_vector(surface, args.w),
                       no_higher_cohomology=args.attest_no_higher_cohomology)
+    elif args.attest_no_higher_cohomology:
+        raise InputError("--attest-no-higher-cohomology needs --v and --w")
     report = build_report(phi, args.dv, args.dw, args.theorem,
                           pair=pair, t_v=args.tv, t_w=args.tw)
     _emit(report.to_json(), args.json, _report_text(report))
@@ -189,6 +193,8 @@ def _cmd_search(args) -> int:
             raise InputError("--dv and --dw must be given together")
         target = SearchTarget(args.dv, args.dw, Theorem(args.theorem),
                               t_v=args.tv, t_w=args.tw)
+    elif args.theorem == "general" or args.tv is not None or args.tw is not None:
+        raise InputError("--theorem general, --tv and --tw need --dv and --dw")
     hits = search_phi(args.lam, args.bound, target=target)
     if args.json:
         doc = {"schema": 1, "lambda": args.lam, "bound": args.bound,

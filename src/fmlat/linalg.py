@@ -95,6 +95,46 @@ def _expect(label: str, kind: type, x):
     return x
 
 
+class _Record:
+    """Immutable value whose fields are its class's __slots__: field-wise ==
+    within one class only, a hash and a Name(field=value, ...) repr. Each
+    subclass writes its fields once, in its own __init__, through _fill."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the slot descriptors' own setters, which __setattr__ below refuses
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:   # copy and pickle
+        self._fill(*(state[1][name] for name in self.__slots__))
+
+
 class Mat:
     """Immutable rectangular matrix with exact rational entries, each in
     the normal form of q."""

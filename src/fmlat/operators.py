@@ -17,7 +17,6 @@ verification suite insists the two agree entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 from typing import Iterable
@@ -26,21 +25,20 @@ from . import chow
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, _expect, as_int, as_member, qdiv, qvec
+from .linalg import Mat, _Record, _expect, as_int, as_member, qdiv, qvec
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(_Record):
     """A 4x4 exact matrix plus a human-readable construction label."""
 
-    matrix: Mat
-    label: str = ""
+    __slots__ = ("matrix", "label")
 
-    def __post_init__(self):
-        if not isinstance(self.matrix, Mat):
-            raise InputError(f"an operator needs a Mat, got {self.matrix!r}")
-        if self.matrix.n_rows != 4 or self.matrix.n_cols != 4:
+    def __init__(self, matrix: Mat, label: str = ""):
+        if not isinstance(matrix, Mat):
+            raise InputError(f"an operator needs a Mat, got {matrix!r}")
+        if matrix.n_rows != 4 or matrix.n_cols != 4:
             raise InputError("operators in the standard model are 4x4")
+        self._fill(matrix, label)
 
     def apply(self, v: CohClass) -> CohClass:
         return from_coords(self.matrix.apply(to_coords(v)))

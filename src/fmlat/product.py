@@ -15,7 +15,6 @@ degree truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -23,7 +22,7 @@ from operator import mul
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, to_coords, todd)
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, _expect, as_member, q, qgrid, qvec
+from .linalg import Mat, _Record, _expect, as_member, q, qgrid, qvec
 from .operators import Operator, _check_d, _tensor_rows
 
 
@@ -39,22 +38,20 @@ class FMOrientation(Enum):
     PUSH_SECOND_PULL_FIRST = "PushSecondPullFirst"
 
 
-@dataclass(frozen=True)
-class ProductClass:
+class ProductClass(_Record):
     """Decomposable grid plus diagonal coefficients; immutable and exact."""
 
-    decomp: tuple[tuple[int | Fraction, ...], ...]
-    diag: tuple[int | Fraction, int | Fraction, int | Fraction]
+    __slots__ = ("decomp", "diag")
 
-    def __post_init__(self):
-        dec = qgrid(self.decomp)
-        if len(dec) != 4 or any(len(r) != 4 for r in dec):
+    def __init__(self, decomp: tuple[tuple[int | Fraction, ...], ...],
+                 diag: tuple[int | Fraction, int | Fraction, int | Fraction]):
+        decomp = qgrid(decomp)
+        if len(decomp) != 4 or any(len(r) != 4 for r in decomp):
             raise InputError("decomposable part must be a 4x4 grid")
-        dg = qvec(self.diag)
-        if len(dg) != 3:
+        diag = qvec(diag)
+        if len(diag) != 3:
             raise InputError("diagonal part has three slots: 1, sigma, f")
-        object.__setattr__(self, "decomp", dec)
-        object.__setattr__(self, "diag", dg)
+        self._fill(decomp, diag)
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         _expect("operand", ProductClass, other)

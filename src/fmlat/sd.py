@@ -14,15 +14,13 @@ hypotheses placed on the numerical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dot, fdeg, is_standard_k3, moduli_dim_k3)
 from .errors import AdmissibilityError, InputError
-from .linalg import _expect, as_int, as_member, enc_qseq, qdiv
+from .linalg import _Record, _expect, as_int, as_member, enc_qseq, qdiv
 
 
 class Theorem(Enum):
@@ -33,29 +31,25 @@ class Theorem(Enum):
 PASS, FAIL, NOT_EVALUATED = "pass", "fail", "not-evaluated"
 
 
-@dataclass(frozen=True)
-class SDPair:
-    """Two rank-one classes on a surface, with recomputed fiber degrees.
+class SDPair(_Record):
+    """Two rank-one classes on a surface, with recomputed fiber degrees
+    d_v and d_w.
 
     no_higher_cohomology is a user attestation that O(div v + div w) has no
     higher cohomology; it cannot be decided from lattice data and is never
     claimed to be verified here.
     """
 
-    surface: SurfaceDescriptor
-    v: CohClass
-    w: CohClass
-    no_higher_cohomology: bool = False
-    d_v: int | Fraction = field(init=False)
-    d_w: int | Fraction = field(init=False)
+    __slots__ = ("surface", "v", "w", "no_higher_cohomology", "d_v", "d_w")
 
-    def __post_init__(self):
-        for label, cls in (("v", self.v), ("w", self.w)):
+    def __init__(self, surface: SurfaceDescriptor, v: CohClass, w: CohClass,
+                 no_higher_cohomology: bool = False):
+        for label, cls in (("v", v), ("w", w)):
             if _expect(label, CohClass, cls).r != 1:
                 raise InputError(f"{label} must have rank one, got rank {cls.r}")
-        _expect("no_higher_cohomology", bool, self.no_higher_cohomology)
-        object.__setattr__(self, "d_v", fdeg(self.surface, self.v))
-        object.__setattr__(self, "d_w", fdeg(self.surface, self.w))
+        _expect("no_higher_cohomology", bool, no_higher_cohomology)
+        self._fill(surface, v, w, no_higher_cohomology,
+                   fdeg(surface, v), fdeg(surface, w))
 
 
 def orthogonal_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> bool:
@@ -117,8 +111,7 @@ def _thresholds(theorem: Theorem, t_v, t_w) -> tuple[int, int]:
     return as_int("t_v", t_v), as_int("t_w", t_w)
 
 
-@dataclass(frozen=True)
-class SDCheckResult:
+class SDCheckResult(_Record):
     """Outcome of one theorem check, with exact integer margins.
 
     threshold_margins hold the cross-multiplied slack of the direct
@@ -127,12 +120,14 @@ class SDCheckResult:
     threshold_margins.
     """
 
-    theorem: Theorem
-    passed: bool
-    threshold_margins: tuple[int, int]
-    rank_margins: tuple[int, int]
-    rk_xi_v: int
-    rk_phi_w: int
+    __slots__ = ("theorem", "passed", "threshold_margins", "rank_margins",
+                 "rk_xi_v", "rk_phi_w")
+
+    def __init__(self, theorem: Theorem, passed: bool,
+                 threshold_margins: tuple[int, int], rank_margins: tuple[int, int],
+                 rk_xi_v: int, rk_phi_w: int):
+        self._fill(theorem, passed, threshold_margins, rank_margins,
+                   rk_xi_v, rk_phi_w)
 
     @property
     def verdict(self) -> str:
@@ -163,19 +158,17 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
     )
 
 
-@dataclass(frozen=True)
-class SDReport:
+class SDReport(_Record):
     """Structured outcome of the hypothesis checks for one kernel matrix:
     the result of the one theorem checked, and the class pair if one was given."""
 
-    phi: FM2
-    d_v: int
-    d_w: int
-    check: SDCheckResult
-    pair: SDPair | None = None
-    orthogonal: bool | None = None
-    base_case: bool | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("phi", "d_v", "d_w", "check", "pair", "orthogonal",
+                 "base_case", "notes")
+
+    def __init__(self, phi: FM2, d_v: int, d_w: int, check: SDCheckResult,
+                 pair: SDPair | None = None, orthogonal: bool | None = None,
+                 base_case: bool | None = None, notes: tuple[str, ...] = ()):
+        self._fill(phi, d_v, d_w, check, pair, orthogonal, base_case, notes)
 
     def verdict(self, theorem: Theorem) -> str:
         """PASS or FAIL for the theorem checked, NOT_EVALUATED for the other."""
@@ -245,31 +238,28 @@ def build_report(phi: FM2, d_v: int, d_w: int, theorem: Theorem = Theorem.K3,
     return SDReport(phi, d_v, d_w, check, pair, orth, base, tuple(notes))
 
 
-@dataclass(frozen=True)
-class SearchTarget:
+class SearchTarget(_Record):
     """Filter for the admissible-matrix search."""
 
-    d_v: int
-    d_w: int
-    theorem: Theorem = Theorem.K3
-    t_v: int | None = None
-    t_w: int | None = None
+    __slots__ = ("d_v", "d_w", "theorem", "t_v", "t_w")
 
-    def __post_init__(self):
-        as_int("d_v", self.d_v)
-        as_int("d_w", self.d_w)
-        for label in ("t_v", "t_w"):
-            if getattr(self, label) is not None:
-                as_int(label, getattr(self, label))
-        object.__setattr__(self, "theorem",
-                           as_member("theorem", Theorem, self.theorem))
-        _thresholds(self.theorem, self.t_v, self.t_w)   # general needs both
+    def __init__(self, d_v: int, d_w: int, theorem: Theorem = Theorem.K3,
+                 t_v: int | None = None, t_w: int | None = None):
+        as_int("d_v", d_v)
+        as_int("d_w", d_w)
+        for label, t in (("t_v", t_v), ("t_w", t_w)):
+            if t is not None:
+                as_int(label, t)
+        theorem = as_member("theorem", Theorem, theorem)
+        _thresholds(theorem, t_v, t_w)   # general needs both
+        self._fill(d_v, d_w, theorem, t_v, t_w)
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    phi: FM2
-    report: SDReport | None = None
+class SearchHit(_Record):
+    __slots__ = ("phi", "report")
+
+    def __init__(self, phi: FM2, report: SDReport | None = None):
+        self._fill(phi, report)
 
 
 def search_phi(lam: int, bound: int,

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import bridgeland, chow, operators, product
 from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
-from .linalg import Mat, as_int
+from .linalg import Mat, _Record, as_int
 from .operators import (GoldenName, _fm_fd, build, op_pi_tensor, op_tensor,
                         restrict2)
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
@@ -28,25 +27,22 @@ from .sd import Theorem, sd_check
 _SEED = 74207281
 
 
-@dataclass(frozen=True)
-class VerifyCase:
-    id: str
-    description: str
-    passed: bool
-    lhs: str
-    rhs: str
+class VerifyCase(_Record):
+    __slots__ = ("id", "description", "passed", "lhs", "rhs")
+
+    def __init__(self, id: str, description: str, passed: bool, lhs: str, rhs: str):
+        self._fill(id, description, passed, lhs, rhs)
 
     def to_json(self) -> dict:
         return {"id": self.id, "description": self.description,
                 "pass": self.passed, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
-    suite: str
-    d_lo: int
-    d_hi: int
-    cases: tuple[VerifyCase, ...]
+class VerifyOutcome(_Record):
+    __slots__ = ("suite", "d_lo", "d_hi", "cases")
+
+    def __init__(self, suite: str, d_lo: int, d_hi: int, cases: tuple[VerifyCase, ...]):
+        self._fill(suite, d_lo, d_hi, cases)
 
     @property
     def n_passed(self) -> int:

@@ -337,6 +337,23 @@ def test_sd_check_general_without_dimensions_errors(capsys):
     assert "t_v" in err
 
 
+@pytest.mark.parametrize("extra", [("--tv", "2"), ("--tw", "2"),
+                                   ("--theorem", "k3", "--tv", "2", "--tw", "2")])
+def test_sd_check_k3_rejects_dimensions(capsys, extra):
+    # the K3 thresholds are fixed; a moduli dimension would be ignored
+    code, out, err = run(capsys, "sd-check", "--phi", "3,1,-7,-2",
+                         "--dv", "6", "--dw", "0", *extra)
+    assert (code, out) == (2, "")
+    assert "--theorem general only" in err
+
+
+def test_sd_check_attestation_needs_classes(capsys):
+    code, out, err = run(capsys, "sd-check", "--phi", "3,1,-7,-2",
+                         "--dv", "6", "--dw", "0", "--attest-no-higher-cohomology")
+    assert (code, out) == (2, "")
+    assert "needs --v and --w" in err
+
+
 # search
 
 def test_search_streams_hits(capsys):
@@ -372,6 +389,16 @@ def test_search_general_theorem_needs_dimensions_at_any_bound(capsys):
                            "--dv", "6", "--dw", "0", "--theorem", "general")
         assert code == 2
         assert "t_v" in err
+
+
+@pytest.mark.parametrize("extra", [("--tv", "2"), ("--tw", "2"),
+                                   ("--theorem", "general"),
+                                   ("--theorem", "general", "--tv", "2", "--tw", "2")])
+def test_search_target_options_need_a_target(capsys, extra):
+    # without --dv/--dw the search is untargeted and would ignore them
+    code, out, err = run(capsys, "search", "--lambda", "1", "--bound", "8", *extra)
+    assert (code, out) == (2, "")
+    assert "need --dv and --dw" in err
 
 
 def test_verify_single_degree_range(capsys):

@@ -1,7 +1,11 @@
-"""Every top-level import of a package module is used in that module."""
+"""Every top-level import of a package module is used in that module, and
+start-up imports nothing heavy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import fmlat
 
@@ -45,3 +49,18 @@ def test_every_public_name_is_used_elsewhere_in_the_package():
     unused = {node.name for node in defs
               if all_uses.count(node.name) == uses(node).count(node.name)}
     assert unused == UNUSED_ON_PURPOSE
+
+
+# dataclasses pulls in inspect, and with it ast, dis and tokenize: about 25 ms
+# of every CLI call's start-up.
+HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_startup_imports_nothing_heavy():
+    src = str(pathlib.Path(fmlat.__file__).parent.parent)
+    code = ("import sys, fmlat.cli; "
+            f"print(sorted(set(sys.modules) & set({HEAVY_AT_STARTUP!r})))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
