@@ -4,15 +4,16 @@ Commands: verify, matrix, transform, chi, sd-check, search. Every command
 accepts --json for machine-readable output; all numbers in JSON are exact
 (integers, or "n/d" strings for non-integers) and every document carries a
 "schema": 1 field. Exit codes: 0 success, 1 a check failed, 2 bad usage or
-bad input.
+bad input, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import verify as verify_mod
 from .bridgeland import FM2
@@ -21,12 +22,13 @@ from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
 from .errors import FmlatError, InputError
 from .linalg import Mat, enc_mat, enc_q, enc_qseq, qvec, render_matrix
 from .operators import build
-from .sd import (SDPair, SDReport, SearchTarget, Theorem, build_report,
-                 search_phi)
+from .sd import (SDPair, SDReport, SearchHit, SearchTarget, Theorem,
+                 build_report, search_phi)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
+EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE, as a shell reports `yes | head`
 
 
 def _parse_d_range(text: str) -> tuple[int, int]:
@@ -71,9 +73,63 @@ def _resolve_surface(path: str | None) -> SurfaceDescriptor:
     return load_surface(path)
 
 
+def _write_json(doc) -> None:
+    """Write doc to stdout exactly as `print(json.dumps(doc, indent=2))` would.
+
+    Takes dicts with str keys, lists, tuples, strs, ints, bools and None, and
+    raises TypeError on anything else. A list may also be an iterator: each
+    of its elements is encoded and written as it comes, so a long list is
+    never held as one document or one string.
+    """
+    out = sys.stdout
+    parts: list[str] = []
+
+    def encode(obj, nl: str) -> None:
+        if isinstance(obj, str):
+            parts.append(_quote(obj))
+        elif obj is None:
+            parts.append("null")
+        elif obj is True:
+            parts.append("true")
+        elif obj is False:
+            parts.append("false")
+        elif isinstance(obj, int):
+            parts.append(int.__repr__(obj))
+        elif isinstance(obj, dict):
+            inner, sep = nl + "  ", "{"
+            for key, value in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(f"{sep}{inner}{_quote(key)}: ")
+                encode(value, inner)
+                sep = ","
+            parts.append("{}" if sep == "{" else nl + "}")
+        elif isinstance(obj, (list, tuple, Iterator)):
+            inner, sep = nl + "  ", "["
+            streamed = isinstance(obj, Iterator)
+            if not streamed and obj and all(type(x) is int for x in obj):
+                parts.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{nl}]")
+                return
+            for item in obj:
+                parts.append(sep + inner)
+                encode(item, inner)
+                sep = ","
+                if streamed:
+                    out.write("".join(parts))
+                    parts.clear()
+            parts.append("[]" if sep == "[" else nl + "]")
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+
+    encode(doc, "\n")
+    parts.append("\n")
+    out.write("".join(parts))
+
+
 def _emit(doc, json_mode: bool, text: str) -> None:
     if json_mode:
-        print(json.dumps(doc, indent=2, sort_keys=False))
+        _write_json(doc)
     else:
         print(text)
 
@@ -82,16 +138,16 @@ def _cmd_verify(args) -> int:
     d_lo, d_hi = _parse_d_range(args.d_range)
     outcome = verify_mod.run_verify(d_lo, d_hi)
     if args.json:
-        print(json.dumps(outcome.to_json(), indent=2))
+        _write_json(outcome.to_json())
     else:
-        print(f"{outcome.suite}  (d = {d_lo}..{d_hi})")
+        lines = [f"{outcome.suite}  (d = {d_lo}..{d_hi})"]
         for case in outcome.cases:
             mark = "PASS" if case.passed else "FAIL"
-            print(f"[{mark}] {case.id}  {case.description}")
+            lines.append(f"[{mark}] {case.id}  {case.description}")
             if not case.passed:
-                print(f"       lhs: {case.lhs}")
-                print(f"       rhs: {case.rhs}")
-        print(f"summary: {outcome.n_passed} passed, {outcome.n_failed} failed")
+                lines += [f"       lhs: {case.lhs}", f"       rhs: {case.rhs}"]
+        lines.append(f"summary: {outcome.n_passed} passed, {outcome.n_failed} failed")
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
 
 
@@ -186,32 +242,37 @@ def _cmd_sd_check(args) -> int:
     return EXIT_OK if report.check.passed else EXIT_CHECK_FAILED
 
 
+def _hit_json(hit: SearchHit) -> dict:
+    return {"phi": list(hit.phi.entries()),
+            "report": hit.report.to_json() if hit.report else None}
+
+
+def _hit_line(hit: SearchHit) -> str:
+    line = ",".join(str(x) for x in hit.phi.entries())
+    if hit.report is not None:
+        line += (f"   rk_xi_v={hit.report.check.rk_xi_v}"
+                 f" rk_phi_w={hit.report.check.rk_phi_w}")
+    return line + "\n"
+
+
 def _cmd_search(args) -> int:
     target = None
     if args.dv is not None or args.dw is not None:
         if args.dv is None or args.dw is None:
             raise InputError("--dv and --dw must be given together")
-        target = SearchTarget(args.dv, args.dw, Theorem(args.theorem),
+        target = SearchTarget(args.dv, args.dw, Theorem(args.theorem or "k3"),
                               t_v=args.tv, t_w=args.tw)
-    elif args.theorem == "general" or args.tv is not None or args.tw is not None:
-        raise InputError("--theorem general, --tv and --tw need --dv and --dw")
+    elif args.theorem is not None or args.tv is not None or args.tw is not None:
+        raise InputError("--theorem, --tv and --tw need --dv and --dw")
     hits = search_phi(args.lam, args.bound, target=target)
     if args.json:
-        doc = {"schema": 1, "lambda": args.lam, "bound": args.bound,
-               "target": None if target is None else {
-                   "d_v": target.d_v, "d_w": target.d_w,
-                   "theorem": target.theorem.value},
-               "hits": [{"phi": list(hit.phi.entries()),
-                         "report": hit.report.to_json() if hit.report else None}
-                        for hit in hits]}
-        print(json.dumps(doc, indent=2))
+        _write_json({"schema": 1, "lambda": args.lam, "bound": args.bound,
+                     "target": None if target is None else {
+                         "d_v": target.d_v, "d_w": target.d_w,
+                         "theorem": target.theorem.value},
+                     "hits": map(_hit_json, hits)})
     else:
-        for hit in hits:
-            line = ",".join(str(x) for x in hit.phi.entries())
-            if hit.report is not None:
-                line += (f"   rk_xi_v={hit.report.check.rk_xi_v}"
-                         f" rk_phi_w={hit.report.check.rk_phi_w}")
-            print(line)
+        sys.stdout.writelines(map(_hit_line, hits))
         print(f"# {len(hits)} hit(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -280,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bound on |c|, |a|, |e|, |b|")
     p.add_argument("--dv", type=int, default=None)
     p.add_argument("--dw", type=int, default=None)
-    p.add_argument("--theorem", choices=["k3", "general"], default="k3")
+    p.add_argument("--theorem", choices=["k3", "general"], default=None,
+                   help="theorem a target is checked against (default k3)")
     p.add_argument("--tv", type=int, default=None)
     p.add_argument("--tw", type=int, default=None)
     add_json(p)
@@ -293,10 +355,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FmlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader stopped reading; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

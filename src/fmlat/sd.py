@@ -105,6 +105,9 @@ def _check_sd_constraints(phi: FM2) -> None:
 def _thresholds(theorem: Theorem, t_v, t_w) -> tuple[int, int]:
     """(t_v, t_w) in a.d_v > a.t_v + c and a.d_w > a.t_w - c; 2, 2 on K3."""
     if theorem is Theorem.K3:
+        if t_v is not None or t_w is not None:
+            raise InputError("t_v and t_w apply to the general-surface check "
+                             "only; the K3 thresholds are fixed at 2")
         return 2, 2
     if t_v is None or t_w is None:
         raise InputError("the general-surface check needs t_v and t_w")

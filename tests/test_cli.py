@@ -392,13 +392,25 @@ def test_search_general_theorem_needs_dimensions_at_any_bound(capsys):
 
 
 @pytest.mark.parametrize("extra", [("--tv", "2"), ("--tw", "2"),
-                                   ("--theorem", "general"),
+                                   ("--theorem", "general"), ("--theorem", "k3"),
                                    ("--theorem", "general", "--tv", "2", "--tw", "2")])
 def test_search_target_options_need_a_target(capsys, extra):
     # without --dv/--dw the search is untargeted and would ignore them
     code, out, err = run(capsys, "search", "--lambda", "1", "--bound", "8", *extra)
     assert (code, out) == (2, "")
     assert "need --dv and --dw" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--theorem", "k3")])
+def test_search_theorem_defaults_to_k3_with_a_target(capsys, extra):
+    code, out, _ = run(capsys, "search", "--lambda", "1", "--bound", "8",
+                       "--dv", "6", "--dw", "0", *extra)
+    assert code == 0 and "3,1,-7,-2" in out
+    # the K3 thresholds are fixed; a moduli dimension would be ignored
+    code, out, err = run(capsys, "search", "--lambda", "1", "--bound", "8",
+                         "--dv", "6", "--dw", "0", "--tv", "99", *extra)
+    assert (code, out) == (2, "")
+    assert "general-surface check only" in err
 
 
 def test_verify_single_degree_range(capsys):

@@ -1,0 +1,133 @@
+"""How the CLI writes to stdout: the JSON writer, a reader that closes the
+pipe early, and the memory a large --json search needs."""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fmlat
+from fmlat.cli import _write_json
+
+SRC = str(pathlib.Path(fmlat.__file__).parent.parent)
+CHILD_ENV = {**os.environ, "PYTHONPATH": SRC}
+
+
+def written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(doc)
+    return out.getvalue()
+
+
+_STRS = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\té \U0001f600')
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2 ** 300, max_value=2 ** 300) | _STRS)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(_STRS, kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+@example(doc={})
+@example(doc=[[], {}, ()])
+@example(doc={"phi": [3, 1, -7, -2], "notes": [], "margins": {"general": None}})
+@example(doc=[True, False, 1, 0, -1])
+def test_writer_matches_json_dumps(doc):
+    assert written(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(_DOCS, max_size=6))
+@example(items=[])
+def test_iterator_prints_like_its_list(items):
+    expected = written({"hits": items})
+    assert written({"hits": iter(items)}) == expected
+    assert written({"hits": map(lambda x: x, items)}) == expected
+    assert written(iter(items)) == written(items)
+    assert written([iter(items)]) == json.dumps([items], indent=2) + "\n"
+
+
+def test_iterator_elements_are_written_as_they_come():
+    out = io.StringIO()
+    seen = []
+
+    def hits():
+        for i in range(3):
+            seen.append(out.getvalue())
+            yield {"i": i}
+
+    with contextlib.redirect_stdout(out):
+        _write_json({"hits": hits()})
+    assert seen[0] == ""
+    assert seen[1].endswith('"i": 0\n    }')
+    assert seen[2].endswith('"i": 1\n    }')
+    assert json.loads(out.getvalue()) == {"hits": [{"i": i} for i in range(3)]}
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, Fraction(1, 2), {1, 2}, frozenset(),
+                                 b"x", object(), {1: "int key"}])
+def test_writer_rejects_other_types(bad):
+    for doc in (bad, [bad], {"x": bad}, {"hits": iter([bad])}):
+        with pytest.raises(TypeError):
+            written(doc)
+
+
+# a reader that stops early
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_closed_pipe_exits_141_without_traceback(json_flag):
+    # about 13,000 hits: far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fmlat.cli", "search", "--lambda", "1",
+         "--bound", "210", *json_flag],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Exception" not in err
+
+
+# memory
+
+# A small launcher spawns each search with stdout on os.devnull and reads
+# that child's own peak RSS from wait4. A child's ru_maxrss starts at the
+# peak of the process that spawned it, so the launcher must stay smaller
+# than the children, which rules out spawning them from this test process;
+# RUSAGE_CHILDREN would keep the maximum over every earlier child.
+_PEAK_RSS = """
+import os, sys
+null = os.open(os.devnull, os.O_WRONLY)
+for bound in sys.argv[1:]:
+    argv = [sys.executable, "-m", "fmlat.cli", "search", "--lambda", "1",
+            "--bound", bound, "--dv", "6", "--dw", "0", "--json"]
+    pid = os.posix_spawn(sys.executable, argv, os.environ,
+                         file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_large_json_search_peak_rss_stays_near_a_small_one():
+    done = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, "8", "210"],
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          timeout=120, check=True)
+    (small_exit, small_kib), (large_exit, large_kib) = (
+        map(int, line.split()) for line in done.stdout.splitlines())
+    assert (small_exit, large_exit) == (0, 0)
+    # 3,248 hits and 2.5 MB of JSON at bound 210; the report dicts and the
+    # text once took about 24 MiB more than bound 8
+    assert large_kib - small_kib < 6 * 1024

@@ -147,6 +147,16 @@ def test_sd_check_general_needs_dimensions():
         sd_check(Theorem.GENERAL, WORKED_PHI, 6, 0)
 
 
+@pytest.mark.parametrize("dims", [{"t_v": 99}, {"t_w": -5}, {"t_v": 2, "t_w": 2}])
+def test_k3_theorem_rejects_dimensions(dims):
+    # the K3 thresholds are fixed at 2; a moduli dimension would be ignored
+    for call in (lambda: sd_check(Theorem.K3, WORKED_PHI, 6, 0, **dims),
+                 lambda: build_report(WORKED_PHI, 6, 0, **dims),
+                 lambda: SearchTarget(6, 0, Theorem.K3, **dims)):
+        with pytest.raises(InputError, match="general-surface check only"):
+            call()
+
+
 def test_sd_check_rejects_inadmissible_phi():
     # [[1, 1], [0, 1]] is admissible as a kernel matrix but violates the
     # additional thresholds c > a and -b > a
@@ -318,8 +328,9 @@ def test_report_json_roundtrip():
         },
     }
     for theorem, fields in expected.items():
+        dims = {"t_v": 2, "t_w": 2} if theorem is Theorem.GENERAL else {}
         doc = build_report(WORKED_PHI, 6, 0, theorem=theorem, pair=pair,
-                           t_v=2, t_w=2).to_json()
+                           **dims).to_json()
         assert json.loads(json.dumps(doc)) == doc
         assert doc == {**common, **fields}
         assert (qvec(doc["v"]), qvec(doc["w"])) == (v.coords(), w.coords())
