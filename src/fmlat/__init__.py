@@ -6,8 +6,7 @@ the SL2(Z) calculus on (rank, fiber degree), and the numerical hypothesis
 checks behind Strange Duality.
 """
 
-from .bridgeland import (FM2, GenBiratClass, canonical_ab, gen_birat_classify,
-                         wit1_forced)
+from .bridgeland import FM2, GenBiratClass, canonical_ab, gen_birat_classify
 from .chow import (CohClass, STANDARD_K3, SurfaceDescriptor, ch_line_bundle,
                    chi_tensor, dual, fdeg, from_coords, is_standard_k3,
                    load_surface, moduli_dim_k3, mult, pairing_gram,

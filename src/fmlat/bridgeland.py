@@ -1,10 +1,19 @@
 """SL2(Z) bookkeeping for Fourier-Mukai transforms on (rank, fiber degree).
 
-An admissible kernel matrix [[c, a], [e, b]] has determinant one, a > 0 and
-e divisible by the smallest positive fiber degree lambda. Each such matrix
-spawns a family of four: the transform, its almost-inverse, and the pair
-obtained from the dualized kernel; the products of matched pairs equal
-minus the identity.
+An admissible kernel matrix phi = [[c, a], [e, b]] has determinant one,
+a > 0 and e divisible by the smallest positive fiber degree lambda. It acts
+on column vectors (rank, fiber degree): phi(r, d) = (c.r + a.d, e.r + b.d).
+Its family of four is phi, the almost-inverse psi = -phi^-1 and, from the
+dualized kernel, xi = -D.phi.D and omega = -D.psi.D with D = diag(1, -1);
+phi.psi = xi.omega = -1. The package uses four consequences, each restated
+in integers where it is used and derived from Mat.apply in one test
+(test_bridgeland::test_restated_action_formulas):
+
+- rank of xi(1, d_v) = a.d_v - c              (sd.transformed_ranks)
+- rank of phi(1, d_w) = c + a.d_w             (sd.transformed_ranks)
+- rank row of phi^-1(rk, fd) = b.rk - a.fd    (gen_birat_classify)
+- a theorem check holds when each transformed rank exceeds a.t, with t the
+  moduli dimension on its side, 2 on a K3     (sd.sd_check, sd.search_phi)
 
 All slope comparisons are done with cross-multiplied integers so boundary
 cases stay exact.
@@ -47,8 +56,8 @@ class FM2(_Record):
     def matrix(self) -> Mat:
         return Mat(((self.c, self.a), (self.e, self.b)))
 
-    # psi is the almost-inverse of phi; omega and xi come from the dualized
-    # kernel. Written out, never via inverse(), so their relations stay checks.
+    # The family of the module docstring, written out from the entries and
+    # never via inverse(), so that its relations stay checks.
     @property
     def psi(self) -> Mat:
         return Mat(((-self.b, self.a), (self.e, -self.c)))
@@ -97,19 +106,6 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
     return a, b
 
 
-def wit1_forced(v: tuple[int, int], a: int, b: int) -> bool:
-    """Whether the slope bound b/a > fd/rk holds, forcing every stable
-    sheaf with these invariants into cohomological degree one.
-
-    Strict inequality, compared as b.rk > a.fd in integers.
-    """
-    rk, fd = _rank_fdeg(v)
-    if as_int("a", a) <= 0:
-        raise InputError(f"a must be positive, got {a}")
-    as_int("b", b)
-    return b * rk > a * fd
-
-
 class GenBiratClass(Enum):
     """Conclusions of the birationality classification."""
 
@@ -124,7 +120,8 @@ def gen_birat_classify(v: tuple[int, int], phi: FM2, t: int | None = None,
                        k3: bool = False) -> GenBiratClass:
     """Classify how the moduli space of v relates to its transform.
 
-    The transformed rank is rk w = b.rk - a.fd. Returns the strongest
+    The transformed rank rk w = b.rk - a.fd is the rank of phi^-1(rk, fd),
+    derived in test_restated_action_formulas. Returns the strongest
     conclusion supported by the inequalities: high transformed rank gives a
     birational isomorphism (codimension-two singular locus on a K3 when
     rk w >= 3); rank one gives a birational isomorphism when rk > a, and a
@@ -138,6 +135,7 @@ def gen_birat_classify(v: tuple[int, int], phi: FM2, t: int | None = None,
     if t is not None:
         as_int("t", t)
     _expect("phi", FM2, phi)
+    _expect("k3", bool, k3)
     rk_w = phi.b * rk - phi.a * fd
     if rk_w > 1:
         if k3 and rk_w >= 3:
@@ -157,6 +155,7 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
     Used by property tests and by the verification suite; the caller owns
     the seeded Random instance.
     """
+    _expect("rng", random.Random, rng)
     if as_int("lambda", lam) < 1 or as_int("bound", bound) < 1:
         raise InputError(f"lambda and bound must be positive, got {lam}, {bound}")
     while True:

@@ -2,10 +2,12 @@
 
 The pipeline takes a pair of rank-one K-theory classes, the orthogonality
 condition chi(v.w) = 0, the Hilbert-scheme base case, and an admissible
-kernel matrix. The theorem checks compare fiber degrees against thresholds
-built from the matrix; both the direct threshold form and the sharper
-transformed-rank form are computed, but the verdict always follows the
-direct inequalities.
+kernel matrix. A theorem check holds when each transformed rank exceeds
+a.t, t being the moduli dimension on its side (2 on a K3; the action is
+stated in bridgeland's module docstring). Its threshold margin is that rank
+less a.t, the same integer as the cross-multiplied slack of the direct
+fiber-degree inequality. So a K3 pass makes both ranks exceed 2a, and both
+rank margins, each rank less three, are at least 2a - 2.
 
 Nothing here verifies the duality map itself, only the arithmetic
 hypotheses placed on the numerical data.
@@ -84,7 +86,7 @@ def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
 
 
 def transformed_ranks(phi: FM2, d_v: int, d_w: int) -> tuple[int, int]:
-    """Ranks of the two transformed vectors: (a.d_v - c, c + a.d_w)."""
+    """Ranks of xi(1, d_v) and phi(1, d_w): (a.d_v - c, c + a.d_w)."""
     as_int("d_v", d_v)
     as_int("d_w", d_w)
     _expect("phi", FM2, phi)
@@ -103,7 +105,7 @@ def _check_sd_constraints(phi: FM2) -> None:
 
 
 def _thresholds(theorem: Theorem, t_v, t_w) -> tuple[int, int]:
-    """(t_v, t_w) in a.d_v > a.t_v + c and a.d_w > a.t_w - c; 2, 2 on K3."""
+    """(t_v, t_w) in rk_xi_v > a.t_v and rk_phi_w > a.t_w; 2, 2 on K3."""
     if theorem is Theorem.K3:
         if t_v is not None or t_w is not None:
             raise InputError("t_v and t_w apply to the general-surface check "
@@ -117,20 +119,25 @@ def _thresholds(theorem: Theorem, t_v, t_w) -> tuple[int, int]:
 class SDCheckResult(_Record):
     """Outcome of one theorem check, with exact integer margins.
 
-    threshold_margins hold the cross-multiplied slack of the direct
-    fiber-degree inequalities; rank_margins measure the sharper requirement
-    that both transformed ranks be at least three. The verdict follows
-    threshold_margins.
+    threshold_margins are the transformed ranks less a.t_v and a.t_w, which
+    equal the cross-multiplied slack of the direct fiber-degree inequalities;
+    the check passes when both are positive. rank_margins are the transformed
+    ranks less three; a K3 pass makes both at least 2a - 2.
     """
 
-    __slots__ = ("theorem", "passed", "threshold_margins", "rank_margins",
-                 "rk_xi_v", "rk_phi_w")
+    __slots__ = ("theorem", "threshold_margins", "rk_xi_v", "rk_phi_w")
 
-    def __init__(self, theorem: Theorem, passed: bool,
-                 threshold_margins: tuple[int, int], rank_margins: tuple[int, int],
+    def __init__(self, theorem: Theorem, threshold_margins: tuple[int, int],
                  rk_xi_v: int, rk_phi_w: int):
-        self._fill(theorem, passed, threshold_margins, rank_margins,
-                   rk_xi_v, rk_phi_w)
+        self._fill(theorem, threshold_margins, rk_xi_v, rk_phi_w)
+
+    @property
+    def passed(self) -> bool:
+        return min(self.threshold_margins) > 0
+
+    @property
+    def rank_margins(self) -> tuple[int, int]:
+        return (self.rk_xi_v - 3, self.rk_phi_w - 3)
 
     @property
     def verdict(self) -> str:
@@ -143,22 +150,14 @@ def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
 
     K3 thresholds: a.d_v > 2a + c and a.d_w > 2a - c. The general-surface
     version replaces 2 by the caller-supplied moduli dimensions t_v, t_w.
+    The margins are (rk_xi_v - a.t_v, rk_phi_w - a.t_w).
     """
     theorem = as_member("theorem", Theorem, theorem)
     _check_sd_constraints(phi)
     rk_xi_v, rk_phi_w = transformed_ranks(phi, d_v, d_w)
     t_v, t_w = _thresholds(theorem, t_v, t_w)
-    a, c = phi.a, phi.c
-    m1 = a * d_v - (a * t_v + c)
-    m2 = a * d_w - (a * t_w - c)
-    return SDCheckResult(
-        theorem=theorem,
-        passed=m1 > 0 and m2 > 0,
-        threshold_margins=(m1, m2),
-        rank_margins=(rk_xi_v - 3, rk_phi_w - 3),
-        rk_xi_v=rk_xi_v,
-        rk_phi_w=rk_phi_w,
-    )
+    margins = (rk_xi_v - phi.a * t_v, rk_phi_w - phi.a * t_w)
+    return SDCheckResult(theorem, margins, rk_xi_v, rk_phi_w)
 
 
 class SDReport(_Record):
@@ -285,6 +284,7 @@ def search_phi(lam: int, bound: int,
     if target is not None:
         _expect("target", SearchTarget, target)
         t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
+        # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
         above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmlat.bridgeland import (FM2, GenBiratClass, canonical_ab,
-                              gen_birat_classify, random_admissible,
-                              wit1_forced)
+                              gen_birat_classify, random_admissible)
 from fmlat.errors import AdmissibilityError, CoprimalityError, InputError
 from fmlat.linalg import Mat
+from fmlat.sd import (SearchTarget, Theorem, sd_check, search_phi,
+                      transformed_ranks)
 from fmlat.verify import run_verify
 
 NEG_ID = -Mat.identity(2)
@@ -150,49 +151,8 @@ def test_transform2_fiber_sheaf_image():
     assert phi.matrix.apply((0, 1)) == (1, -2)
 
 
-def test_transform2_negated_psi_column():
-    # -psi = [[b, -a], [-e, c]] sends (r, d) to (br - ad, cd - er)
-    for (c, a, e, b) in ((3, 1, -7, -2), (5, 2, -8, -3)):
-        neg_psi = -FM2(c, a, e, b).psi
-        assert neg_psi == Mat([[b, -a], [-e, c]])
-        for (r, d) in ((5, 3), (2, 1), (7, -4)):
-            assert neg_psi.apply((r, d)) == (b * r - a * d, c * d - e * r)
-
-
 def test_transform2_identity():
     assert Mat.identity(2).apply((4, -9)) == (4, -9)
-
-
-# forced degree-one transforms
-
-def test_wit1_forced_examples():
-    assert wit1_forced((5, 3), 3, 2)      # 2/3 > 3/5
-    assert not wit1_forced((2, 1), 1, 0)  # 0 > 1/2 fails
-    assert not wit1_forced((2, 1), 2, 1)  # equality is not enough
-
-
-def test_wit1_forced_rejects_nonpositive_rank():
-    with pytest.raises(InputError):
-        wit1_forced((0, 1), 1, 1)
-    with pytest.raises(InputError):
-        wit1_forced((1, 1), 0, 1)
-
-
-@settings(max_examples=60)
-@given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 8),
-       st.integers(-20, 20))
-def test_wit1_forced_monotone_in_b(r, d, a, b):
-    v = (r, d)
-    if wit1_forced(v, a, b):
-        assert wit1_forced(v, a, b + 1)
-
-
-@settings(max_examples=60)
-@given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 8),
-       st.integers(-20, 20))
-def test_wit1_forced_antitone_in_d(r, d, a, b):
-    if wit1_forced((r, d), a, b):
-        assert wit1_forced((r, d - 1), a, b)
 
 
 # birationality classification
@@ -240,6 +200,13 @@ def test_classify_not_covered():
     assert gen_birat_classify((2, 1), phi) is GenBiratClass.NOT_COVERED
 
 
+def test_classify_rejects_non_bool_k3():
+    # unchecked, "no" reads as true and (5, 2) comes back BirationalCodimTwo
+    for flag in ("no", 1, None):
+        with pytest.raises(InputError, match="k3 must be of type bool"):
+            gen_birat_classify((5, 2), FM2(1, 1, 0, 1), k3=flag)
+
+
 def test_classify_requires_coprime_input():
     phi = _phi_ab(1, 1)
     with pytest.raises(CoprimalityError):
@@ -279,6 +246,11 @@ def test_random_admissible_rejects_bad_lambda_and_bound():
     for lam, bound in ((0, 50), (2.0, 50), (1, 0), (1, 2.5)):
         with pytest.raises(InputError):
             random_admissible(rng, lam=lam, bound=bound)
+    # unchecked, None is an AttributeError and the random module a silent
+    # draw from the global generator
+    for bad in (None, 8, random):
+        with pytest.raises(InputError, match="rng must be of type Random"):
+            random_admissible(bad)
 
 
 def test_integer_entry_points_reject_floats_and_strings():
@@ -286,17 +258,15 @@ def test_integer_entry_points_reject_floats_and_strings():
     with pytest.raises(InputError, match="not an exact rational"):
         phi.matrix.apply((1.5, 2))
     with pytest.raises(InputError, match="rank must be an integer"):
-        wit1_forced((1.5, 2), 1, 1)
+        gen_birat_classify((1.5, 2), phi)
+    with pytest.raises(InputError, match="rank must be positive"):
+        gen_birat_classify((0, 1), phi)
     with pytest.raises(InputError, match="d must be an integer"):
         canonical_ab(5, 2.0)
-    with pytest.raises(InputError, match="b must be an integer"):
-        wit1_forced((2, 1), 1, "1")
     with pytest.raises(InputError, match="t must be an integer"):
         gen_birat_classify((2, 1), phi, t=1.0)
     # a (rank, fiber degree) pair has two entries, and phi is an FM2
     for bad in ((1, 2, 3), (1,), 5, None):
-        with pytest.raises(InputError, match="pair"):
-            wit1_forced(bad, 1, 1)
         with pytest.raises(InputError, match="pair"):
             gen_birat_classify(bad, phi)
     with pytest.raises(InputError, match="fiber degree must be an integer"):
@@ -304,3 +274,65 @@ def test_integer_entry_points_reject_floats_and_strings():
     for bad in ((3, 1, -7, -2), phi.matrix, None):
         with pytest.raises(InputError, match="phi must be of type FM2"):
             gen_birat_classify((5, 3), bad)
+
+
+# the action stated once in bridgeland's module docstring: every integer
+# restatement of it is derived here from Mat.apply
+
+def _k3_class_from_rank(rk_w, rk, a):
+    """gen_birat_classify's conclusion on a K3 with t = 2, given rk w."""
+    if rk_w >= 3:
+        return GenBiratClass.BIRATIONAL_CODIM_TWO
+    if rk_w == 2:
+        return GenBiratClass.BIRATIONAL_HIGH_RANK
+    if rk_w == 1 and rk > 2 * a:
+        return GenBiratClass.REGULAR_ISOMORPHISM
+    if rk_w == 1 and rk > a:
+        return GenBiratClass.BIRATIONAL_RANK_ONE
+    return GenBiratClass.NOT_COVERED
+
+
+def test_restated_action_formulas():
+    rng = random.Random(1616)
+    dual = Mat([[1, 0], [0, -1]])
+    vectors = [(rk, fd) for rk in range(1, 8) for fd in range(-9, 10)
+               if math.gcd(rk, fd) == 1]
+    targets = [SearchTarget(d_v, d_w, Theorem.GENERAL, t_v=t_v, t_w=t_w)
+               for d_v in (-3, 0, 4, 7, 12) for d_w in (-5, 0, 3, 8)
+               for t_v in (-2, 0, 2, 5) for t_w in (-1, 2, 4)]
+    hits = {}
+    checked = passed = 0
+    for lam in range(1, 5):
+        for _ in range(60):
+            phi = random_admissible(rng, lam=lam)
+            c, a, e, b = phi.entries()
+            # psi = -phi^-1; xi and omega are phi and psi dualized
+            inverse = -phi.psi
+            assert inverse == Mat([[b, -a], [-e, c]])
+            assert phi.matrix * inverse == inverse * phi.matrix == Mat.identity(2)
+            assert phi.xi == -(dual * phi.matrix * dual)
+            assert phi.omega == -(dual * phi.psi * dual)
+            # gen_birat_classify's rk w is the rank row of phi^-1(rk, fd)
+            for v in vectors:
+                rk_w = inverse.apply(v)[0]
+                assert gen_birat_classify(v, phi, t=2, k3=True) is \
+                    _k3_class_from_rank(rk_w, v[0], a), (phi, v)
+            for target in targets:
+                d_v, d_w, t_v, t_w = target.d_v, target.d_w, target.t_v, target.t_w
+                ranks = (phi.xi.apply((1, d_v))[0], phi.matrix.apply((1, d_w))[0])
+                assert transformed_ranks(phi, d_v, d_w) == ranks
+                if not (c > a and -b > a):
+                    continue
+                # the check is "transformed rank > a.t", and search_phi's
+                # hits are exactly the matrices that pass it
+                checked += 1
+                res = sd_check(Theorem.GENERAL, phi, d_v, d_w, t_v=t_v, t_w=t_w)
+                margins = (ranks[0] - a * t_v, ranks[1] - a * t_w)
+                assert res.threshold_margins == margins, (phi, target)
+                assert res.passed == (min(margins) > 0)
+                assert res.rank_margins == (ranks[0] - 3, ranks[1] - 3)
+                if (lam, target) not in hits:
+                    hits[lam, target] = {hit.phi for hit in search_phi(lam, 50, target)}
+                assert (phi in hits[lam, target]) == res.passed, (phi, target)
+                passed += res.passed
+    assert checked > 5000 and passed > 1000
