@@ -151,6 +151,15 @@ def test_transform2_fiber_sheaf_image():
     assert phi.matrix.apply((0, 1)) == (1, -2)
 
 
+def test_transform2_negated_psi_column():
+    # -psi = [[b, -a], [-e, c]] sends (r, d) to (br - ad, cd - er)
+    for (c, a, e, b) in ((3, 1, -7, -2), (5, 2, -8, -3)):
+        neg_psi = -FM2(c, a, e, b).psi
+        assert neg_psi == Mat([[b, -a], [-e, c]])
+        for (r, d) in ((5, 3), (2, 1), (7, -4)):
+            assert neg_psi.apply((r, d)) == (b * r - a * d, c * d - e * r)
+
+
 def test_transform2_identity():
     assert Mat.identity(2).apply((4, -9)) == (4, -9)
 
@@ -198,6 +207,17 @@ def test_classify_not_covered():
     phi = _phi_ab(3, 2)
     # rk w = 2*2 - 3*1 = 1 but r = 2 is not above a = 3
     assert gen_birat_classify((2, 1), phi) is GenBiratClass.NOT_COVERED
+
+
+def test_classify_equal_or_lower_slope_is_not_covered():
+    # rk w = b.rk - a.fd <= 0, i.e. b/a <= fd/rk: no transform in degree one
+    assert gen_birat_classify((2, 1), _phi_ab(2, 1), t=2, k3=True) is \
+        GenBiratClass.NOT_COVERED      # 1/2 = 1/2: equality is not enough
+    assert gen_birat_classify((2, 1), _phi_ab(1, 0), t=2, k3=True) is \
+        GenBiratClass.NOT_COVERED      # 0 < 1/2
+    # one step up in b gives rk w = 1, the rank-one case
+    assert gen_birat_classify((2, 1), _phi_ab(1, 1)) is \
+        GenBiratClass.BIRATIONAL_RANK_ONE
 
 
 def test_classify_rejects_non_bool_k3():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fmlat.sd as sd
-from fmlat.bridgeland import FM2
+from fmlat.bridgeland import FM2, random_admissible
 from fmlat.chow import CohClass, STANDARD_K3, chi_tensor, dot, from_coords
 from fmlat.errors import AdmissibilityError, InputError
 from fmlat.linalg import Mat, qvec
@@ -105,6 +105,16 @@ def test_transformed_ranks_worked_values():
     assert transformed_ranks(WORKED_PHI, 6, 5)[1] == 3 + 5
 
 
+def test_transformed_rank_agrees_with_xi_action():
+    for phi in (WORKED_PHI, FM2(5, 2, -8, -3)):
+        xi = phi.xi
+        assert xi == Mat([[-phi.c, phi.a], [phi.e, -phi.b]])
+        for d_v in range(-4, 8):
+            assert xi.apply((1, d_v))[0] == transformed_ranks(phi, d_v, 0)[0]
+        omega_first = phi.matrix.apply((1, 2))[0]
+        assert omega_first == transformed_ranks(phi, 0, 2)[1]
+
+
 # theorem checks
 
 def test_sd_check_worked_example():
@@ -113,6 +123,38 @@ def test_sd_check_worked_example():
     assert res.threshold_margins == (1, 1)
     assert (res.rk_xi_v, res.rk_phi_w) == (3, 3)
     assert res.rank_margins == (0, 0)
+
+
+def test_threshold_margins_equal_direct_slack():
+    # rk_xi_v - a.t_v = a.d_v - (a.t_v + c) and rk_phi_w - a.t_w =
+    # a.d_w - (a.t_w - c): the slack of the direct fiber-degree inequalities
+    rng = random.Random(1617)
+    checked = 0
+    while checked < 300:
+        phi = random_admissible(rng, lam=rng.randint(1, 4))
+        a, c = phi.a, phi.c
+        if not (c > a and -phi.b > a):
+            continue
+        checked += 1
+        d_v, d_w = rng.randint(-20, 20), rng.randint(-20, 20)
+        t_v, t_w = rng.randint(-3, 6), rng.randint(-3, 6)
+        res = sd_check(Theorem.GENERAL, phi, d_v, d_w, t_v=t_v, t_w=t_w)
+        slack = (a * d_v - (a * t_v + c), a * d_w - (a * t_w - c))
+        assert res.threshold_margins == slack, (phi, d_v, d_w, t_v, t_w)
+        assert res.passed == (a * d_v > a * t_v + c and a * d_w > a * t_w - c)
+
+
+def test_check_result_stores_only_margins_and_ranks():
+    assert sd.SDCheckResult.__slots__ == ("theorem", "threshold_margins",
+                                          "rk_xi_v", "rk_phi_w")
+    # passed and rank_margins follow the stored integers, so they cannot
+    # contradict them
+    for margins, passed in (((1, 1), True), ((1, 0), False), ((0, 5), False),
+                            ((-2, -1), False)):
+        res = sd.SDCheckResult(Theorem.K3, margins, 7, 2)
+        assert res.passed is passed
+        assert res.rank_margins == (4, -1)
+        assert res.verdict == (sd.PASS if passed else sd.FAIL)
 
 
 def test_sd_check_boundary_is_strict():
