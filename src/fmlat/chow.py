@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, _Record, _expect, _items, as_int, q, qdiv, qvec
+from .linalg import Mat, _Record, _expect, _items, as_int, parse_int, q, qdiv, qvec
 
 
 class SurfaceDescriptor(_Record):
@@ -257,7 +257,8 @@ def moduli_dim_k3(surface: SurfaceDescriptor, v: CohClass) -> int:
 
 def to_coords(v: CohClass) -> tuple[int | Fraction, ...]:
     if len(_expect("class", CohClass, v).div) != 2:
-        raise InputError("standard-model coordinates need a rank-2 lattice class")
+        raise UnsupportedModelError("standard-model coordinates need a class on "
+                                    f"the K3 lattice, not lattice rank {len(v.div)}")
     return (v.r, v.div[0], v.div[1], v.p)
 
 
@@ -328,8 +329,8 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
         out = []
         for tok in split_items(whole if value is None else value):
             try:
-                out.append(int(tok))
-            except ValueError:
+                out.append(parse_int(tok))
+            except InputError:
                 raise InputError(
                     f"{filename}:{lineno}: key {key!r}: not an integer: {tok!r}")
         return out

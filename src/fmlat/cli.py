@@ -20,7 +20,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
                    integrality_warnings, load_surface)
 from .errors import FmlatError, InputError
-from .linalg import Mat, enc_mat, enc_q, enc_qseq, qvec, render_matrix
+from .linalg import Mat, enc_mat, enc_q, enc_qseq, parse_int, qvec, render_matrix
 from .operators import build
 from .sd import (SDPair, SDReport, SearchHit, SearchTarget, Theorem,
                  build_report, search_phi)
@@ -33,13 +33,10 @@ EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE, as a shell reports `yes | head`
 
 def _parse_d_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        lo = hi = text
     try:
-        lo_i, hi_i = int(lo), int(hi)
-    except ValueError:
-        raise InputError(f"bad d range {text!r}; expected LO..HI")
-    return lo_i, hi_i
+        return parse_int(lo), parse_int(hi if sep else lo)
+    except InputError:
+        raise InputError(f"bad d range {text!r}; expected LO..HI") from None
 
 
 def _parse_vector(text: str) -> tuple:
@@ -47,13 +44,20 @@ def _parse_vector(text: str) -> tuple:
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    toks = [tok.strip() for tok in text.split(",")]
+    toks = text.split(",")
     if len(toks) != n:
         raise InputError(f"{what} needs {n} comma-separated integers, got {text!r}")
     try:
-        return tuple(int(tok) for tok in toks)
-    except ValueError:
-        raise InputError(f"{what}: not an integer in {text!r}")
+        return tuple(map(parse_int, toks))
+    except InputError:
+        raise InputError(f"{what}: not an integer in {text!r}") from None
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return parse_int(text)
+    except InputError as exc:   # argparse names the flag and exits 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _class_from_vector(surface: SurfaceDescriptor, text: str) -> CohClass:
@@ -153,8 +157,7 @@ def _cmd_verify(args) -> int:
 
 def _built_matrix(name: str, d: int | None, divisor_text: str | None) -> tuple[Mat, dict]:
     divisor = None if divisor_text is None else _parse_vector(divisor_text)
-    built = build(name, d=d, divisor=divisor)
-    matrix = built if isinstance(built, Mat) else built.matrix
+    matrix = build(name, d=d, divisor=divisor).matrix
     meta = {"schema": 1, "name": name, "d": d,
             "divisor": enc_qseq(divisor) if divisor else None}
     return matrix, meta
@@ -295,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="print a named operator matrix")
     p.add_argument("name", help="matrix name, e.g. FM_Pd, A_S, TensorL1")
-    p.add_argument("--d", type=int, default=None, help="kernel degree parameter")
+    p.add_argument("--d", type=_int_arg, default=None, help="kernel degree parameter")
     p.add_argument("--divisor", default=None, metavar="S,T",
                    help="divisor s·sigma + t·f for A_TL (n/d rationals accepted)")
     add_json(p)
@@ -303,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a named matrix to a class vector")
     p.add_argument("--matrix", required=True, help="matrix name")
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=_int_arg, default=None)
     p.add_argument("--divisor", default=None, metavar="S,T")
     p.add_argument("--vector", required=True, metavar="R,S,T,P",
                    help="comma-separated exact values (n/d rationals accepted)")
@@ -320,13 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sd-check", help="Strange Duality hypothesis check")
     p.add_argument("--phi", required=True, metavar="C,A,E,B",
                    help="kernel matrix entries")
-    p.add_argument("--lambda", dest="lam", type=int, default=1,
+    p.add_argument("--lambda", dest="lam", type=_int_arg, default=1,
                    help="smallest positive fiber degree (default 1)")
-    p.add_argument("--dv", type=int, required=True, help="fiber degree of v")
-    p.add_argument("--dw", type=int, required=True, help="fiber degree of w")
+    p.add_argument("--dv", type=_int_arg, required=True, help="fiber degree of v")
+    p.add_argument("--dw", type=_int_arg, required=True, help="fiber degree of w")
     p.add_argument("--theorem", choices=["k3", "general"], default="k3")
-    p.add_argument("--tv", type=int, default=None, help="moduli dimension for v")
-    p.add_argument("--tw", type=int, default=None, help="moduli dimension for w")
+    p.add_argument("--tv", type=_int_arg, default=None, help="moduli dimension for v")
+    p.add_argument("--tw", type=_int_arg, default=None, help="moduli dimension for w")
     p.add_argument("--surface", default=None, help="surface description file")
     p.add_argument("--v", default=None, help="optional class vector for v")
     p.add_argument("--w", default=None, help="optional class vector for w")
@@ -336,15 +339,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sd_check)
 
     p = sub.add_parser("search", help="enumerate admissible kernel matrices")
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
-    p.add_argument("--bound", type=int, required=True,
+    p.add_argument("--lambda", dest="lam", type=_int_arg, default=1)
+    p.add_argument("--bound", type=_int_arg, required=True,
                    help="bound on |c|, |a|, |e|, |b|")
-    p.add_argument("--dv", type=int, default=None)
-    p.add_argument("--dw", type=int, default=None)
+    p.add_argument("--dv", type=_int_arg, default=None)
+    p.add_argument("--dw", type=_int_arg, default=None)
     p.add_argument("--theorem", choices=["k3", "general"], default=None,
                    help="theorem a target is checked against (default k3)")
-    p.add_argument("--tv", type=int, default=None)
-    p.add_argument("--tw", type=int, default=None)
+    p.add_argument("--tv", type=_int_arg, default=None)
+    p.add_argument("--tw", type=_int_arg, default=None)
     add_json(p)
     p.set_defaults(func=_cmd_search)
 

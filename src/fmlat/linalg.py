@@ -42,6 +42,15 @@ def q(x) -> int | Fraction:
     raise InputError(f"not an exact rational: {x!r}")
 
 
+def parse_int(text: str) -> int:
+    """An integer written in the integer half of q's grammar, [+-]digits
+    with ASCII digits only; the one reader of integers from outside text."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None or match[2] is not None:
+        raise InputError(f"not an integer: {text!r}")
+    return int(match[1])
+
+
 def qdiv(a, b) -> int | Fraction:
     """Exact quotient a/b in the normal form of q; the one division of the
     package. A zero divisor is an InputError."""

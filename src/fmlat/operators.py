@@ -2,8 +2,9 @@
 
 Operators are exact 4x4 rational matrices acting on column vectors in the
 coordinate order (r, s, t, p), i.e. rank, sigma and fiber coefficients of
-ch1, and the point coefficient of ch2. Two elementary families generate
-everything used here:
+ch1, and the point coefficient of ch2; restrict2 reduces one to a 2x2
+Operator on (rank, fiber degree), and only golden's tables are bare Mats.
+Two elementary families generate everything used here:
 
 * op_tensor(c): multiplication by a fixed class c;
 * op_pi_tensor(c): v -> pullback-of-pushforward along the elliptic
@@ -29,15 +30,15 @@ from .linalg import Mat, _Record, _expect, as_int, as_member, qdiv, qvec
 
 
 class Operator(_Record):
-    """A 4x4 exact matrix plus a human-readable construction label."""
+    """A square 2x2 or 4x4 exact matrix plus a human-readable label."""
 
     __slots__ = ("matrix", "label")
 
     def __init__(self, matrix: Mat, label: str = ""):
         if not isinstance(matrix, Mat):
             raise InputError(f"an operator needs a Mat, got {matrix!r}")
-        if matrix.n_rows != 4 or matrix.n_cols != 4:
-            raise InputError("operators in the standard model are 4x4")
+        if matrix.n_rows != matrix.n_cols or matrix.n_rows not in (2, 4):
+            raise InputError("an operator is a square 2x2 or 4x4 matrix")
         self._fill(matrix, label)
 
     def apply(self, v: CohClass) -> CohClass:
@@ -154,12 +155,8 @@ def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
 
 
 def build(name: GoldenName, d: int | None = None,
-          divisor: Iterable | None = None) -> Operator | Mat:
-    """Construct a named operator purely from the elementary generators.
-
-    Returns an Operator except for B_S, which is the 2x2 (rank, fiber
-    degree) reduction of A_S.
-    """
+          divisor: Iterable | None = None) -> Operator:
+    """Construct a named operator purely from the elementary generators."""
     name, divisor = _check_args(name, d, divisor)
     if name is GoldenName.TensorL1:
         op = op_tensor(pd_line_class(d))
@@ -184,7 +181,7 @@ def build(name: GoldenName, d: int | None = None,
     elif name is GoldenName.A_TL:
         op = op_tensor(ch_line_bundle(STANDARD_K3, divisor))
     elif name is GoldenName.B_S:
-        return restrict2(build(GoldenName.A_S))
+        op = restrict2(build(GoldenName.A_S))
     else:  # pragma: no cover - enum is exhaustive
         raise InputError(f"unknown operator name {name!r}")
     return Operator(op.matrix, f"{name.value}={op.label}")
@@ -258,16 +255,19 @@ def golden(name: GoldenName, d: int | None = None,
     raise InputError(f"unknown golden name {name!r}")  # pragma: no cover
 
 
-def restrict2(op: Operator) -> Mat:
-    """Top-left 2x2 block in (rank, fiber degree) coordinates.
+def restrict2(op: Operator) -> Operator:
+    """Top-left 2x2 block of a 4x4 operator, on (rank, fiber degree).
 
     Well-defined only when the (r, s) output rows ignore the (t, p) inputs;
     anything else cannot act on the rank/fiber-degree plane alone.
     """
-    m = _expect("op", Operator, op).matrix.rows
+    name = _expect("op", Operator, op).label or "<anonymous>"
+    m = op.matrix.rows
+    if len(m) != 4:
+        raise InputError(f"operator {name} is 2x2; restrict2 needs a 4x4 operator")
     leak = [(i, j) for i in (0, 1) for j in (2, 3) if m[i][j] != 0]
     if leak:
         raise ReductionError(
-            f"operator {op.label or '<anonymous>'} does not reduce: "
-            f"nonzero entries at {leak}")
-    return Mat([[m[0][0], m[0][1]], [m[1][0], m[1][1]]])
+            f"operator {name} does not reduce: nonzero entries at {leak}")
+    return Operator(Mat([[m[0][0], m[0][1]], [m[1][0], m[1][1]]]),
+                    f"restrict2({op.label})")

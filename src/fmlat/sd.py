@@ -20,9 +20,9 @@ from enum import Enum
 
 from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
-                   dot, fdeg, is_standard_k3, moduli_dim_k3)
+                   dual, fdeg, is_standard_k3, moduli_dim_k3, mult)
 from .errors import AdmissibilityError, InputError
-from .linalg import _Record, _expect, as_int, as_member, enc_qseq, qdiv
+from .linalg import _Record, _expect, as_int, as_member, enc_qseq
 
 
 class Theorem(Enum):
@@ -61,28 +61,27 @@ def orthogonal_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass) -> bo
 
 def mo_base_check(surface: SurfaceDescriptor, v: CohClass, w: CohClass,
                   no_higher_cohomology: bool) -> bool:
-    """Hilbert-scheme base case for a pair (1, O, -k), (1, L, L^2/2 - l).
+    """Hilbert-scheme base case up to a twist: untwisted by D = div v, which
+    keeps chi(v.w) and both moduli spaces, the pair v.ch O(-D), w.ch O(D)
+    must read (1, O, -k), (1, L, L^2/2 - l); so L = div v + div w.
 
-    Requires k and l positive integers with k + l = chi(L), plus the
-    attestation that L has no higher cohomology. A missing attestation
-    makes the check fail; it is an input, not something computed here.
+    Requires integral divisors, positive integers k, l with k + l = chi(L)
+    and the attestation that L has no higher cohomology, which is an
+    input, not something computed here: without it the check fails.
     """
     _expect("surface", SurfaceDescriptor, surface)
     _expect("no_higher_cohomology", bool, no_higher_cohomology)
-    if (_expect("v", CohClass, v).r, _expect("w", CohClass, w).r) != (1, 1):
+    divs = _expect("v", CohClass, v).div + _expect("w", CohClass, w).div
+    if (v.r, w.r) != (1, 1) or any(x.denominator != 1 for x in divs):
         return False
-    if any(d != 0 for d in v.div):
-        return False
-    k = -v.p
-    big_l = w.div
-    l = qdiv(dot(surface, big_l, big_l), 2) - w.p
+    twist = ch_line_bundle(surface, v.div)
+    v, w = mult(surface, v, dual(twist)), mult(surface, w, twist)
+    line = ch_line_bundle(surface, w.div)
+    k, l = -v.p, line.p - w.p
     if k.denominator != 1 or l.denominator != 1 or k <= 0 or l <= 0:
         return False
-    chi_l = chi_tensor(surface, ch_line_bundle(surface, big_l),
-                       CohClass(1, (0,) * surface.rank, 0))
-    if k + l != chi_l:
-        return False
-    return no_higher_cohomology
+    unit = CohClass(1, (0,) * surface.rank, 0)
+    return k + l == chi_tensor(surface, line, unit) and no_higher_cohomology
 
 
 def transformed_ranks(phi: FM2, d_v: int, d_w: int) -> tuple[int, int]:

@@ -93,11 +93,6 @@ def _class_case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
     return VerifyCase(case_id, description, lhs == rhs, str(lhs), str(rhs))
 
 
-def _op_matrix(name: GoldenName, d=None, divisor=None) -> Mat:
-    built = build(name, d=d, divisor=divisor)
-    return built if isinstance(built, Mat) else built.matrix
-
-
 def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     """Run the whole suite for kernel degrees d_lo..d_hi inclusive."""
     if not (1 <= as_int("d_lo", d_lo) <= as_int("d_hi", d_hi) <= 64):
@@ -127,12 +122,12 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         cases.append(_mat_case(
             f"golden_vs_built:{name.value}",
             f"{name.value} built from elementary operators matches the pinned table",
-            _op_matrix(name), golden(name)))
+            build(name).matrix, golden(name)))
     for divisor in ((1, 0), (0, 1), (1, 3)):
         cases.append(_mat_case(
             f"golden_vs_built:A_TL:D={divisor[0]},{divisor[1]}",
             f"twist operator for divisor {divisor} matches the pinned table",
-            _op_matrix(GoldenName.A_TL, divisor=divisor),
+            build(GoldenName.A_TL, divisor=divisor).matrix,
             golden(GoldenName.A_TL, divisor=divisor)))
     sigma_ch = chow.ch_line_bundle(STANDARD_K3, (1, 0))
     cases.append(_mat_case(
@@ -215,7 +210,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
 
     # two-by-two reductions
     for d in d_range:
-        reduced = restrict2(fm_pd[d])
+        reduced = restrict2(fm_pd[d]).matrix
         cases.append(_mat_case(
             f"restrict2:FM_Pd:d={d}",
             f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
@@ -226,11 +221,12 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
             reduced.det() == 1, lhs=str(reduced.det()), rhs="1"))
     cases.append(_mat_case(
         "restrict2:A_S", "A_S reduces to the pinned B_S",
-        restrict2(build(GoldenName.A_S)), golden(GoldenName.B_S)))
+        restrict2(build(GoldenName.A_S)).matrix, golden(GoldenName.B_S)))
     cases.append(_mat_case(
         "restrict2:A_TL:D=1,3",
         "the twist by a divisor of fiber degree one reduces to [[1,0],[1,1]]",
-        restrict2(build(GoldenName.A_TL, divisor=(1, 3))), Mat([[1, 0], [1, 1]])))
+        restrict2(build(GoldenName.A_TL, divisor=(1, 3))).matrix,
+        Mat([[1, 0], [1, 1]])))
 
     # SL2(Z) family relations on pseudo-random admissible matrices
     rng = random.Random(_SEED)

@@ -400,8 +400,11 @@ def test_parse_surface_gram_token_error_names_file_and_line():
     ("canonical = 0 0", "canonical = 0 1/2",
      "k3.cfg:9: key 'canonical': not an integer: '1/2'"),
     ("lambda = 1", "lambda = one", "k3.cfg:10: key 'lambda': not an integer: 'one'"),
+    ("lambda = 1", "lambda = 1_0", "k3.cfg:10: key 'lambda': not an integer: '1_0'"),
+    ("chi_O = 2", "chi_O = \u0662", "k3.cfg:4: key 'chi_O': not an integer: '\u0662'"),
     ("gram = -2 1; 1 0", "gram = -2 1; 2 0", "k3.cfg: gram: must be symmetric"),
-], ids=["chi_O", "chi_O-count", "fiber", "section", "canonical", "lambda", "gram"])
+], ids=["chi_O", "chi_O-count", "fiber", "section", "canonical", "lambda",
+        "lambda-underscore", "chi_O-arabic-indic", "gram"])
 def test_parse_surface_names_the_file_once(line, bad, message):
     with pytest.raises(InputError) as err:
         parse_surface(GOOD_CFG.replace(line, bad), filename="k3.cfg")

@@ -460,6 +460,50 @@ def test_decimal_vector_is_input_error(capsys, vector):
     assert "not an exact rational" in err
 
 
+# every integer from outside takes [+-]ASCII digits, as the integer half of q
+BAD_INTEGERS = ["1_0", "\u0663", "4/2", "1.0"]
+# one valid call per integer flag; the flag before "{}" gets a bad integer
+INT_FLAG_CALLS = [
+    "matrix TensorL1 --d {}",
+    "transform --matrix TensorL1 --vector 1,0,0,0 --d {}",
+    "sd-check --phi 3,1,-7,-2 --dv 6 --dw 0 --lambda {}",
+    "sd-check --phi 3,1,-7,-2 --dw 0 --dv {}",
+    "sd-check --phi 3,1,-7,-2 --dv 6 --dw {}",
+    "sd-check --phi 3,1,-7,-2 --dv 6 --dw 0 --theorem general --tw 2 --tv {}",
+    "sd-check --phi 3,1,-7,-2 --dv 6 --dw 0 --theorem general --tv 2 --tw {}",
+    "search --bound 3 --lambda {}",
+    "search --bound {}",
+    "search --bound 3 --dw 0 --dv {}",
+    "search --bound 3 --dv 6 --dw {}",
+    "search --bound 3 --dv 6 --dw 0 --theorem general --tw 2 --tv {}",
+    "search --bound 3 --dv 6 --dw 0 --theorem general --tv 2 --tw {}",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS)
+@pytest.mark.parametrize("call", INT_FLAG_CALLS)
+def test_integer_flags_take_ascii_digits_only(capsys, call, bad):
+    *argv, flag, _ = call.split()
+    code, _, _ = run(capsys, *argv, flag, " +1 ")   # sign and spaces are fine
+    assert code in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, bad])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not an integer: {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS)
+def test_phi_and_d_range_take_ascii_digits_only(capsys, bad):
+    code, out, err = run(capsys, "sd-check", "--phi", f"3,1,-7,{bad}",
+                         "--dv", "6", "--dw", "0")
+    assert (code, out) == (2, "") and "--phi: not an integer" in err
+    code, out, err = run(capsys, "verify", "--d-range", f"1..{bad}")
+    assert (code, out) == (2, "") and "bad d range" in err
+    code, _, _ = run(capsys, "sd-check", "--phi", " +3, 1, -7, -2 ",
+                     "--dv", "6", "--dw", "0")
+    assert code == 0
+
+
 def test_bad_phi_arity_is_input_error(capsys):
     code, _, err = run(capsys, "sd-check", "--phi", "3,1,-7",
                        "--dv", "6", "--dw", "0")

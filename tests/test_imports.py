@@ -64,3 +64,18 @@ def test_cli_startup_imports_nothing_heavy():
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_outside_integers_have_one_grammar():
+    # text from the command line and surface files is read by
+    # linalg.parse_int; int() would also take "1_0" and non-ASCII digits
+    second_grammar = []
+    for name in ("cli.py", "chow.py"):
+        path = pathlib.Path(fmlat.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "int"
+                    or any(kw.arg == "type" and isinstance(kw.value, ast.Name)
+                           and kw.value.id == "int" for kw in node.keywords)):
+                second_grammar.append(f"{name}:{node.lineno}")
+    assert second_grammar == []

@@ -96,11 +96,19 @@ def test_build_matches_golden_d_family(name, d):
     assert build(name, d=d).matrix == golden(name, d=d)
 
 
-@pytest.mark.parametrize("name", [GoldenName.TensorSigma, GoldenName.PiPushPull,
-                                  GoldenName.PiPushPullSigma, GoldenName.A_S,
-                                  GoldenName.A_Sprime])
-def test_build_matches_golden_fixed(name):
-    assert build(name).matrix == golden(name)
+# the argument each name requires: d for the degree families, a divisor for A_TL
+REQUIRED_ARGS = {GoldenName.TensorL1: {"d": 3}, GoldenName.Tw_d: {"d": 3},
+                 GoldenName.FM_Pd: {"d": 3}, GoldenName.FM_Fd: {"d": 3},
+                 GoldenName.A_TL: {"divisor": (2, -3)}}
+
+
+@pytest.mark.parametrize("name", list(GoldenName), ids=lambda name: name.value)
+def test_build_returns_an_operator_matching_golden(name):
+    kw = REQUIRED_ARGS.get(name, {})
+    built = build(name, **kw)
+    assert type(built) is Operator
+    assert built.matrix == golden(name, **kw)
+    assert built.label.startswith(f"{name.value}=")
 
 
 @pytest.mark.parametrize("divisor", [(1, 0), (0, 1), (2, -3), (1, 3)])
@@ -110,8 +118,11 @@ def test_build_matches_golden_twist(divisor):
 
 
 def test_build_b_s_is_2x2():
-    assert build(GoldenName.B_S) == golden(GoldenName.B_S) == Mat([[-1, 1],
-                                                                   [0, -1]])
+    b_s = build(GoldenName.B_S)
+    assert b_s.matrix == golden(GoldenName.B_S) == Mat([[-1, 1], [0, -1]])
+    assert b_s.label.startswith("B_S=restrict2(A_S=")
+    with pytest.raises(InputError, match="restrict2 needs a 4x4 operator"):
+        restrict2(b_s)
 
 
 def test_build_needs_d_where_parameterized():
@@ -210,24 +221,25 @@ def test_apply_fm_fd_to_structure_sheaf(d):
 @pytest.mark.parametrize("d", D_RANGE)
 def test_restrict2_fm_pd(d):
     reduced = restrict2(build(GoldenName.FM_Pd, d=d))
-    assert reduced == Mat([[0, 1], [-1, d]])
-    assert reduced.det() == 1
+    assert reduced.matrix == Mat([[0, 1], [-1, d]])
+    assert reduced.matrix.det() == 1
+    assert reduced.label == f"restrict2({build(GoldenName.FM_Pd, d=d).label})"
 
 
 def test_restrict2_a_s_is_b_s():
-    assert restrict2(golden_op(GoldenName.A_S)) == golden(GoldenName.B_S)
+    assert restrict2(golden_op(GoldenName.A_S)).matrix == golden(GoldenName.B_S)
 
 
 @pytest.mark.parametrize("divisor", [(1, 0), (0, 1), (3, -2), (-1, 5)])
 def test_restrict2_twist_records_fiber_degree(divisor):
-    got = restrict2(build(GoldenName.A_TL, divisor=divisor))
+    got = restrict2(build(GoldenName.A_TL, divisor=divisor)).matrix
     assert got == Mat([[1, 0], [divisor[0], 1]])
     assert got.det() == 1
 
 
 @pytest.mark.parametrize("d", D_RANGE)
 def test_restrict2_fm_fd_unimodular(d):
-    got = restrict2(build(GoldenName.FM_Fd, d=d))
+    got = restrict2(build(GoldenName.FM_Fd, d=d)).matrix
     assert got == Mat([[-1, d + 1], [-1, d]])
     assert got.det() == 1
 
@@ -301,9 +313,11 @@ def test_operator_labels_carry_provenance():
     assert "tensor" in op.label
 
 
-def test_operator_requires_4x4():
-    with pytest.raises(InputError):
-        Operator(Mat([[1, 0], [0, 1]]), "too-small")
+def test_operator_requires_a_square_2x2_or_4x4():
+    assert Operator(Mat([[1, 0], [0, 1]]), "2x2").matrix == Mat.identity(2)
+    for bad in (Mat.identity(3), Mat([[1, 0, 0, 0], [0, 1, 0, 0]]), Mat([[1]])):
+        with pytest.raises(InputError, match="square 2x2 or 4x4"):
+            Operator(bad)
     for bad in (5, [[1, 0], [0, 1]], None):
         with pytest.raises(InputError, match="needs a Mat"):
             Operator(bad)

@@ -8,7 +8,8 @@ from fmlat.chow import (CohClass, FIBER_CLASS, POINT_CLASS, SIGMA_CLASS,
                         STANDARD_K3, UNIT_CLASS, ch_line_bundle, from_coords,
                         mult, todd)
 from fmlat.errors import InputError, UnsupportedModelError
-from fmlat.operators import GoldenName, golden, pd_pushforward_twist_class
+from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
+                             op_tensor, pd_pushforward_twist_class)
 from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT,
                            ProductClass, Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
                            prod_mult, product_todd, pull, push,
@@ -39,9 +40,17 @@ def test_pull_of_fiber_line_bundle():
     assert got == UNIT + pull(Side.FIRST, FIBER_CLASS)
 
 
-def test_pull_rejects_other_lattices():
-    with pytest.raises(UnsupportedModelError):
-        pull(Side.FIRST, CohClass(1, (0, 0, 0), 0))
+OFF_K3 = CohClass(1, (0, 0, 0), 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: op_tensor(OFF_K3), lambda: op_pi_tensor(OFF_K3),
+    lambda: IDENTITY.apply(OFF_K3), lambda: pull(Side.FIRST, OFF_K3),
+    lambda: diag_push_grr(OFF_K3),
+], ids=["op_tensor", "op_pi_tensor", "Operator.apply", "pull", "diag_push_grr"])
+def test_a_class_off_the_k3_lattice_is_an_unsupported_model(call):
+    with pytest.raises(UnsupportedModelError, match="lattice rank 3"):
+        call()
 
 
 def test_sides_and_orientations_are_taken_by_value():

@@ -6,7 +6,8 @@ import pytest
 
 import fmlat.sd as sd
 from fmlat.bridgeland import FM2, random_admissible
-from fmlat.chow import CohClass, STANDARD_K3, chi_tensor, dot, from_coords
+from fmlat.chow import (CohClass, STANDARD_K3, ch_line_bundle, chi_tensor, dot,
+                        dual, from_coords, mult)
 from fmlat.errors import AdmissibilityError, InputError
 from fmlat.linalg import Mat, qvec
 from fmlat.sd import (NOT_EVALUATED, SDPair, SearchTarget, Theorem,
@@ -80,10 +81,67 @@ def test_mo_base_case_orthogonality():
     assert not mo_base_check(S, v, w, no_higher_cohomology=True)
 
 
-def test_mo_base_case_needs_trivial_determinant_on_v():
+def test_mo_base_case_tests_the_pair_untwisted_by_div_v():
+    # untwisted by D = f: (1, 0, 0, -2) and (1, sigma + 5f, 1), so k = 2 and
+    # l = 3 but chi(L) = 6
     v = CohClass(1, (0, 1), -2)
     _, w = hilbert_pair(2, 3)
     assert not mo_base_check(S, v, w, no_higher_cohomology=True)
+
+
+def twisted(v, w, divisor):
+    """The pair v.ch O(D), w.ch O(-D)."""
+    line = ch_line_bundle(S, divisor)
+    return mult(S, v, line), mult(S, w, dual(line))
+
+
+def test_twisted_hilbert_pair_is_a_covered_pair_with_its_own_degrees():
+    v, w = from_coords((1, 6, 0, -37)), from_coords((1, 0, 6, -1))
+    assert (v, w) == twisted(from_coords((1, 0, 0, -1)),
+                             from_coords((1, 6, 6, -1)), (6, 0))
+    report = build_report(WORKED_PHI, 6, 0, pair=SDPair(S, v, w, True))
+    assert report.check.passed and report.orthogonal and report.base_case
+    assert report.notes == ()
+
+
+def test_mo_base_case_is_twist_invariant():
+    rng = random.Random(1717)
+    pairs = [hilbert_pair(2, 3), hilbert_pair(2, 4), hilbert_pair(1, 1, (0, 0)),
+             (CohClass(1, (0, 1), -2), hilbert_pair(2, 3)[1])]
+    for _ in range(30):
+        pairs.append(tuple(CohClass(1, (rng.randint(-4, 4), rng.randint(-4, 4)),
+                                    rng.randint(-6, 6)) for _ in range(2)))
+    for v, w in pairs:
+        expected = mo_base_check(S, v, w, True)
+        for _ in range(5):
+            divisor = (rng.randint(-9, 9), rng.randint(-9, 9))
+            assert mo_base_check(S, *twisted(v, w, divisor), True) is expected
+    assert [mo_base_check(S, v, w, True) for v, w in pairs[:4]] == [
+        True, False, True, False]
+
+
+def test_mo_base_case_needs_integral_divisors():
+    # L = f/2 has L^2 = 0, so k = l = 1 would fit chi(L) = 2; and a base
+    # pair twisted by sigma/2 is not a pair of sheaf classes either
+    v, w = from_coords((1, 0, 0, -1)), from_coords((1, 0, Fraction(1, 2), -1))
+    assert not mo_base_check(S, v, w, True)
+    v, w = hilbert_pair(2, 3)
+    assert mo_base_check(S, v, w, True)
+    assert not mo_base_check(S, *twisted(v, w, (Fraction(1, 2), 0)), True)
+
+
+@pytest.mark.parametrize("hit", search_phi(1, 8), ids=lambda h: str(h.phi.entries()))
+def test_every_small_phi_covers_a_twisted_hilbert_pair(hit):
+    # the smallest fiber degrees whose transformed ranks exceed 2a; the base
+    # pair (1, O, -1), (1, L, -1) with L = (d_v + d_w) sigma + t.f and
+    # L^2 >= 0 (k = 1, l = chi(L) - 1), twisted by D = d_v.sigma, has them
+    phi = hit.phi
+    d_v, d_w = (3 * phi.a + phi.c) // phi.a, (3 * phi.a - phi.c) // phi.a
+    s = d_v + d_w
+    base_w = from_coords((1, s, s + (1 if s >= 0 else -1), -1))
+    v, w = twisted(from_coords((1, 0, 0, -1)), base_w, (d_v, 0))
+    report = build_report(phi, d_v, d_w, pair=SDPair(S, v, w, True))
+    assert report.check.passed and report.base_case and report.notes == ()
 
 
 def test_mo_base_case_on_general_surface():
