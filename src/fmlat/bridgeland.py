@@ -173,8 +173,6 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
             continue
         if max(abs(c), abs(a), abs(e), abs(b)) > bound:
             continue
-        if c * b - a * e != 1:
-            continue
         return FM2(c, a, e, b, lam)
 
 

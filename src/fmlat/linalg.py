@@ -17,15 +17,16 @@ from operator import mul
 from .errors import InputError, SingularMatrixError
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+_MAX_DIGITS = 4300   # CPython's default int/str limit; keeps parsing bounded
 
 
 def q(x) -> int | Fraction:
     """Coerce an int, a Fraction or a string like "3/4" to its normal form:
     an int when the value is integral, a Fraction otherwise.
 
-    Strings take the grammar [+-]digits[/digits] only, with surrounding
-    whitespace allowed. Floats, bools and decimal notation ("0.5", "1e3")
-    are rejected on purpose: they would silently break exactness.
+    Strings take the grammar [+-]digits[/digits] only, at most _MAX_DIGITS
+    digits a side, surrounding whitespace allowed. Floats, bools and decimal
+    notation ("0.5", "1e3") are rejected: they would silently break exactness.
     """
     if type(x) is int:
         return x
@@ -34,11 +35,11 @@ def q(x) -> int | Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, str) and (match := _RATIONAL.fullmatch(x)):
-        num, den = match.groups()
-        try:
-            return int(num) if den is None else qdiv(int(num), int(den))
-        except (ValueError, InputError) as exc:
-            raise InputError(f"not an exact rational: {x!r}") from exc
+        num, den = match[1], match[2] or "1"
+        if max(len(num.lstrip("+-")), len(den)) > _MAX_DIGITS:
+            raise InputError(f"an integer has more than {_MAX_DIGITS} digits")
+        if int(den):
+            return int(num) if den == "1" else qdiv(int(num), int(den))
     raise InputError(f"not an exact rational: {x!r}")
 
 
@@ -48,7 +49,7 @@ def parse_int(text: str) -> int:
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None or match[2] is not None:
         raise InputError(f"not an integer: {text!r}")
-    return int(match[1])
+    return q(match[1])
 
 
 def qdiv(a, b) -> int | Fraction:
@@ -261,7 +262,7 @@ def _eliminate(work: list[list], n: int) -> int | Fraction:
 
 def render_matrix(m: Mat) -> str:
     """Aligned text grid, one bracketed line per row."""
-    cells = [[str(x) for x in row] for row in m.rows]
+    cells = [[str(x) for x in row] for row in _expect("matrix", Mat, m).rows]
     widths = [max(len(cells[i][j]) for i in range(len(cells)))
               for j in range(len(cells[0]))]
     return "\n".join(
@@ -279,8 +280,8 @@ def enc_q(x):
 
 
 def enc_qseq(xs) -> list:
-    return [enc_q(x) for x in xs]
+    return [enc_q(x) for x in qvec(xs)]
 
 
 def enc_mat(m: Mat) -> list[list]:
-    return [enc_qseq(row) for row in m.rows]
+    return [enc_qseq(row) for row in _expect("matrix", Mat, m).rows]

@@ -42,6 +42,9 @@ class Operator(_Record):
         self._fill(matrix, label)
 
     def apply(self, v: CohClass) -> CohClass:
+        if self.matrix.n_rows == 2:
+            raise InputError(f"{self.label} is 2x2 and acts on (rank, fiber "
+                             f"degree) through .matrix.apply, not on a class")
         return from_coords(self.matrix.apply(to_coords(v)))
 
     def __add__(self, other: "Operator") -> "Operator":

@@ -248,9 +248,6 @@ class SearchTarget(_Record):
                  t_v: int | None = None, t_w: int | None = None):
         as_int("d_v", d_v)
         as_int("d_w", d_w)
-        for label, t in (("t_v", t_v), ("t_w", t_w)):
-            if t is not None:
-                as_int(label, t)
         theorem = as_member("theorem", Theorem, theorem)
         _thresholds(theorem, t_v, t_w)   # general needs both
         self._fill(d_v, d_w, theorem, t_v, t_w)

@@ -28,10 +28,16 @@ _SEED = 74207281
 
 
 class VerifyCase(_Record):
-    __slots__ = ("id", "description", "passed", "lhs", "rhs")
+    """A named identity; it passes exactly when its two printed sides are equal."""
 
-    def __init__(self, id: str, description: str, passed: bool, lhs: str, rhs: str):
-        self._fill(id, description, passed, lhs, rhs)
+    __slots__ = ("id", "description", "lhs", "rhs")
+
+    def __init__(self, id: str, description: str, lhs: str, rhs: str):
+        self._fill(id, description, lhs, rhs)
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
     def to_json(self) -> dict:
         return {"id": self.id, "description": self.description,
@@ -77,20 +83,14 @@ def _mat_str(m: Mat) -> str:
     return "[" + "; ".join(" ".join(str(x) for x in row) for row in m.rows) + "]"
 
 
-def _mat_case(case_id: str, description: str, lhs: Mat, rhs: Mat) -> VerifyCase:
-    passed = lhs == rhs
-    if not passed:
-        description = f"{description} ({_first_diff(lhs, rhs)})"
-    return VerifyCase(case_id, description, passed, _mat_str(lhs), _mat_str(rhs))
-
-
-def _bool_case(case_id: str, description: str, passed: bool,
-               lhs: str = "", rhs: str = "") -> VerifyCase:
-    return VerifyCase(case_id, description, passed, lhs or str(passed), rhs or "True")
-
-
-def _class_case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
-    return VerifyCase(case_id, description, lhs == rhs, str(lhs), str(rhs))
+def _case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
+    """The case lhs = rhs. A Mat side prints as _mat_str, and a failing Mat
+    case names its first difference; any other side prints as str."""
+    if isinstance(lhs, Mat):
+        if lhs != rhs:
+            description = f"{description} ({_first_diff(lhs, rhs)})"
+        lhs, rhs = _mat_str(lhs), _mat_str(rhs)
+    return VerifyCase(case_id, description, str(lhs), str(rhs))
 
 
 def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
@@ -111,7 +111,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
                          (GoldenName.Tw_d, build(GoldenName.Tw_d, d=d)),
                          (GoldenName.FM_Pd, fm_pd[d]),
                          (GoldenName.FM_Fd, _fm_fd(fm_pd[d], d))):
-            cases.append(_mat_case(
+            cases.append(_case(
                 f"golden_vs_built:{name.value}:d={d}",
                 f"{name.value} built from elementary operators matches the "
                 f"pinned table at d={d}",
@@ -119,38 +119,38 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     for name in (GoldenName.TensorSigma, GoldenName.PiPushPull,
                  GoldenName.PiPushPullSigma, GoldenName.A_S,
                  GoldenName.A_Sprime, GoldenName.B_S):
-        cases.append(_mat_case(
+        cases.append(_case(
             f"golden_vs_built:{name.value}",
             f"{name.value} built from elementary operators matches the pinned table",
             build(name).matrix, golden(name)))
     for divisor in ((1, 0), (0, 1), (1, 3)):
-        cases.append(_mat_case(
+        cases.append(_case(
             f"golden_vs_built:A_TL:D={divisor[0]},{divisor[1]}",
             f"twist operator for divisor {divisor} matches the pinned table",
             build(GoldenName.A_TL, divisor=divisor).matrix,
             golden(GoldenName.A_TL, divisor=divisor)))
     sigma_ch = chow.ch_line_bundle(STANDARD_K3, (1, 0))
-    cases.append(_mat_case(
+    cases.append(_case(
         "composition:PiPushPullSigma",
         "composing the bare pushforward-pullback with the sigma twist "
         "reproduces the pinned twisted table",
         (op_pi_tensor(chow.UNIT_CLASS) @ op_tensor(sigma_ch)).matrix,
         golden(GoldenName.PiPushPullSigma)))
-    cases.append(_mat_case(
+    cases.append(_case(
         "inverse:A_Sprime",
         "the negative inverse of A_S equals the pinned A_Sprime",
         -(golden(GoldenName.A_S).inverse()), golden(GoldenName.A_Sprime)))
 
     # Riemann-Roch on the product against the same tables
     for d in d_range:
-        cases.append(_mat_case(
+        cases.append(_case(
             f"grr_vs_golden:FM_Pd:d={d}",
             f"transform of the degree-{d} kernel class equals the pinned "
             f"FM_Pd at d={d}",
             product.fm_matrix(kernels[d],
                               FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
             golden(GoldenName.FM_Pd, d=d)))
-    cases.append(_mat_case(
+    cases.append(_case(
         "grr_vs_golden:A_S",
         "transform of the diagonal-ideal kernel class equals the pinned A_S",
         product.fm_matrix(kernel_class("IDelta"),
@@ -160,18 +160,18 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     # product-ring fixtures
     td_expected = (product.UNIT + 2 * pull(Side.SECOND, chow.POINT_CLASS)
                    + 2 * pull(Side.FIRST, chow.POINT_CLASS) + 4 * product.POINT)
-    cases.append(_class_case(
+    cases.append(_case(
         "product:todd", "Todd class of the product is 1 + 2[X x *] + 2[* x X] + 4[*]",
         render_product_class(product.product_todd()),
         render_product_class(td_expected)))
-    cases.append(_class_case(
+    cases.append(_case(
         "product:diag_unit",
         "diagonal pushforward of the unit class is Delta - 2[*]",
         render_product_class(product.diag_push_grr(chow.UNIT_CLASS)),
         render_product_class(product.DELTA - 2 * product.POINT)))
     idelta_expected = (product.PI - product.F_CROSS_F - product.DELTA
                        + 2 * product.POINT)
-    cases.append(_class_case(
+    cases.append(_case(
         "product:idelta",
         "diagonal-ideal kernel class is Pi - [f x f] - Delta + 2[*]",
         render_product_class(kernel_class("IDelta")),
@@ -180,14 +180,14 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         pushed = push(Side.SECOND, prod_mult(
             kernels[d], pull(Side.FIRST, chow.todd(STANDARD_K3))))
         expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
-        cases.append(_class_case(
+        cases.append(_case(
             f"product:pd_pushforward:d={d}",
             f"pushforward of the degree-{d} kernel has class "
             f"(d, -sigma+(d^2-d)f, 1-2d)",
             render_class(pushed), render_class(expected)))
         twisted = mult(STANDARD_K3, pushed,
                        chow.ch_line_bundle(STANDARD_K3, (0, 2)))
-        cases.append(_class_case(
+        cases.append(_case(
             f"product:pd_pushforward_twist:d={d}",
             f"its relative-dualizing twist equals the pinned twist class at d={d}",
             render_class(twisted),
@@ -196,33 +196,30 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     # pairing conservation
     gram = chow.pairing_gram()
     for d in d_range:
-        m = golden(GoldenName.FM_Pd, d=d)
-        cases.append(_mat_case(
-            f"pairing:FM_Pd:d={d}",
-            f"FM_Pd preserves the Euler pairing at d={d}",
-            m.transpose() * gram * m, gram))
-        m = golden(GoldenName.FM_Fd, d=d)
         # recorded fixture: the rank-(d+1) kernel transform preserves it too
-        cases.append(_mat_case(
-            f"pairing:FM_Fd:d={d}",
-            f"FM_Fd preserves the Euler pairing at d={d} (recorded fixture)",
-            m.transpose() * gram * m, gram))
+        for name, note in ((GoldenName.FM_Pd, ""),
+                           (GoldenName.FM_Fd, " (recorded fixture)")):
+            m = golden(name, d=d)
+            cases.append(_case(
+                f"pairing:{name.value}:d={d}",
+                f"{name.value} preserves the Euler pairing at d={d}{note}",
+                m.transpose() * gram * m, gram))
 
     # two-by-two reductions
     for d in d_range:
         reduced = restrict2(fm_pd[d]).matrix
-        cases.append(_mat_case(
+        cases.append(_case(
             f"restrict2:FM_Pd:d={d}",
             f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
             reduced, Mat([[0, 1], [-1, d]])))
-        cases.append(_bool_case(
+        cases.append(_case(
             f"restrict2_det:FM_Pd:d={d}",
             f"the reduction of FM_Pd is unimodular at d={d}",
-            reduced.det() == 1, lhs=str(reduced.det()), rhs="1"))
-    cases.append(_mat_case(
+            reduced.det(), 1))
+    cases.append(_case(
         "restrict2:A_S", "A_S reduces to the pinned B_S",
         restrict2(build(GoldenName.A_S)).matrix, golden(GoldenName.B_S)))
-    cases.append(_mat_case(
+    cases.append(_case(
         "restrict2:A_TL:D=1,3",
         "the twist by a divisor of fiber degree one reduces to [[1,0],[1,1]]",
         restrict2(build(GoldenName.A_TL, divisor=(1, 3))).matrix,
@@ -245,16 +242,16 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         if b * r - a * d > 0 and c > 0:
             slope_checked += 1
             slope_ok = slope_ok and (a * (e * r - c * d) < c * (b * r - a * d))
-    cases.append(_bool_case(
+    cases.append(_case(
         "bridgeland:family_relations",
         "100 pseudo-random admissible families satisfy phi.psi = psi.phi = "
         "xi.omega = omega.xi = -1",
-        relations_ok))
-    cases.append(_bool_case(
+        relations_ok, True))
+    cases.append(_case(
         "bridgeland:vb_slope",
         f"the slope inequality a(er-cd) < c(br-ad) held in all "
         f"{slope_checked} applicable samples",
-        slope_ok and slope_checked > 0))
+        slope_ok and slope_checked > 0, True))
 
     brute_ok = True
     for r in range(2, 51):
@@ -267,28 +264,25 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
             found = [(a, (1 + a * d) // r) for a in solutions[d % r]]
             if len(found) != 1 or canonical_ab(r, d) != found[0]:
                 brute_ok = False
-    cases.append(_bool_case(
+    cases.append(_case(
         "bridgeland:canonical_ab",
         "canonical (a, b) agrees with brute force for every coprime pair "
         "with 2 <= r <= 50, |d| <= 50",
-        brute_ok))
+        brute_ok, True))
 
     # worked Strange Duality example
     worked = bridgeland.FM2(3, 1, -7, -2, 1)
     res = sd_check(Theorem.K3, worked, 6, 0)
-    cases.append(_bool_case(
+    cases.append(_case(
         "sd:worked_pass",
         "phi = [[3,1],[-7,-2]] with fiber degrees (6, 0) passes with margins "
         "(1, 1) and ranks (3, 3)",
-        res.passed and res.threshold_margins == (1, 1)
-        and (res.rk_xi_v, res.rk_phi_w) == (3, 3),
-        lhs=f"margins={res.threshold_margins} ranks=({res.rk_xi_v},{res.rk_phi_w})",
-        rhs="margins=(1, 1) ranks=(3,3)"))
+        f"margins={res.threshold_margins} ranks=({res.rk_xi_v},{res.rk_phi_w})",
+        "margins=(1, 1) ranks=(3,3)"))
     res_fail = sd_check(Theorem.K3, worked, 5, 0)
-    cases.append(_bool_case(
+    cases.append(_case(
         "sd:worked_boundary",
         "the boundary case d_v = 5 fails the strict inequality",
-        not res_fail.passed,
-        lhs=f"passed={res_fail.passed}", rhs="passed=False"))
+        f"passed={res_fail.passed}", "passed=False"))
 
     return VerifyOutcome("fmlat-verify", d_lo, d_hi, tuple(cases))

@@ -9,6 +9,7 @@ from fmlat.bridgeland import (FM2, GenBiratClass, canonical_ab,
                               gen_birat_classify, random_admissible)
 from fmlat.errors import AdmissibilityError, CoprimalityError, InputError
 from fmlat.linalg import Mat
+from fmlat.operators import Operator, _fm_fd, restrict2
 from fmlat.sd import (SearchTarget, Theorem, sd_check, search_phi,
                       transformed_ranks)
 from fmlat.verify import run_verify
@@ -121,13 +122,35 @@ def test_verify_family_relations_fails_on_a_wrong_psi(monkeypatch):
     assert not case.passed and case.lhs == "False"
 
 
-def test_verify_canonical_ab_fails_on_a_wrong_answer(monkeypatch):
-    assert _verify_case("bridgeland:canonical_ab").passed
+def _one_more_d_v(theorem, phi, d_v, d_w):
+    return sd_check(theorem, phi, d_v + 1, d_w)
+
+
+# a case id -> a name in fmlat.verify and a stand-in that breaks one side
+BROKEN_SIDES = {
     # one wrong answer among the 2,994 pairs: (7, 3) has (a, b) = (2, 1)
-    monkeypatch.setattr("fmlat.verify.canonical_ab",
-                        lambda r, d: (2, 2) if (r, d) == (7, 3)
-                        else canonical_ab(r, d))
-    assert not _verify_case("bridgeland:canonical_ab").passed
+    "bridgeland:canonical_ab": (
+        "canonical_ab",
+        lambda r, d: (2, 2) if (r, d) == (7, 3) else canonical_ab(r, d)),
+    # every sample has c < 0, so no sample is applicable
+    "bridgeland:vb_slope": ("random_admissible", lambda rng: FM2(-1, 1, -1, 0)),
+    # one more fiber degree: margins (2, 1), ranks (4, 3); d_v = 6 passes
+    "sd:worked_pass": ("sd_check", _one_more_d_v),
+    "sd:worked_boundary": ("sd_check", _one_more_d_v),
+    # twice the reduction has determinant 4
+    "restrict2_det:FM_Pd:d=1": (
+        "restrict2", lambda op: Operator(2 * restrict2(op).matrix)),
+    "golden_vs_built:FM_Fd:d=1": ("_fm_fd", lambda op, d: -_fm_fd(op, d)),
+}
+
+
+@pytest.mark.parametrize("case_id", BROKEN_SIDES)
+def test_verify_case_fails_when_a_side_breaks(monkeypatch, case_id):
+    assert _verify_case(case_id).passed
+    name, stand_in = BROKEN_SIDES[case_id]
+    monkeypatch.setattr(f"fmlat.verify.{name}", stand_in)
+    case = _verify_case(case_id)
+    assert not case.passed and case.lhs != case.rhs
 
 
 def test_vb_slope_inequality_reduces_to_determinant():

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +14,10 @@ from hypothesis import strategies as st
 import fmlat.operators
 import fmlat.verify
 from fmlat.bridgeland import FM2
+from fmlat.chow import STANDARD_K3, CohClass, chi_tensor
 from fmlat.cli import main
 from fmlat.linalg import Mat, qvec, render_matrix
-from fmlat.operators import GoldenName, golden
+from fmlat.operators import GoldenName, build, golden
 from fmlat.sd import build_report
 
 K3_CFG = """
@@ -152,8 +157,6 @@ def test_matrix_every_name_renders(capsys, name):
 
 
 def test_console_entry_point_subprocess(tmp_path):
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "fmlat.cli", "transform", "--matrix", "FM_Pd",
          "--d", "1", "--vector", "1,0,0,0"],
@@ -164,6 +167,67 @@ def test_console_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "fmlat.cli", "verify", "--d-range", "9..9"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# Python refuses str <-> int conversions past 4,300 digits by default. The
+# CLI reads at most that many digits per number and prints every result in
+# full; each command runs as a child, so no earlier test's state leaks in.
+TOO_LONG, LONG = "9" * 5000, "9" * 2500
+
+
+def _child(*argv):
+    src = pathlib.Path(fmlat.__file__).parent.parent
+    return subprocess.run([sys.executable, "-m", "fmlat.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.fixture
+def long_int_str():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sd-check", "--phi", f"3,1,-7,{TOO_LONG}", "--dv", "6", "--dw", "0"],
+    ["verify", "--d-range", f"1..{TOO_LONG}"],
+    ["chi", "--surface", "@long.cfg", "--v", "1,0,0,0", "--w", "1,0,0,0"],
+], ids=["sd-check-phi", "verify-range", "surface-chi_O"])
+def test_too_many_digits_exit_two(tmp_path, argv):
+    long_cfg = tmp_path / "long.cfg"
+    long_cfg.write_text(K3_CFG.replace("chi_O = 2", f"chi_O = {TOO_LONG}"),
+                        encoding="utf-8")
+    proc = _child(*[str(long_cfg) if arg == "@long.cfg" else arg for arg in argv])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_long_matrix_entries_print_in_full(long_int_str):
+    proc = _child("matrix", "TensorL1", "--d", LONG)
+    matrix = build(GoldenName.TensorL1, d=int(LONG)).matrix
+    assert max(len(str(x)) for row in matrix.rows for x in row) > 4300
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"TensorL1(d={LONG}) =\n{render_matrix(matrix)}\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_long_chi_prints_in_full(k3_file, long_int_str, json_flag):
+    vector = f"1,{LONG},0,0"
+    proc = _child("chi", "--surface", k3_file, "--v", vector, "--w", vector,
+                  *json_flag)
+    cls = CohClass(1, (int(LONG), 0), 0)
+    value = chi_tensor(STANDARD_K3, cls, cls)
+    assert len(str(value)) > 4300
+    assert proc.returncode == 0 and proc.stderr == ""
+    if json_flag:
+        assert json.loads(proc.stdout)["chi"] == value
+    else:
+        assert proc.stdout == f"{value}\n"
 
 
 def test_matrix_missing_d_is_input_error(capsys):

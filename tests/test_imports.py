@@ -79,3 +79,19 @@ def test_outside_integers_have_one_grammar():
                            and kw.value.id == "int" for kw in node.keywords)):
                 second_grammar.append(f"{name}:{node.lineno}")
     assert second_grammar == []
+
+
+def test_every_verify_case_is_built_by_one_constructor():
+    # a case's verdict is derived from its two printed sides, so a second
+    # constructor could only print one thing and decide by another
+    calls = []
+    for path in sorted(pathlib.Path(fmlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth-first, so an inner function overwrites its outer
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        calls += [f"{path.name}:{owner.get(id(node), '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "VerifyCase"]
+    assert calls == ["verify.py:_case"]

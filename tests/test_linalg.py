@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmlat.errors import InputError, SingularMatrixError
-from fmlat.linalg import (Mat, as_int, enc_mat, enc_q, enc_qseq, q, qvec,
-                          render_matrix)
+from fmlat.linalg import (Mat, as_int, enc_mat, enc_q, enc_qseq, parse_int, q,
+                          qvec, render_matrix)
 
 from helpers import small_q
 
@@ -24,6 +24,19 @@ def test_q_rejects_floats_and_garbage():
                 "1e3", "0.5", "1.5"):
         with pytest.raises(InputError):
             q(bad)
+
+
+def test_q_and_parse_int_cap_digits():
+    # CPython's default int/str limit; past it a parse would be unbounded
+    cap = "9" * 4300
+    assert q(cap) == parse_int(cap) == 10 ** 4300 - 1
+    assert q(f"-{cap}/{cap}") == -1
+    assert parse_int(f"+{cap}") == 10 ** 4300 - 1
+    for bad in (cap + "9", f"1/{cap}9", f"-{cap}9/2"):
+        with pytest.raises(InputError, match="more than 4300 digits"):
+            q(bad)
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        parse_int(f"-{cap}9")
 
 
 def test_as_int_accepts_only_ints():
@@ -49,8 +62,13 @@ def test_mat_shape_validation():
         with pytest.raises(InputError, match="expected a sequence"):
             Mat(bad)
     for bad in ("12", 5, None):
-        with pytest.raises(InputError, match="expected a sequence"):
-            qvec(bad)
+        for read in (qvec, enc_qseq):
+            with pytest.raises(InputError, match="expected a sequence"):
+                read(bad)
+    for bad in (5, None, [[1]], "12"):
+        for write in (enc_mat, render_matrix):
+            with pytest.raises(InputError, match="matrix must be of type Mat"):
+                write(bad)
     # an operand that is not a Mat
     for bad in (5, "x", None, [[1]], ((1,),)):
         for op in (lambda: Mat([[1]]) + bad, lambda: Mat([[1]]) - bad,

@@ -266,6 +266,13 @@ def test_restrict2_rejects_leaky_operator():
         restrict2(leaky)
 
 
+def test_apply_of_a_2x2_operator_points_to_its_matrix():
+    b_s = build(GoldenName.B_S)
+    with pytest.raises(InputError, match=r"B_S=.* is 2x2 .* \.matrix\.apply"):
+        b_s.apply(UNIT_CLASS)
+    assert b_s.matrix.apply((1, 2)) == (1, -2)   # (rank, fiber degree)
+
+
 # pairing preservation
 
 def pairing_preserved(op):

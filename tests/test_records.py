@@ -36,9 +36,9 @@ SAMPLES = {
     SDReport: lambda: build_report(FM2(3, 1, -7, -2), 6, 0, pair=_pair()),
     SearchTarget: lambda: SearchTarget(6, 0),
     SearchHit: lambda: search_phi(1, 8, SearchTarget(6, 0))[0],
-    VerifyCase: lambda: VerifyCase("id", "description", True, "1", "1"),
+    VerifyCase: lambda: VerifyCase("id", "description", "1", "1"),
     VerifyOutcome: lambda: VerifyOutcome(
-        "suite", 1, 1, (VerifyCase("id", "description", True, "1", "1"),)),
+        "suite", 1, 1, (VerifyCase("id", "description", "1", "1"),)),
 }
 RECORDS = list(SAMPLES)
 
