@@ -330,9 +330,8 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
         for tok in split_items(whole if value is None else value):
             try:
                 out.append(parse_int(tok))
-            except InputError:
-                raise InputError(
-                    f"{filename}:{lineno}: key {key!r}: not an integer: {tok!r}")
+            except InputError as exc:
+                raise InputError(f"{filename}:{lineno}: key {key!r}: {exc}") from None
         return out
 
     def int_scalar(key: str) -> int:

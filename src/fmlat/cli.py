@@ -20,7 +20,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
                    integrality_warnings, load_surface)
 from .errors import FmlatError, InputError
-from .linalg import Mat, enc_mat, enc_q, enc_qseq, parse_int, qvec, render_matrix
+from .linalg import Mat, _shown, enc_mat, enc_q, enc_qseq, parse_int, qvec, render_matrix
 from .operators import build
 from .sd import (SDPair, SDReport, SearchHit, SearchTarget, Theorem,
                  build_report, search_phi)
@@ -35,8 +35,8 @@ def _parse_d_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
         return parse_int(lo), parse_int(hi if sep else lo)
-    except InputError:
-        raise InputError(f"bad d range {text!r}; expected LO..HI") from None
+    except InputError as exc:
+        raise InputError(f"bad d range {_shown(text)} ({exc}); expected LO..HI") from None
 
 
 def _parse_vector(text: str) -> tuple:
@@ -46,11 +46,11 @@ def _parse_vector(text: str) -> tuple:
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     toks = text.split(",")
     if len(toks) != n:
-        raise InputError(f"{what} needs {n} comma-separated integers, got {text!r}")
+        raise InputError(f"{what} needs {n} comma-separated integers, got {_shown(text)}")
     try:
         return tuple(map(parse_int, toks))
-    except InputError:
-        raise InputError(f"{what}: not an integer in {text!r}") from None
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _int_arg(text: str) -> int:
@@ -81,9 +81,9 @@ def _write_json(doc) -> None:
     """Write doc to stdout exactly as `print(json.dumps(doc, indent=2))` would.
 
     Takes dicts with str keys, lists, tuples, strs, ints, bools and None, and
-    raises TypeError on anything else. A list may also be an iterator: each
-    of its elements is encoded and written as it comes, so a long list is
-    never held as one document or one string.
+    raises TypeError on anything else. A list may also be an iterator. Each
+    list element is written as soon as it is encoded, so a long list is
+    never held as one string.
     """
     out = sys.stdout
     parts: list[str] = []
@@ -110,17 +110,15 @@ def _write_json(doc) -> None:
             parts.append("{}" if sep == "{" else nl + "}")
         elif isinstance(obj, (list, tuple, Iterator)):
             inner, sep = nl + "  ", "["
-            streamed = isinstance(obj, Iterator)
-            if not streamed and obj and all(type(x) is int for x in obj):
+            if not isinstance(obj, Iterator) and obj and all(type(x) is int for x in obj):
                 parts.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{nl}]")
                 return
             for item in obj:
                 parts.append(sep + inner)
                 encode(item, inner)
                 sep = ","
-                if streamed:
-                    out.write("".join(parts))
-                    parts.clear()
+                out.write("".join(parts))
+                parts.clear()
             parts.append("[]" if sep == "[" else nl + "]")
         else:
             raise TypeError(f"Object of type {type(obj).__name__} "
@@ -138,20 +136,20 @@ def _emit(doc, json_mode: bool, text: str) -> None:
         print(text)
 
 
+def _case_lines(case: verify_mod.VerifyCase) -> str:
+    line = f"[{'PASS' if case.passed else 'FAIL'}] {case.id}  {case.description}\n"
+    return line if case.passed else f"{line}       lhs: {case.lhs}\n       rhs: {case.rhs}\n"
+
+
 def _cmd_verify(args) -> int:
     d_lo, d_hi = _parse_d_range(args.d_range)
     outcome = verify_mod.run_verify(d_lo, d_hi)
     if args.json:
         _write_json(outcome.to_json())
     else:
-        lines = [f"{outcome.suite}  (d = {d_lo}..{d_hi})"]
-        for case in outcome.cases:
-            mark = "PASS" if case.passed else "FAIL"
-            lines.append(f"[{mark}] {case.id}  {case.description}")
-            if not case.passed:
-                lines += [f"       lhs: {case.lhs}", f"       rhs: {case.rhs}"]
-        lines.append(f"summary: {outcome.n_passed} passed, {outcome.n_failed} failed")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(f"{outcome.suite}  (d = {d_lo}..{d_hi})\n")
+        sys.stdout.writelines(map(_case_lines, outcome.cases))
+        sys.stdout.write(f"summary: {outcome.n_passed} passed, {outcome.n_failed} failed\n")
     return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
 
 

@@ -12,12 +12,18 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .errors import InputError, SingularMatrixError
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 _MAX_DIGITS = 4300   # CPython's default int/str limit; keeps parsing bounded
+
+
+def _shown(x, n: int = 40) -> str:
+    """repr(x) for an error message, cut to n characters and "…" if longer."""
+    text = repr(x)
+    return text if len(text) <= n else text[:n] + "…"
 
 
 def q(x) -> int | Fraction:
@@ -40,7 +46,7 @@ def q(x) -> int | Fraction:
             raise InputError(f"an integer has more than {_MAX_DIGITS} digits")
         if int(den):
             return int(num) if den == "1" else qdiv(int(num), int(den))
-    raise InputError(f"not an exact rational: {x!r}")
+    raise InputError(f"not an exact rational: {_shown(x)}")
 
 
 def parse_int(text: str) -> int:
@@ -48,7 +54,7 @@ def parse_int(text: str) -> int:
     with ASCII digits only; the one reader of integers from outside text."""
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None or match[2] is not None:
-        raise InputError(f"not an integer: {text!r}")
+        raise InputError(f"not an integer: {_shown(text)}")
     return q(match[1])
 
 
@@ -152,7 +158,8 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        frozen = qgrid(rows)
+        frozen = tuple([tuple([x if type(x) is int else q(x) for x in _items(row)])
+                        for row in _items(rows)])
         if not frozen or not frozen[0]:
             raise InputError("matrix must be nonempty")
         if any(len(r) != len(frozen[0]) for r in frozen):
@@ -190,16 +197,14 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(tuple(a + b for a, b in zip(ra, rb))
-                   for ra, rb in zip(self.rows, other.rows))
+        return Mat(map(add, ra, rb) for ra, rb in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(tuple(a - b for a, b in zip(ra, rb))
-                   for ra, rb in zip(self.rows, other.rows))
+        return Mat(map(sub, ra, rb) for ra, rb in zip(self.rows, other.rows))
 
     def __neg__(self) -> "Mat":
-        return Mat(tuple(-a for a in row) for row in self.rows)
+        return Mat(map(neg, row) for row in self.rows)
 
     def __rmul__(self, k) -> "Mat":
         k = q(k)

@@ -135,6 +135,7 @@ _NEEDS_D = {GoldenName.TensorL1, GoldenName.Tw_d, GoldenName.FM_Pd,
 
 
 _SIGMA_CH = ch_line_bundle(STANDARD_K3, (1, 0))
+_FM_PD_RIGHT = op_pi_tensor(_SIGMA_CH) - op_tensor(_SIGMA_CH)   # FM_Pd's d-free factor
 
 
 def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
@@ -170,8 +171,7 @@ def build(name: GoldenName, d: int | None = None,
     elif name is GoldenName.PiPushPullSigma:
         op = op_pi_tensor(_SIGMA_CH)
     elif name is GoldenName.FM_Pd:
-        inner = op_pi_tensor(_SIGMA_CH) - op_tensor(_SIGMA_CH)
-        op = op_tensor(pd_line_class(d)) @ inner
+        op = op_tensor(pd_line_class(d)) @ _FM_PD_RIGHT
     elif name is GoldenName.Tw_d:
         op = op_tensor(pd_pushforward_twist_class(d))
     elif name is GoldenName.FM_Fd:

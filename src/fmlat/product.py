@@ -23,7 +23,7 @@ from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, to_coords, todd)
 from .errors import InputError
 from .linalg import Mat, _Record, _expect, as_member, q, qgrid, qvec
-from .operators import Operator, _check_d, _tensor_rows
+from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
 
 
 class Side(Enum):
@@ -84,7 +84,6 @@ F_CROSS_F = _single(2, 2)      # [f x f]
 POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f
 DELTA = ProductClass(((0,) * 4,) * 4, (1, 0, 0))
-_PD_BASE = PI - F_CROSS_F - DELTA + 2 * POINT   # the d-free factor of "Pd"
 
 _BASIS_LABELS = ("1", "sigma", "f", "*")
 
@@ -174,6 +173,12 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     return ProductClass(tuple(tuple(row) for row in dec), tuple(diag))
 
 
+# the d-free factors of "Pd": its base class, and that times the second-factor
+# pull of ch O(sigma), taken first since the ring is commutative and associative
+_PD_BASE = PI - F_CROSS_F - DELTA + 2 * POINT
+_PD_BASE_SIGMA = prod_mult(_PD_BASE, pull(Side.SECOND, _SIGMA_CH))
+
+
 def _geometric_inverse(t: ProductClass) -> ProductClass:
     # inverse of 1 + n with n nilpotent: alternating powers of n
     n = t - UNIT
@@ -225,8 +230,7 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
     # pull is a ring map: multiply the first-factor line bundles on X first
     first = mult(STANDARD_K3, ch_line_bundle(STANDARD_K3, (d + 1, 0)),
                  ch_line_bundle(STANDARD_K3, (0, 2 * (d + 1))))
-    out = prod_mult(_PD_BASE, pull(Side.FIRST, first))
-    return prod_mult(out, pull(Side.SECOND, ch_line_bundle(STANDARD_K3, (1, 0))))
+    return prod_mult(_PD_BASE_SIGMA, pull(Side.FIRST, first))
 
 
 def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:

@@ -18,8 +18,8 @@ from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
 from .linalg import Mat, _Record, as_int
-from .operators import (GoldenName, _fm_fd, build, op_pi_tensor, op_tensor,
-                        restrict2)
+from .operators import (_NEEDS_D, GoldenName, _fm_fd, build, op_pi_tensor,
+                        op_tensor, restrict2)
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
                       push, render_product_class)
 from .sd import Theorem, sd_check
@@ -80,7 +80,7 @@ def _first_diff(a: Mat, b: Mat) -> str:
 
 
 def _mat_str(m: Mat) -> str:
-    return "[" + "; ".join(" ".join(str(x) for x in row) for row in m.rows) + "]"
+    return "[" + "; ".join(" ".join(map(str, row)) for row in m.rows) + "]"
 
 
 def _case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
@@ -101,9 +101,10 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     golden = operators.golden
     cases: list[VerifyCase] = []
     d_range = range(d_lo, d_hi + 1)
-    # each degree's FM_Pd and kernel class serve several sections below
+    # each degree's FM_Pd, kernel class and tables serve several sections below
     fm_pd = {d: build(GoldenName.FM_Pd, d=d) for d in d_range}
     kernels = {d: kernel_class("Pd", d) for d in d_range}
+    tables = {(name, d): golden(name, d=d) for name in _NEEDS_D for d in d_range}
 
     # reference tables against operator compositions
     for d in d_range:
@@ -115,7 +116,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
                 f"golden_vs_built:{name.value}:d={d}",
                 f"{name.value} built from elementary operators matches the "
                 f"pinned table at d={d}",
-                op.matrix, golden(name, d=d)))
+                op.matrix, tables[name, d]))
     for name in (GoldenName.TensorSigma, GoldenName.PiPushPull,
                  GoldenName.PiPushPullSigma, GoldenName.A_S,
                  GoldenName.A_Sprime, GoldenName.B_S):
@@ -149,7 +150,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
             f"FM_Pd at d={d}",
             product.fm_matrix(kernels[d],
                               FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
-            golden(GoldenName.FM_Pd, d=d)))
+            tables[GoldenName.FM_Pd, d]))
     cases.append(_case(
         "grr_vs_golden:A_S",
         "transform of the diagonal-ideal kernel class equals the pinned A_S",
@@ -176,9 +177,9 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         "diagonal-ideal kernel class is Pi - [f x f] - Delta + 2[*]",
         render_product_class(kernel_class("IDelta")),
         render_product_class(idelta_expected)))
+    todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
     for d in d_range:
-        pushed = push(Side.SECOND, prod_mult(
-            kernels[d], pull(Side.FIRST, chow.todd(STANDARD_K3))))
+        pushed = push(Side.SECOND, prod_mult(kernels[d], todd_first))
         expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
         cases.append(_case(
             f"product:pd_pushforward:d={d}",
@@ -199,7 +200,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         # recorded fixture: the rank-(d+1) kernel transform preserves it too
         for name, note in ((GoldenName.FM_Pd, ""),
                            (GoldenName.FM_Fd, " (recorded fixture)")):
-            m = golden(name, d=d)
+            m = tables[name, d]
             cases.append(_case(
                 f"pairing:{name.value}:d={d}",
                 f"{name.value} preserves the Euler pairing at d={d}{note}",

@@ -205,6 +205,8 @@ def test_too_many_digits_exit_two(tmp_path, argv):
     proc = _child(*[str(long_cfg) if arg == "@long.cfg" else arg for arg in argv])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # the reason is the digit cap, and the number is not echoed in full
+    assert "more than 4300 digits" in proc.stderr and len(proc.stderr) < 300
 
 
 def test_long_matrix_entries_print_in_full(long_int_str):

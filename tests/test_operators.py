@@ -80,6 +80,15 @@ def test_apply_is_linear(v, w, a, b):
     assert op.apply(a * v + b * w) == a * op.apply(v) + b * op.apply(w)
 
 
+def test_fm_pd_matches_its_composition_built_per_degree():
+    # build takes the d-free right factor from a module constant
+    right = op_pi_tensor(SIGMA_CH) - op_tensor(SIGMA_CH)
+    for d in range(1, 65):
+        reference = op_tensor(pd_line_class(d)) @ right
+        op = build(GoldenName.FM_Pd, d=d)
+        assert (op.matrix, op.label) == (reference.matrix, f"FM_Pd={reference.label}")
+
+
 def test_composition_and_sum_are_matrix_operations():
     x = build(GoldenName.FM_Pd, d=1)
     y = golden_op(GoldenName.A_S)

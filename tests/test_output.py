@@ -1,5 +1,5 @@
 """How the CLI writes to stdout: the JSON writer, a reader that closes the
-pipe early, and the memory a large --json search needs."""
+pipe early, and the memory a large search or verify needs."""
 
 import contextlib
 import io
@@ -76,6 +76,22 @@ def test_iterator_elements_are_written_as_they_come():
     assert json.loads(out.getvalue()) == {"hits": [{"i": i} for i in range(3)]}
 
 
+def test_list_elements_are_written_as_they_come():
+    out = io.StringIO()
+    seen = []
+
+    def probe():
+        seen.append(out.getvalue())
+        yield 1
+
+    with contextlib.redirect_stdout(out):
+        _write_json({"cases": [{"id": "a"}, {"id": "b", "sides": probe()}]})
+    # the first element is on stdout before the second is encoded
+    assert seen[0].endswith('"id": "a"\n    }')
+    assert json.loads(out.getvalue()) == {
+        "cases": [{"id": "a"}, {"id": "b", "sides": [1]}]}
+
+
 @pytest.mark.parametrize("bad", [1.5, 0.0, Fraction(1, 2), {1, 2}, frozenset(),
                                  b"x", object(), {1: "int key"}])
 def test_writer_rejects_other_types(bad):
@@ -103,17 +119,17 @@ def test_closed_pipe_exits_141_without_traceback(json_flag):
 
 # memory
 
-# A small launcher spawns each search with stdout on os.devnull and reads
-# that child's own peak RSS from wait4. A child's ru_maxrss starts at the
-# peak of the process that spawned it, so the launcher must stay smaller
-# than the children, which rules out spawning them from this test process;
+# A small launcher spawns each fmlat command line it is given (one argument
+# each, split on spaces) with stdout on os.devnull and reads that child's
+# own peak RSS from wait4. A child's ru_maxrss starts at the peak of the
+# process that spawned it, so the launcher must stay smaller than the
+# children, which rules out spawning them from this test process;
 # RUSAGE_CHILDREN would keep the maximum over every earlier child.
 _PEAK_RSS = """
 import os, sys
 null = os.open(os.devnull, os.O_WRONLY)
-for bound in sys.argv[1:]:
-    argv = [sys.executable, "-m", "fmlat.cli", "search", "--lambda", "1",
-            "--bound", bound, "--dv", "6", "--dw", "0", "--json"]
+for command in sys.argv[1:]:
+    argv = [sys.executable, "-m", "fmlat.cli", *command.split()]
     pid = os.posix_spawn(sys.executable, argv, os.environ,
                          file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])
     _, status, usage = os.wait4(pid, 0)
@@ -121,13 +137,29 @@ for bound in sys.argv[1:]:
 """
 
 
-def test_large_json_search_peak_rss_stays_near_a_small_one():
-    done = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, "8", "210"],
+def peak_rss_kib(*commands: str) -> list[tuple[int, int]]:
+    """(exit code, peak RSS in KiB) of each command, run one at a time."""
+    done = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *commands],
                           capture_output=True, text=True, env=CHILD_ENV,
                           timeout=120, check=True)
-    (small_exit, small_kib), (large_exit, large_kib) = (
-        map(int, line.split()) for line in done.stdout.splitlines())
+    return [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+
+
+def test_large_json_search_peak_rss_stays_near_a_small_one():
+    search = "search --lambda 1 --dv 6 --dw 0 --json --bound"
+    (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
+        f"{search} 8", f"{search} 210")
     assert (small_exit, large_exit) == (0, 0)
     # 3,248 hits and 2.5 MB of JSON at bound 210; the report dicts and the
     # text once took about 24 MiB more than bound 8
     assert large_kib - small_kib < 6 * 1024
+
+
+@pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])
+def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
+    (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
+        f"verify --d-range 1..1{json_flag}", f"verify --d-range 1..64{json_flag}")
+    assert (small_exit, large_exit) == (0, 0)
+    # 726 cases and 186 kB of JSON over 1..64; the whole document once
+    # took about 1.2 MiB more than 1..1
+    assert large_kib - small_kib < 1024

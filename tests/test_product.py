@@ -10,7 +10,7 @@ from fmlat.chow import (CohClass, FIBER_CLASS, POINT_CLASS, SIGMA_CLASS,
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
                              op_tensor, pd_pushforward_twist_class)
-from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT,
+from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, FMOrientation, PI, POINT,
                            ProductClass, Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
                            prod_mult, product_todd, pull, push,
                            render_product_class)
@@ -207,6 +207,17 @@ def test_kernel_pd_pushforward_rank_class(d):
     # and untwisting is exact: ch of the inverse twist is 1 - 2f
     back = mult(S, pd_pushforward_twist_class(d), from_coords((1, 0, -2, 0)))
     assert back == pushed
+
+
+def test_kernel_pd_matches_the_two_step_product():
+    # kernel_class takes the d-free factor first; the reference multiplies
+    # by the first-factor pull, then by the second-factor pull of ch O(sigma)
+    sigma_ch = ch_line_bundle(S, (1, 0))
+    for d in range(1, 65):
+        first = mult(S, ch_line_bundle(S, (d + 1, 0)), ch_line_bundle(S, (0, 2 * (d + 1))))
+        reference = prod_mult(prod_mult(_PD_BASE, pull(Side.FIRST, first)),
+                              pull(Side.SECOND, sigma_ch))
+        assert kernel_class("Pd", d) == reference
 
 
 def test_kernel_pd_requires_positive_degree():
