@@ -295,6 +295,9 @@ def pairing_gram() -> Mat:
 # Surface description files: plain "key = value" lines, '#' comments.
 # gram rows are separated by ';'. Vector entries split on commas or spaces.
 
+# load_surface reads at most this many characters; a K3 file is about 130
+MAX_SURFACE_CHARS = 65536
+
 _SURFACE_KEYS = ("name", "chi_O", "basis", "gram", "fiber", "section",
                  "canonical", "lambda")
 _REQUIRED_KEYS = ("name", "chi_O", "basis", "gram", "fiber", "canonical")
@@ -366,7 +369,10 @@ def load_surface(path: str | os.PathLike) -> SurfaceDescriptor:
         raise InputError(f"surface file must be a path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_SURFACE_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read surface file {path}: {exc}") from exc
+    if len(text) > MAX_SURFACE_CHARS:
+        raise InputError(f"surface file {path} is longer than "
+                         f"{MAX_SURFACE_CHARS} characters")
     return parse_surface(text, filename=str(path))

@@ -22,7 +22,7 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dual, fdeg, is_standard_k3, moduli_dim_k3, mult)
 from .errors import AdmissibilityError, InputError
-from .linalg import _Record, _expect, as_int, as_member, enc_qseq
+from .linalg import _Record, _expect, _shown, as_int, as_member, enc_qseq
 
 
 class Theorem(Enum):
@@ -260,6 +260,10 @@ class SearchHit(_Record):
         self._fill(phi, report)
 
 
+# 499,500 (c, a) pairs and, untargeted at lambda 1, 302,194 hits
+MAX_SEARCH_BOUND = 1000
+
+
 def search_phi(lam: int, bound: int,
                target: SearchTarget | None = None) -> list[SearchHit]:
     """Enumerate admissible kernel matrices with bounded entries.
@@ -268,6 +272,8 @@ def search_phi(lam: int, bound: int,
     lambda | e, c > a and -b > a. Hits come out in lexicographic (c, a, e,
     b) order; with a target only matrices passing that theorem check
     survive, each carrying its report. An empty result is a valid outcome.
+    A bound above MAX_SEARCH_BOUND (1,000) is an InputError, raised before
+    any work.
 
     Cost is O(bound^2 + hits): for each coprime (c, a) the admissible e lie
     on one residue class modulo c.lambda below a cap set by -b > a, and a
@@ -275,6 +281,9 @@ def search_phi(lam: int, bound: int,
     """
     if as_int("bound", bound) < 1:
         raise InputError(f"bound must be a positive integer, got {bound!r}")
+    if bound > MAX_SEARCH_BOUND:
+        raise InputError(f"bound must be at most {MAX_SEARCH_BOUND}, "
+                         f"got {_shown(bound)}")
     if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {lam!r}")
     if target is not None:
@@ -283,6 +292,9 @@ def search_phi(lam: int, bound: int,
         # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
         above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
+    # one int object per distinct e or b value (at most 2.bound + 1), so an
+    # untargeted hit holds only its two records
+    shared = {}.setdefault
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2
         # cb - ae = 1 with lambda | e needs gcd(c, lambda) = 1
         if math.gcd(c, lam) != 1:
@@ -299,7 +311,8 @@ def search_phi(lam: int, bound: int,
             # e >= -bound and c > a already give b > -bound
             hi = (-c * (a + 1) - 1) // a
             for e in range(-bound + (residue + bound) % step, hi + 1, step):
-                phi = FM2(c, a, e, (1 + a * e) // c, lam)
+                b = (1 + a * e) // c
+                phi = FM2(c, a, shared(e, e), shared(b, b), lam)
                 if target is None:
                     hits.append(SearchHit(phi))
                     continue

@@ -478,6 +478,19 @@ def test_load_surface_takes_only_paths():
             os.close(r)
 
 
+def test_load_surface_reads_a_bounded_number_of_characters(tmp_path):
+    from fmlat.chow import MAX_SURFACE_CHARS, load_surface
+    path = tmp_path / "k3.cfg"
+    # the limit counts characters, not bytes: é is two bytes in UTF-8
+    padding = MAX_SURFACE_CHARS - len(GOOD_CFG) - 2
+    path.write_text(GOOD_CFG + "#" + "\u00e9" * padding + "\n", encoding="utf-8")
+    assert is_standard_k3(load_surface(path))
+    path.write_text(GOOD_CFG + "#" + "\u00e9" * (padding + 1) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=f"longer than {MAX_SURFACE_CHARS}"):
+        load_surface(path)
+
+
 def test_load_surface_missing_file(tmp_path):
     from fmlat.chow import load_surface
     with pytest.raises(InputError, match="cannot read"):

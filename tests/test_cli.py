@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -175,11 +176,18 @@ def test_console_entry_point_subprocess(tmp_path):
 TOO_LONG, LONG = "9" * 5000, "9" * 2500
 
 
-def _child(*argv):
+def _cap_memory():
+    # 512 MiB of address space: a child that reads or searches without
+    # bound ends in a MemoryError instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+
+
+def _child(*argv, **env):
     src = pathlib.Path(fmlat.__file__).parent.parent
     return subprocess.run([sys.executable, "-m", "fmlat.cli", *argv],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env={**os.environ, "PYTHONPATH": str(src), **env},
+                          preexec_fn=_cap_memory)
 
 
 @pytest.fixture
@@ -318,6 +326,19 @@ def test_chi_non_utf8_surface_is_input_error(capsys, tmp_path):
     assert "cannot read surface file" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_chi_endless_surface_file_exits_two(via_env):
+    vectors = ("--v", "1,0,0,0", "--w", "1,0,0,0")
+    if via_env:
+        proc = _child("chi", *vectors, FMLAT_SURFACE="/dev/zero")
+    else:
+        proc = _child("chi", "--surface", "/dev/zero", *vectors)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: surface file /dev/zero is longer than "
+                           "65536 characters\n")
+
+
 def test_chi_json_roundtrip(capsys, k3_file):
     code, out, _ = run(capsys, "chi", "--surface", k3_file,
                        "--v", "1,0,0,-1/2", "--w", "1,1,0,0", "--json")
@@ -428,6 +449,12 @@ def test_search_streams_hits(capsys):
     assert code == 0
     assert "3,1,-7,-2" in out
     assert "hit(s)" in err
+
+
+def test_search_bound_above_the_cap_exits_two():
+    proc = _child("search", "--lambda", "1", "--bound", "100000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: bound must be at most 1000, got 100000\n"
 
 
 def test_search_empty_result_is_ok(capsys):

@@ -155,6 +155,16 @@ def test_large_json_search_peak_rss_stays_near_a_small_one():
     assert large_kib - small_kib < 6 * 1024
 
 
+def test_untargeted_search_peak_rss_stays_near_a_small_one():
+    search = "search --lambda 1 --bound"
+    (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
+        f"{search} 8", f"{search} 214")
+    assert (small_exit, large_exit) == (0, 0)
+    # 13,548 hits at bound 214 add about 1.6 MiB when hits share their e
+    # and b ints, and about 2.4 MiB with a fresh int for each
+    assert large_kib - small_kib < 2 * 1024
+
+
 @pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])
 def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
     (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(

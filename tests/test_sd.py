@@ -1,5 +1,7 @@
 import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -535,6 +537,33 @@ def test_search_validates_inputs():
     for lam, bound in ((1, 0), (0, 5), (1, 8.0), (1, "8"), (True, 8), (1.0, 8)):
         with pytest.raises(InputError):
             search_phi(lam, bound)
+
+
+def test_search_bound_cap_is_checked_before_any_work():
+    assert sd.MAX_SEARCH_BOUND == 1000
+    with pytest.raises(InputError, match="at most 1000"):
+        search_phi(1, 1001)
+    with pytest.raises(InputError, match="at most 1000"):
+        search_phi(1, 10 ** 4000, SearchTarget(6, 0))
+    # the cap itself is allowed; this target's c-window is empty
+    start = time.perf_counter()
+    assert search_phi(1, 1000, SearchTarget(100, -100)) == []
+    assert time.perf_counter() - start < 2
+
+
+def test_search_hits_share_entry_ints():
+    search_phi(1, 8)   # warm up lazy state outside the trace
+    tracemalloc.start()
+    try:
+        hits = search_phi(1, 150)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a SearchHit and its FM2 are about 129 bytes; a fresh int for each
+    # hit's e and b made it about 190
+    assert len(hits) == 6560
+    assert retained / len(hits) <= 160
+    assert len({id(hit.phi.e) for hit in hits}) <= 2 * 150 + 1
 
 
 def test_mo_base_check_rejects_higher_rank():
