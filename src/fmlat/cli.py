@@ -23,7 +23,7 @@ from .errors import FmlatError, InputError
 from .linalg import Mat, _shown, enc_mat, enc_q, enc_qseq, parse_int, qvec, render_matrix
 from .operators import build
 from .sd import (SDPair, SDReport, SearchHit, SearchTarget, Theorem,
-                 build_report, search_phi)
+                 build_report, search_phi, transformed_ranks)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -243,16 +243,18 @@ def _cmd_sd_check(args) -> int:
     return EXIT_OK if report.check.passed else EXIT_CHECK_FAILED
 
 
-def _hit_json(hit: SearchHit) -> dict:
+def _hit_json(hit: SearchHit, target: SearchTarget | None) -> dict:
     return {"phi": list(hit.phi.entries()),
-            "report": hit.report.to_json() if hit.report else None}
+            "report": None if target is None else build_report(
+                hit.phi, target.d_v, target.d_w, target.theorem,
+                t_v=target.t_v, t_w=target.t_w).to_json()}
 
 
-def _hit_line(hit: SearchHit) -> str:
+def _hit_line(hit: SearchHit, target: SearchTarget | None) -> str:
     line = ",".join(str(x) for x in hit.phi.entries())
-    if hit.report is not None:
-        line += (f"   rk_xi_v={hit.report.check.rk_xi_v}"
-                 f" rk_phi_w={hit.report.check.rk_phi_w}")
+    if target is not None:
+        rk_xi_v, rk_phi_w = transformed_ranks(hit.phi, target.d_v, target.d_w)
+        line += f"   rk_xi_v={rk_xi_v} rk_phi_w={rk_phi_w}"
     return line + "\n"
 
 
@@ -271,9 +273,9 @@ def _cmd_search(args) -> int:
                      "target": None if target is None else {
                          "d_v": target.d_v, "d_w": target.d_w,
                          "theorem": target.theorem.value},
-                     "hits": map(_hit_json, hits)})
+                     "hits": (_hit_json(hit, target) for hit in hits)})
     else:
-        sys.stdout.writelines(map(_hit_line, hits))
+        sys.stdout.writelines(_hit_line(hit, target) for hit in hits)
         print(f"# {len(hits)} hit(s)", file=sys.stderr)
     return EXIT_OK
 

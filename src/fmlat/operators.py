@@ -143,6 +143,8 @@ def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
     names in _NEEDS_D, a two-entry divisor exactly for A_TL."""
     name = as_member("matrix name", GoldenName, name)
     if name in _NEEDS_D:
+        if d is None:
+            raise InputError(f"{name.value} needs a kernel degree d")
         _check_d(d)
     elif d is not None:
         raise InputError(f"{name.value} takes no kernel degree d, got {d!r}")

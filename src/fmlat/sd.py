@@ -254,10 +254,10 @@ class SearchTarget(_Record):
 
 
 class SearchHit(_Record):
-    __slots__ = ("phi", "report")
+    __slots__ = ("phi",)
 
-    def __init__(self, phi: FM2, report: SDReport | None = None):
-        self._fill(phi, report)
+    def __init__(self, phi: FM2):
+        self._fill(phi)
 
 
 # 499,500 (c, a) pairs and, untargeted at lambda 1, 302,194 hits
@@ -271,13 +271,14 @@ def search_phi(lam: int, bound: int,
     Constraints: |c|, |a|, |e|, |b| <= bound, determinant one, a > 0,
     lambda | e, c > a and -b > a. Hits come out in lexicographic (c, a, e,
     b) order; with a target only matrices passing that theorem check
-    survive, each carrying its report. An empty result is a valid outcome.
-    A bound above MAX_SEARCH_BOUND (1,000) is an InputError, raised before
-    any work.
+    survive. An empty result is a valid outcome. A bound above
+    MAX_SEARCH_BOUND (1,000) is an InputError, raised before any work.
 
     Cost is O(bound^2 + hits): for each coprime (c, a) the admissible e lie
     on one residue class modulo c.lambda below a cap set by -b > a, and a
-    target's thresholds depend on (c, a) alone.
+    target's check depends on (c, a) alone: its margins are exactly
+    a(d_v - t_v) - c and c - a(t_w - d_w), so the window between those two
+    ends is the whole check.
     """
     if as_int("bound", bound) < 1:
         raise InputError(f"bound must be a positive integer, got {bound!r}")
@@ -292,8 +293,8 @@ def search_phi(lam: int, bound: int,
         # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
         above, below = t_w - target.d_w, target.d_v - t_v
     hits: list[SearchHit] = []
-    # one int object per distinct e or b value (at most 2.bound + 1), so an
-    # untargeted hit holds only its two records
+    # one int object per distinct e or b value (at most 2.bound + 1), so a
+    # hit holds only its two records
     shared = {}.setdefault
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2
         # cb - ae = 1 with lambda | e needs gcd(c, lambda) = 1
@@ -312,13 +313,5 @@ def search_phi(lam: int, bound: int,
             hi = (-c * (a + 1) - 1) // a
             for e in range(-bound + (residue + bound) % step, hi + 1, step):
                 b = (1 + a * e) // c
-                phi = FM2(c, a, shared(e, e), shared(b, b), lam)
-                if target is None:
-                    hits.append(SearchHit(phi))
-                    continue
-                report = build_report(phi, target.d_v, target.d_w,
-                                      target.theorem,
-                                      t_v=target.t_v, t_w=target.t_w)
-                if report.check.passed:
-                    hits.append(SearchHit(phi, report))
+                hits.append(SearchHit(FM2(c, a, shared(e, e), shared(b, b), lam)))
     return hits

@@ -241,9 +241,11 @@ def test_long_chi_prints_in_full(k3_file, long_int_str, json_flag):
 
 
 def test_matrix_missing_d_is_input_error(capsys):
-    code, _, err = run(capsys, "matrix", "FM_Pd")
-    assert code == 2
-    assert "error:" in err
+    # named like "A_TL needs a divisor", not "must be an integer, got None"
+    for argv in (("matrix", "FM_Pd"), ("matrix", "TensorL1"),
+                 ("transform", "--matrix", "FM_Pd", "--vector", "1,0,0,1")):
+        name = argv[1] if argv[0] == "matrix" else argv[2]
+        assert run(capsys, *argv) == (2, "", f"error: {name} needs a kernel degree d\n")
 
 
 def test_matrix_rejects_parameters_the_name_ignores(capsys):

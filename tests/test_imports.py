@@ -26,8 +26,9 @@ def test_no_unused_top_level_imports():
     assert unused == []
 
 
-# The paper's birationality step. Its coming caller is `cover` (ROADMAP
-# item 5), whose certificate prints both verdicts; without that caller it goes.
+# The paper's birationality step. Its coming callers are `reduce` (ROADMAP
+# item 2), which prints its verdict, and `cover` (item 4), whose certificate
+# prints both; without those callers it goes.
 UNUSED_ON_PURPOSE = {"gen_birat_classify"}
 
 
@@ -95,3 +96,15 @@ def test_every_verify_case_is_built_by_one_constructor():
                   and getattr(node.func, "id", getattr(node.func, "attr", None))
                   == "VerifyCase"]
     assert calls == ["verify.py:_case"]
+
+
+def test_the_search_window_is_its_only_check():
+    # sd_check's margins are exactly (a.below - c, c - a.above), so a
+    # targeted search states its check once, as its c-window; a second
+    # statement could only cost a report per hit
+    path = pathlib.Path(fmlat.__file__).parent / "sd.py"
+    search = next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "search_phi")
+    names = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(search) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert names & {"build_report", "sd_check", "SDReport", "passed"} == set()

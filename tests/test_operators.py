@@ -145,6 +145,11 @@ def test_build_needs_d_where_parameterized():
 
 @pytest.mark.parametrize("fn", [build, golden])
 def test_build_and_golden_share_argument_check(fn):
+    for name in (GoldenName.TensorL1, GoldenName.Tw_d, GoldenName.FM_Pd,
+                 GoldenName.FM_Fd):
+        # like "A_TL needs a divisor", not "must be an integer, got None"
+        with pytest.raises(InputError, match=f"^{name.value} needs a kernel degree d$"):
+            fn(name)
     with pytest.raises(InputError, match="2 entries"):
         fn(GoldenName.A_TL, divisor=(1, 2, 3))
     for bad in ("12", 5):

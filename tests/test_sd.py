@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fmlat.cli as cli
 import fmlat.sd as sd
 from fmlat.bridgeland import FM2, random_admissible
 from fmlat.chow import (CohClass, STANDARD_K3, ch_line_bundle, chi_tensor, dot,
@@ -353,7 +354,7 @@ def test_build_report_notes_lambda_mismatch():
     assert build_report(WORKED_PHI, 0, 1, pair=pair).notes == ()
 
 
-def test_report_is_built_once(monkeypatch):
+def test_report_is_built_once(monkeypatch, capsys):
     built = []
 
     class CountingReport(sd.SDReport):
@@ -366,9 +367,16 @@ def test_report_is_built_once(monkeypatch):
     build_report(WORKED_PHI, 6, 0, theorem=Theorem.GENERAL, pair=pair)
     assert len(built) == 1
     built.clear()
+    # the search keeps matrices only; `search --json` reports each hit as it
+    # writes it, and text `search` prints two ranks and reports none
     hits = search_phi(1, 40, SearchTarget(6, 0))
-    assert len(hits) == 102
-    assert len(built) == len(hits)
+    assert len(hits) == 102 and built == []
+    argv = ["search", "--lambda", "1", "--bound", "40", "--dv", "6", "--dw", "0"]
+    assert cli.main(argv + ["--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["hits"]) == len(built) == 102
+    built.clear()
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102 and built == []
 
 
 def test_sdpair_requires_rank_one():
@@ -492,7 +500,8 @@ def test_k3_pass_makes_rank_margins_at_least_2a_minus_2():
             continue
         for lam in range(1, 5):
             for hit in search_phi(lam, 40, target):
-                res, a = hit.report.check, hit.phi.a
+                res = sd_check(Theorem.K3, hit.phi, target.d_v, target.d_w)
+                a = hit.phi.a
                 assert res.passed
                 assert min(res.rk_xi_v, res.rk_phi_w) > 2 * a
                 assert min(res.rank_margins) >= 2 * a - 2
@@ -502,6 +511,12 @@ def test_k3_pass_makes_rank_margins_at_least_2a_minus_2():
 
 @pytest.mark.parametrize("target", REFERENCE_TARGETS, ids=repr)
 def test_search_matches_cubic_reference(target):
+    def reported(phis):
+        # each hit with the report `search --json` prints for it
+        return [(phi, None if target is None else build_report(
+            phi, target.d_v, target.d_w, theorem=target.theorem,
+            t_v=target.t_v, t_w=target.t_w)) for phi in phis]
+
     def documents(hits):
         return [(phi.entries(), None if report is None else report.to_json())
                 for phi, report in hits]
@@ -512,14 +527,15 @@ def test_search_matches_cubic_reference(target):
         for bound in range(1, top + 1):
             # the reference at a smaller bound keeps exactly the hits whose
             # entries all lie within it
-            expected = [hit for hit in reference
-                        if max(map(abs, hit[0].entries())) <= bound]
-            got = [(hit.phi, hit.report)
-                   for hit in search_phi(lam, bound, target)]
+            expected = [phi for phi, _ in reference
+                        if max(map(abs, phi.entries())) <= bound]
+            got = [hit.phi for hit in search_phi(lam, bound, target)]
             assert got == expected, (lam, bound)
-        assert documents(got) == documents(reference)
-    assert _cubic_reference_search(2, 12, target) == [
-        (hit.phi, hit.report) for hit in search_phi(2, 12, target)]
+        # every hit passes the reference's sd_check and reports exactly that
+        assert reported(got) == reference
+        assert documents(reported(got)) == documents(reference)
+    assert _cubic_reference_search(2, 12, target) == reported(
+        hit.phi for hit in search_phi(2, 12, target))
 
 
 def test_search_with_target_contains_worked_example():
@@ -527,10 +543,8 @@ def test_search_with_target_contains_worked_example():
     entries = [hit.phi.entries() for hit in hits]
     assert (3, 1, -7, -2) in entries
     for hit in hits:
-        assert hit.report is not None
-        assert hit.report.verdict(Theorem.K3) == "pass"
         res = sd_check(Theorem.K3, hit.phi, 6, 0)
-        assert res.passed
+        assert res.passed and res.verdict == "pass"
 
 
 def test_search_validates_inputs():
@@ -559,11 +573,31 @@ def test_search_hits_share_entry_ints():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # a SearchHit and its FM2 are about 129 bytes; a fresh int for each
+    # a SearchHit and its FM2 are about 121 bytes; a fresh int for each
     # hit's e and b made it about 190
     assert len(hits) == 6560
     assert retained / len(hits) <= 160
     assert len({id(hit.phi.e) for hit in hits}) <= 2 * 150 + 1
+
+
+def test_targeted_hits_cost_what_untargeted_ones_do():
+    # this window admits every matrix; a targeted hit that also held its
+    # report took about 470 bytes against 121 (Python 3.11)
+    everything = SearchTarget(10 ** 6, 10 ** 6)
+    search_phi(1, 8, everything)   # warm up lazy state outside the trace
+    retained, phis = {}, {}
+    for target in (None, everything):
+        tracemalloc.start()
+        try:
+            hits = search_phi(1, 150, target)
+            retained[target] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        phis[target] = [hit.phi for hit in hits]
+        del hits
+    assert len(phis[None]) == 6560
+    assert phis[everything] == phis[None]
+    assert retained[everything] <= 1.1 * retained[None]
 
 
 def test_mo_base_check_rejects_higher_rank():
