@@ -27,7 +27,7 @@ from enum import Enum
 
 from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      InputError)
-from .linalg import Mat, _Record, _expect, as_int
+from .linalg import Mat, _Record, _expect, _shown, as_int
 
 
 class FM2(_Record):
@@ -39,15 +39,15 @@ class FM2(_Record):
         for label, x in (("c", c), ("a", a), ("e", e), ("b", b), ("lam", lam)):
             as_int(label, x)
         if lam <= 0:
-            raise InputError(f"lambda must be positive, got {lam}")
+            raise InputError(f"lambda must be positive, got {_shown(lam)}")
         failures = []
         det = c * b - a * e
         if det != 1:
-            failures.append(f"determinant cb - ae = {det}, must be 1")
+            failures.append(f"determinant cb - ae = {_shown(det)}, must be 1")
         if a <= 0:
-            failures.append(f"a = {a}, must be positive")
+            failures.append(f"a = {_shown(a)}, must be positive")
         if e % lam != 0:
-            failures.append(f"e = {e} is not a multiple of lambda = {lam}")
+            failures.append(f"e = {_shown(e)} is not a multiple of lambda = {_shown(lam)}")
         if failures:
             raise AdmissibilityError(failures)
         self._fill(c, a, e, b, lam)
@@ -80,11 +80,11 @@ def _rank_fdeg(v) -> tuple[int, int]:
     try:
         rk, fd = v
     except (TypeError, ValueError):
-        raise InputError(f"expected a (rank, fiber degree) pair, got {v!r}") from None
+        raise InputError(f"expected a (rank, fiber degree) pair, got {_shown(v)}") from None
     as_int("rank", rk)
     as_int("fiber degree", fd)
     if rk <= 0:
-        raise InputError(f"rank must be positive, got {rk}")
+        raise InputError(f"rank must be positive, got {_shown(rk)}")
     return rk, fd
 
 
@@ -96,9 +96,10 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
     """
     as_int("d", d)
     if as_int("r", r) <= 1:
-        raise InputError(f"r must be greater than 1, got {r}")
+        raise InputError(f"r must be greater than 1, got {_shown(r)}")
     if math.gcd(r, d) != 1:
-        raise CoprimalityError(f"gcd({r}, {d}) = {math.gcd(r, d)}, must be 1")
+        raise CoprimalityError(f"gcd({_shown(r)}, {_shown(d)}) = "
+                               f"{_shown(math.gcd(r, d))}, must be 1")
     a = (-pow(d, -1, r)) % r
     b = (1 + a * d) // r
     if not (0 < a < r and b * r - a * d == 1):
@@ -131,7 +132,7 @@ def gen_birat_classify(v: tuple[int, int], phi: FM2, t: int | None = None,
     """
     rk, fd = _rank_fdeg(v)
     if math.gcd(rk, fd) != 1:
-        raise CoprimalityError(f"gcd({rk}, {fd}) must be 1")
+        raise CoprimalityError(f"gcd({_shown(rk)}, {_shown(fd)}) must be 1")
     if t is not None:
         as_int("t", t)
     _expect("phi", FM2, phi)
@@ -157,7 +158,8 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
     """
     _expect("rng", random.Random, rng)
     if as_int("lambda", lam) < 1 or as_int("bound", bound) < 1:
-        raise InputError(f"lambda and bound must be positive, got {lam}, {bound}")
+        raise InputError(f"lambda and bound must be positive, "
+                         f"got {_shown(lam)}, {_shown(bound)}")
     while True:
         a = rng.randint(1, 6)
         c = rng.randint(-8, 8)

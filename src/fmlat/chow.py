@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError
-from .linalg import Mat, _Record, _expect, _items, as_int, parse_int, q, qdiv, qvec
+from .linalg import Mat, _Record, _expect, _items, _shown, as_int, parse_int, q, qdiv, qvec
 
 
 class SurfaceDescriptor(_Record):
@@ -41,7 +41,8 @@ class SurfaceDescriptor(_Record):
                  gram: tuple[tuple[int, ...], ...], fiber: tuple[int, ...],
                  canonical: tuple[int, ...], section: tuple[int, ...] | None = None,
                  lam: int | None = None):
-        basis_names = tuple(str(b) for b in _items(basis_names))
+        _expect("name", str, name)
+        basis_names = tuple(_expect("basis name", str, b) for b in _items(basis_names))
         n = len(basis_names)
         if n == 0:
             raise InputError("basis: divisor basis must be nonempty")
@@ -140,8 +141,7 @@ class CohClass(_Record):
 
     def __init__(self, r: int | Fraction, div: tuple[int | Fraction, ...],
                  p: int | Fraction):
-        self._fill(r if type(r) is int else q(r), qvec(div),
-                   p if type(p) is int else q(p))
+        self._fill(q(r), qvec(div), q(p))
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if len(self.div) != len(_expect("operand", CohClass, other).div):
@@ -165,7 +165,8 @@ class CohClass(_Record):
 
 
 def render_class(v: CohClass) -> str:
-    return "(" + ", ".join(str(x) for x in _expect("class", CohClass, v).coords()) + ")"
+    """(r, div..., p), each entry written whole by _shown."""
+    return "(" + ", ".join(_shown(x, None) for x in _expect("class", CohClass, v).coords()) + ")"
 
 
 def integrality_warnings(v: CohClass) -> list[str]:
@@ -173,12 +174,12 @@ def integrality_warnings(v: CohClass) -> list[str]:
     _expect("class", CohClass, v)
     notes = []
     if v.r.denominator != 1:
-        notes.append(f"rank {v.r} is not an integer")
+        notes.append(f"rank {_shown(v.r, None)} is not an integer")
     for i, d in enumerate(v.div):
         if d.denominator != 1:
-            notes.append(f"divisor coefficient {i} = {d} is not an integer")
+            notes.append(f"divisor coefficient {i} = {_shown(d, None)} is not an integer")
     if (2 * v.p).denominator != 1:
-        notes.append(f"point part {v.p} is not a half-integer")
+        notes.append(f"point part {_shown(v.p, None)} is not a half-integer")
     return notes
 
 
@@ -248,7 +249,7 @@ def moduli_dim_k3(surface: SurfaceDescriptor, v: CohClass) -> int:
     _check_class(surface, v)
     dim = 2 - chi_tensor(surface, dual(v), v)
     if dim.denominator != 1:
-        raise InputError(f"moduli dimension {dim} is not an integer; "
+        raise InputError(f"moduli dimension {_shown(dim)} is not an integer; "
                          "class is not a sheaf class")
     return dim
 
@@ -305,6 +306,7 @@ _REQUIRED_KEYS = ("name", "chi_O", "basis", "gram", "fiber", "canonical")
 
 def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
     entries: dict[str, tuple[int, str]] = {}
+    _expect("filename", str, filename)
     for lineno, raw in enumerate(_expect("text", str, text).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -366,7 +368,7 @@ def parse_surface(text: str, filename: str = "<surface>") -> SurfaceDescriptor:
 def load_surface(path: str | os.PathLike) -> SurfaceDescriptor:
     # open() also takes a file descriptor, which it would read and close
     if not isinstance(path, (str, os.PathLike)):
-        raise InputError(f"surface file must be a path, got {path!r}")
+        raise InputError(f"surface file must be a path, got {_shown(path)}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read(MAX_SURFACE_CHARS + 1)

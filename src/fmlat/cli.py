@@ -176,9 +176,6 @@ def _cmd_matrix(args) -> int:
 def _cmd_transform(args) -> int:
     matrix, meta = _built_matrix(args.matrix, args.d, args.divisor)
     vector = _parse_vector(args.vector)
-    if len(vector) != matrix.n_cols:
-        raise InputError(f"vector has {len(vector)} entries, "
-                         f"matrix {meta['name']} is {matrix.n_rows}x{matrix.n_cols}")
     image = matrix.apply(vector)
     meta.update({"vector": enc_qseq(vector), "image": enc_qseq(image)})
     _emit(meta, args.json, ", ".join(str(x) for x in image))
@@ -223,8 +220,6 @@ def _report_text(report: SDReport) -> str:
 
 
 def _cmd_sd_check(args) -> int:
-    if args.theorem == "k3" and (args.tv is not None or args.tw is not None):
-        raise InputError("--tv and --tw apply to --theorem general only")
     c, a, e, b = _parse_ints(args.phi, 4, "--phi")
     phi = FM2(c, a, e, b, args.lam)
     pair = None

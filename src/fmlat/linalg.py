@@ -20,10 +20,15 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 _MAX_DIGITS = 4300   # CPython's default int/str limit; keeps parsing bounded
 
 
-def _shown(x, n: int = 40) -> str:
-    """repr(x) for an error message, cut to n characters and "…" if longer."""
-    text = repr(x)
-    return text if len(text) <= n else text[:n] + "…"
+def _shown(x, n: int | None = 40) -> str:
+    """x as the package prints it (a Fraction as n/d, anything else by repr),
+    cut to n characters and "…" unless n is None. A value that cannot be
+    written, like an int past the 4,300-digit str limit, shows as <int>."""
+    try:
+        text = str(x) if isinstance(x, Fraction) else repr(x)
+    except Exception:   # any repr may raise, and the message must not
+        return f"<{type(x).__name__}>"
+    return text if n is None or len(text) <= n else text[:n] + "…"
 
 
 def q(x) -> int | Fraction:
@@ -63,7 +68,7 @@ def qdiv(a, b) -> int | Fraction:
     package. A zero divisor is an InputError."""
     a, b = q(a), q(b)
     if b == 0:
-        raise InputError(f"division by zero: {a}/0")
+        raise InputError(f"division by zero: {_shown(a)}/0")
     return q(Fraction(a, b))
 
 
@@ -74,7 +79,7 @@ def _items(xs) -> Iterator:
             return iter(xs)
         except TypeError:
             pass
-    raise InputError(f"expected a sequence, got {xs!r}")
+    raise InputError(f"expected a sequence, got {_shown(xs)}")
 
 
 def qvec(xs: Iterable) -> tuple[int | Fraction, ...]:
@@ -91,23 +96,24 @@ def as_int(label: str, x) -> int:
     """Return x unchanged if it is an int; reject bool, float, str, Fraction
     and everything else with an InputError naming the label."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{label} must be an integer, got {x!r}")
+        raise InputError(f"{label} must be an integer, got {_shown(x)}")
     return x
 
 
 def as_member(label: str, kind: type[Enum], x) -> Enum:
     """x as a member of kind, given as one or by its value; else InputError."""
     try:
-        return kind(x)
+        return _expect("kind", type(Enum), kind)(x)
     except ValueError:
         known = ", ".join(m.value for m in kind)
-        raise InputError(f"unknown {label} {x!r}; known: {known}") from None
+        raise InputError(f"unknown {label} {_shown(x)}; known: {known}") from None
 
 
 def _expect(label: str, kind: type, x):
-    """x itself if it is a kind; else an InputError naming the label."""
+    """x itself if it is a kind; else an InputError naming the label and
+    showing x whole, since a record's repr names its fields."""
     if not isinstance(x, kind):
-        raise InputError(f"{label} must be of type {kind.__name__}, got {x!r}")
+        raise InputError(f"{label} must be of type {kind.__name__}, got {_shown(x, None)}")
     return x
 
 
@@ -151,20 +157,19 @@ class _Record:
         self._fill(*(state[1][name] for name in self.__slots__))
 
 
-class Mat:
+class Mat(_Record):
     """Immutable rectangular matrix with exact rational entries, each in
     the normal form of q."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        frozen = tuple([tuple([x if type(x) is int else q(x) for x in _items(row)])
-                        for row in _items(rows)])
+        frozen = qgrid(rows)
         if not frozen or not frozen[0]:
             raise InputError("matrix must be nonempty")
         if any(len(r) != len(frozen[0]) for r in frozen):
             raise InputError("matrix rows must all have the same length")
-        self.rows = frozen
+        self._fill(frozen)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -185,15 +190,6 @@ class Mat:
             raise InputError(
                 f"shape mismatch: {self.n_rows}x{self.n_cols} vs "
                 f"{other.n_rows}x{other.n_cols}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Mat({[[str(x) for x in row] for row in self.rows]})"
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -285,7 +281,7 @@ def enc_q(x):
 
 
 def enc_qseq(xs) -> list:
-    return [enc_q(x) for x in qvec(xs)]
+    return [enc_q(x) for x in _items(xs)]
 
 
 def enc_mat(m: Mat) -> list[list]:

@@ -26,7 +26,7 @@ from . import chow
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, _Record, _expect, as_int, as_member, qdiv, qvec
+from .linalg import Mat, _Record, _expect, _shown, as_int, as_member, qdiv, qvec
 
 
 class Operator(_Record):
@@ -36,7 +36,7 @@ class Operator(_Record):
 
     def __init__(self, matrix: Mat, label: str = ""):
         if not isinstance(matrix, Mat):
-            raise InputError(f"an operator needs a Mat, got {matrix!r}")
+            raise InputError(f"an operator needs a Mat, got {_shown(matrix, None)}")
         if matrix.n_rows != matrix.n_cols or matrix.n_rows not in (2, 4):
             raise InputError("an operator is a square 2x2 or 4x4 matrix")
         self._fill(matrix, label)
@@ -111,7 +111,7 @@ def pd_pushforward_twist_class(d: int) -> CohClass:
 
 def _check_d(d) -> None:
     if as_int("kernel degree d", d) < 1:
-        raise InputError(f"kernel degree d must be >= 1, got {d}")
+        raise InputError(f"kernel degree d must be >= 1, got {_shown(d)}")
 
 
 class GoldenName(Enum):
@@ -147,7 +147,7 @@ def _check_args(name, d, divisor) -> tuple[GoldenName, tuple | None]:
             raise InputError(f"{name.value} needs a kernel degree d")
         _check_d(d)
     elif d is not None:
-        raise InputError(f"{name.value} takes no kernel degree d, got {d!r}")
+        raise InputError(f"{name.value} takes no kernel degree d, got {_shown(d)}")
     if name is not GoldenName.A_TL:
         if divisor is not None:
             raise InputError(f"{name.value} takes no divisor")

@@ -22,7 +22,7 @@ from operator import mul
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
                    from_coords, mult, to_coords, todd)
 from .errors import InputError
-from .linalg import Mat, _Record, _expect, as_member, q, qgrid, qvec
+from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid, qvec
 from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
 
 
@@ -75,7 +75,7 @@ class ProductClass(_Record):
 
 def _single(i: int, j: int, value=1) -> ProductClass:
     dec = [[0] * 4 for _ in range(4)]
-    dec[i][j] = q(value)
+    dec[i][j] = value
     return ProductClass(tuple(tuple(row) for row in dec), (0, 0, 0))
 
 
@@ -222,8 +222,11 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
     from both factors.
     """
     if kind not in _KERNEL_KINDS:
-        raise InputError(f"unknown kernel kind {kind!r}; expected one of {_KERNEL_KINDS}")
+        raise InputError(f"unknown kernel kind {_shown(kind)}; "
+                         f"expected one of {_KERNEL_KINDS}")
     if kind == "IDelta":
+        if d is not None:
+            raise InputError(f"IDelta takes no kernel degree d, got {_shown(d)}")
         pi_sq = prod_mult(PI, PI)
         return PI - Fraction(1, 2) * pi_sq - DELTA + 2 * POINT
     _check_d(d)

@@ -48,7 +48,7 @@ class SDPair(_Record):
                  no_higher_cohomology: bool = False):
         for label, cls in (("v", v), ("w", w)):
             if _expect(label, CohClass, cls).r != 1:
-                raise InputError(f"{label} must have rank one, got rank {cls.r}")
+                raise InputError(f"{label} must have rank one, got rank {_shown(cls.r)}")
         _expect("no_higher_cohomology", bool, no_higher_cohomology)
         self._fill(surface, v, w, no_higher_cohomology,
                    fdeg(surface, v), fdeg(surface, w))
@@ -96,9 +96,9 @@ def _check_sd_constraints(phi: FM2) -> None:
     _expect("phi", FM2, phi)
     failures = []
     if not phi.c > phi.a:
-        failures.append(f"c = {phi.c} must exceed a = {phi.a}")
+        failures.append(f"c = {_shown(phi.c)} must exceed a = {_shown(phi.a)}")
     if not -phi.b > phi.a:
-        failures.append(f"-b = {-phi.b} must exceed a = {phi.a}")
+        failures.append(f"-b = {_shown(-phi.b)} must exceed a = {_shown(phi.a)}")
     if failures:
         raise AdmissibilityError(failures)
 
@@ -223,11 +223,12 @@ def build_report(phi: FM2, d_v: int, d_w: int, theorem: Theorem = Theorem.K3,
             notes.append("no-higher-cohomology attestation missing; "
                          "base case cannot hold")
         if pair.d_v != d_v or pair.d_w != d_w:
-            notes.append(f"supplied fiber degrees ({d_v}, {d_w}) disagree with "
-                         f"the classes ({pair.d_v}, {pair.d_w})")
+            notes.append(f"supplied fiber degrees ({_shown(d_v, None)}, "
+                         f"{_shown(d_w, None)}) disagree with the classes "
+                         f"({_shown(pair.d_v, None)}, {_shown(pair.d_w, None)})")
         if phi.lam != pair.surface.lam:
-            notes.append(f"kernel matrix lambda {phi.lam} disagrees with the "
-                         f"surface's lambda {pair.surface.lam}")
+            notes.append(f"kernel matrix lambda {_shown(phi.lam, None)} disagrees with "
+                         f"the surface's lambda {_shown(pair.surface.lam, None)}")
     if theorem is Theorem.GENERAL and (t_v is None or t_w is None):
         if pair is None or not is_standard_k3(pair.surface):
             _thresholds(theorem, t_v, t_w)   # raises: a dimension is missing
@@ -281,12 +282,12 @@ def search_phi(lam: int, bound: int,
     ends is the whole check.
     """
     if as_int("bound", bound) < 1:
-        raise InputError(f"bound must be a positive integer, got {bound!r}")
+        raise InputError(f"bound must be a positive integer, got {_shown(bound)}")
     if bound > MAX_SEARCH_BOUND:
         raise InputError(f"bound must be at most {MAX_SEARCH_BOUND}, "
                          f"got {_shown(bound)}")
     if as_int("lambda", lam) < 1:
-        raise InputError(f"lambda must be a positive integer, got {lam!r}")
+        raise InputError(f"lambda must be a positive integer, got {_shown(lam)}")
     if target is not None:
         _expect("target", SearchTarget, target)
         t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)

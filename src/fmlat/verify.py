@@ -17,7 +17,7 @@ from . import bridgeland, chow, operators, product
 from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
-from .linalg import Mat, _Record, as_int
+from .linalg import Mat, _Record, _shown, as_int
 from .operators import (_NEEDS_D, GoldenName, _fm_fd, build, op_pi_tensor,
                         op_tensor, restrict2)
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
@@ -97,7 +97,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     """Run the whole suite for kernel degrees d_lo..d_hi inclusive."""
     if not (1 <= as_int("d_lo", d_lo) <= as_int("d_hi", d_hi) <= 64):
         raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, "
-                         f"got {d_lo}..{d_hi}")
+                         f"got {_shown(d_lo)}..{_shown(d_hi)}")
     golden = operators.golden
     cases: list[VerifyCase] = []
     d_range = range(d_lo, d_hi + 1)

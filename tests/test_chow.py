@@ -58,11 +58,15 @@ def test_standard_k3_is_standard():
     lambda: dot(5, (1, 0), (0, 1)), lambda: todd(5),
     lambda: ch_line_bundle(5, (1, 0)), lambda: parse_surface(5),
     lambda: render_class(5), lambda: integrality_warnings(5),
+    lambda: parse_surface("", filename=5), lambda: _k3_like(name=5),
+    lambda: _k3_like(basis_names=(1, 2)),
 ], ids=["mult-class", "mult-surface", "chi_tensor-class", "fdeg-class",
         "fdeg-surface", "moduli_dim_k3-class", "moduli_dim_k3-surface",
         "dual-class", "to_coords-class", "CohClass-add", "dot-surface",
         "todd-surface", "ch_line_bundle-surface", "parse_surface-text",
-        "render_class-class", "integrality_warnings-class"])
+        "render_class-class", "integrality_warnings-class",
+        "parse_surface-filename", "SurfaceDescriptor-name",
+        "SurfaceDescriptor-basis-name"])
 def test_class_arithmetic_rejects_wrong_types(call):
     with pytest.raises(InputError, match="must be of type"):
         call()

@@ -433,7 +433,7 @@ def test_sd_check_k3_rejects_dimensions(capsys, extra):
     code, out, err = run(capsys, "sd-check", "--phi", "3,1,-7,-2",
                          "--dv", "6", "--dw", "0", *extra)
     assert (code, out) == (2, "")
-    assert "--theorem general only" in err
+    assert "general-surface check only" in err
 
 
 def test_sd_check_attestation_needs_classes(capsys):

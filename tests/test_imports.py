@@ -108,3 +108,16 @@ def test_the_search_window_is_its_only_check():
     names = {getattr(node, "id", getattr(node, "attr", None))
              for node in ast.walk(search) if isinstance(node, (ast.Name, ast.Attribute))}
     assert names & {"build_report", "sd_check", "SDReport", "passed"} == set()
+
+
+def test_only_the_record_base_defines_value_semantics():
+    # every value class inherits ==, hash, repr and immutability from
+    # linalg._Record; a second definition could disagree with it
+    methods = {"__eq__", "__hash__", "__repr__", "__setattr__"}
+    found = []
+    for path in sorted(pathlib.Path(fmlat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name != "_Record":
+                found += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name in methods]
+    assert found == []

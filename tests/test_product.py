@@ -226,6 +226,14 @@ def test_kernel_pd_requires_positive_degree():
             kernel_class("Pd", bad)
 
 
+def test_kernel_idelta_takes_no_degree():
+    # as build and golden reject d for a name outside _NEEDS_D
+    for bad in (5, 1, "x", 0):
+        with pytest.raises(InputError, match="IDelta takes no kernel degree d, got "):
+            kernel_class("IDelta", bad)
+    assert kernel_class("IDelta", None) == kernel_class("IDelta")
+
+
 def test_kernel_unknown_kind():
     with pytest.raises(InputError):
         kernel_class("Qd", 1)

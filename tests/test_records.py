@@ -29,6 +29,7 @@ SAMPLES = {
         "standard-k3", 2, ["sigma", "f"], [[-2, 1], [1, 0]], [0, 1], [0, 0],
         section=[1, 0]),
     CohClass: lambda: CohClass(1, (0, 1), Fraction(1, 2)),
+    Mat: lambda: Mat(((1, 0), (0, 1))),
     Operator: lambda: Operator(Mat.identity(4), "id"),
     ProductClass: lambda: ProductClass(tuple((i, 0, 0, 0) for i in range(4)), (1, 0, 0)),
     SDPair: _pair,
@@ -95,6 +96,18 @@ def test_copy_and_pickle_round_trip(cls):
     a = SAMPLES[cls]()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is cls and b == a and _fields(b) == _fields(a)
+
+
+def test_a_mat_cannot_change_under_a_dict_key():
+    m = Mat([[1, 0], [0, 1]])
+    table = {m: "identity"}
+    with pytest.raises(AttributeError):
+        m.rows = ((9,),)
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert m.rows == ((1, 0), (0, 1))
+    assert table[m] == "identity" and table[Mat.identity(2)] == "identity"
+    assert repr(m) == "Mat(rows=((1, 0), (0, 1)))"
 
 
 def test_error_messages_embed_the_repr():
