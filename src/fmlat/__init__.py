@@ -14,15 +14,15 @@ from .chow import (CohClass, STANDARD_K3, SurfaceDescriptor, ch_line_bundle,
 from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
                      InputError, ReductionError, SingularMatrixError,
                      UnsupportedModelError)
-from .linalg import Mat, render_matrix
+from .linalg import Mat
 from .operators import (GoldenName, Operator, build, golden, op_pi_tensor,
                         op_tensor, restrict2)
 from .product import (FMOrientation, ProductClass, Side, diag_push_grr,
                       fm_matrix, kernel_class, prod_mult, product_todd, pull,
                       push, render_product_class)
-from .sd import (SDCheckResult, SDPair, SDReport, SearchHit, SearchTarget,
-                 Theorem, build_report, mo_base_check, orthogonal_check,
-                 sd_check, search_phi, transformed_ranks)
+from .sd import (SDCheckResult, SDPair, SDReport, SearchTarget, Theorem,
+                 build_report, mo_base_check, orthogonal_check, sd_check,
+                 search_phi, transformed_ranks)
 from .verify import VerifyCase, VerifyOutcome, run_verify
 
 __version__ = "0.1.0"

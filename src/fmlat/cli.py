@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""Command-line front end, and the package's one output layer.
 
 Commands: verify, matrix, transform, chi, sd-check, search. Every command
 accepts --json for machine-readable output; all numbers in JSON are exact
 (integers, or "n/d" strings for non-integers) and every document carries a
-"schema": 1 field. Exit codes: 0 success, 1 a check failed, 2 bad usage or
-bad input, 141 stdout closed by its reader.
+"schema": 1 field. The library returns plain values; this module alone turns
+them into text or JSON. Exit codes: 0 success, 1 a check failed, 2 bad usage
+or bad input, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
                    integrality_warnings, load_surface)
 from .errors import FmlatError, InputError
-from .linalg import Mat, _shown, enc_mat, enc_q, enc_qseq, parse_int, qvec, render_matrix
+from .linalg import Mat, _shown, parse_int, qvec
 from .operators import build
-from .sd import (SDPair, SDReport, SearchHit, SearchTarget, Theorem,
-                 build_report, search_phi, transformed_ranks)
+from .sd import (SDPair, SDReport, SearchTarget, Theorem, build_report,
+                 search_phi, transformed_ranks)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE, as a shell reports `yes | head`
+
+_SUITE = "fmlat-verify"
 
 
 def _parse_d_range(text: str) -> tuple[int, int]:
@@ -129,6 +132,25 @@ def _write_json(doc) -> None:
     out.write("".join(parts))
 
 
+def _num(x):
+    """An exact number for JSON: an int as itself, a Fraction (never one
+    with denominator 1) as "n/d". q reads either back, Mat a grid of them."""
+    return x if type(x) is int else str(x)
+
+
+def _nums(xs) -> list:
+    return [_num(x) for x in xs]
+
+
+def _grid(m: Mat) -> str:
+    """Aligned text grid, one bracketed line per row."""
+    cells = [[str(x) for x in row] for row in m.rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(
+        "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
+        for row in cells)
+
+
 def _emit(doc, json_mode: bool, text: str) -> None:
     if json_mode:
         _write_json(doc)
@@ -145,9 +167,13 @@ def _cmd_verify(args) -> int:
     d_lo, d_hi = _parse_d_range(args.d_range)
     outcome = verify_mod.run_verify(d_lo, d_hi)
     if args.json:
-        _write_json(outcome.to_json())
+        _write_json({"schema": 1, "suite": _SUITE, "d_range": [d_lo, d_hi],
+                     "cases": ({"id": case.id, "description": case.description,
+                                "pass": case.passed, "lhs": case.lhs,
+                                "rhs": case.rhs} for case in outcome.cases),
+                     "passed": outcome.n_passed, "failed": outcome.n_failed})
     else:
-        sys.stdout.write(f"{outcome.suite}  (d = {d_lo}..{d_hi})\n")
+        sys.stdout.write(f"{_SUITE}  (d = {d_lo}..{d_hi})\n")
         sys.stdout.writelines(map(_case_lines, outcome.cases))
         sys.stdout.write(f"summary: {outcome.n_passed} passed, {outcome.n_failed} failed\n")
     return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
@@ -157,19 +183,19 @@ def _built_matrix(name: str, d: int | None, divisor_text: str | None) -> tuple[M
     divisor = None if divisor_text is None else _parse_vector(divisor_text)
     matrix = build(name, d=d, divisor=divisor).matrix
     meta = {"schema": 1, "name": name, "d": d,
-            "divisor": enc_qseq(divisor) if divisor else None}
+            "divisor": _nums(divisor) if divisor else None}
     return matrix, meta
 
 
 def _cmd_matrix(args) -> int:
     matrix, meta = _built_matrix(args.name, args.d, args.divisor)
-    meta["matrix"] = enc_mat(matrix)
+    meta["matrix"] = [_nums(row) for row in matrix.rows]
     header = meta["name"]
     if args.d is not None:
         header += f"(d={args.d})"
     if meta["divisor"]:
         header += f"(D={args.divisor})"
-    _emit(meta, args.json, f"{header} =\n{render_matrix(matrix)}")
+    _emit(meta, args.json, f"{header} =\n{_grid(matrix)}")
     return EXIT_OK
 
 
@@ -177,7 +203,7 @@ def _cmd_transform(args) -> int:
     matrix, meta = _built_matrix(args.matrix, args.d, args.divisor)
     vector = _parse_vector(args.vector)
     image = matrix.apply(vector)
-    meta.update({"vector": enc_qseq(vector), "image": enc_qseq(image)})
+    meta.update({"vector": _nums(vector), "image": _nums(image)})
     _emit(meta, args.json, ", ".join(str(x) for x in image))
     return EXIT_OK
 
@@ -191,10 +217,33 @@ def _cmd_chi(args) -> int:
             print(f"warning: {label}: {note}", file=sys.stderr)
     value = chi_tensor(surface, v, w)
     doc = {"schema": 1, "surface": surface.name,
-           "v": enc_qseq(v.coords()), "w": enc_qseq(w.coords()),
-           "chi": enc_q(value)}
+           "v": _nums(v.coords()), "w": _nums(w.coords()), "chi": _num(value)}
     _emit(doc, args.json, str(value))
     return EXIT_OK
+
+
+def _verdict(report: SDReport, theorem: Theorem) -> str:
+    """pass or fail for the theorem checked, not-evaluated for the other."""
+    if theorem is not report.check.theorem:
+        return "not-evaluated"
+    return "pass" if report.check.passed else "fail"
+
+
+def _report_json(report: SDReport) -> dict:
+    check, pair = report.check, report.pair
+    margins = {"k3": None, "general": None}
+    margins[check.theorem.value] = {"threshold": _nums(check.threshold_margins)}
+    if check.theorem is Theorem.K3:
+        margins["k3"]["rank"] = _nums(check.rank_margins)
+    return {"schema": 1, "surface": None if pair is None else pair.surface.name,
+            "v": None if pair is None else _nums(pair.v.coords()),
+            "w": None if pair is None else _nums(pair.w.coords()),
+            "phi": list(report.phi.entries()), "lambda": report.phi.lam,
+            "d_v": report.d_v, "d_w": report.d_w,
+            "orthogonal": report.orthogonal, "base_case": report.base_case,
+            "rk_xi_v": check.rk_xi_v, "rk_phi_w": check.rk_phi_w,
+            "checks": {theorem.value: _verdict(report, theorem) for theorem in Theorem},
+            "margins": margins, "notes": list(report.notes)}
 
 
 def _report_text(report: SDReport) -> str:
@@ -208,7 +257,7 @@ def _report_text(report: SDReport) -> str:
         lines.append(f"orthogonal = {report.orthogonal}   "
                      f"base_case = {report.base_case}")
     for theorem in Theorem:
-        line = f"{theorem.value}: {report.verdict(theorem)}"
+        line = f"{theorem.value}: {_verdict(report, theorem)}"
         if theorem is report.check.theorem:
             line += f"   threshold margins {report.check.threshold_margins}"
             if theorem is Theorem.K3:
@@ -234,21 +283,21 @@ def _cmd_sd_check(args) -> int:
         raise InputError("--attest-no-higher-cohomology needs --v and --w")
     report = build_report(phi, args.dv, args.dw, args.theorem,
                           pair=pair, t_v=args.tv, t_w=args.tw)
-    _emit(report.to_json(), args.json, _report_text(report))
+    _emit(_report_json(report), args.json, _report_text(report))
     return EXIT_OK if report.check.passed else EXIT_CHECK_FAILED
 
 
-def _hit_json(hit: SearchHit, target: SearchTarget | None) -> dict:
-    return {"phi": list(hit.phi.entries()),
-            "report": None if target is None else build_report(
-                hit.phi, target.d_v, target.d_w, target.theorem,
-                t_v=target.t_v, t_w=target.t_w).to_json()}
+def _hit_json(phi: FM2, target: SearchTarget | None) -> dict:
+    return {"phi": list(phi.entries()),
+            "report": None if target is None else _report_json(build_report(
+                phi, target.d_v, target.d_w, target.theorem,
+                t_v=target.t_v, t_w=target.t_w))}
 
 
-def _hit_line(hit: SearchHit, target: SearchTarget | None) -> str:
-    line = ",".join(str(x) for x in hit.phi.entries())
+def _hit_line(phi: FM2, target: SearchTarget | None) -> str:
+    line = ",".join(str(x) for x in phi.entries())
     if target is not None:
-        rk_xi_v, rk_phi_w = transformed_ranks(hit.phi, target.d_v, target.d_w)
+        rk_xi_v, rk_phi_w = transformed_ranks(phi, target.d_v, target.d_w)
         line += f"   rk_xi_v={rk_xi_v} rk_phi_w={rk_phi_w}"
     return line + "\n"
 
@@ -268,9 +317,9 @@ def _cmd_search(args) -> int:
                      "target": None if target is None else {
                          "d_v": target.d_v, "d_w": target.d_w,
                          "theorem": target.theorem.value},
-                     "hits": (_hit_json(hit, target) for hit in hits)})
+                     "hits": (_hit_json(phi, target) for phi in hits)})
     else:
-        sys.stdout.writelines(_hit_line(hit, target) for hit in hits)
+        sys.stdout.writelines(_hit_line(phi, target) for phi in hits)
         print(f"# {len(hits)} hit(s)", file=sys.stderr)
     return EXIT_OK
 

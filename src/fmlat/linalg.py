@@ -173,7 +173,9 @@ class Mat(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        n = as_int("identity size", n)
+        """The n x n identity for n in 1..4, the only sizes the package uses."""
+        if not 1 <= as_int("identity size", n) <= 4:
+            raise InputError(f"identity size must be 1 to 4, got {_shown(n)}")
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -260,29 +262,3 @@ def _eliminate(work: list[list], n: int) -> int | Fraction:
                 work[r] = [q(a - factor * b) for a, b in zip(work[r], work[col])]
     return det
 
-
-def render_matrix(m: Mat) -> str:
-    """Aligned text grid, one bracketed line per row."""
-    cells = [[str(x) for x in row] for row in _expect("matrix", Mat, m).rows]
-    widths = [max(len(cells[i][j]) for i in range(len(cells)))
-              for j in range(len(cells[0]))]
-    return "\n".join(
-        "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
-        for row in cells)
-
-
-# JSON encoding of exact numbers: integers stay integers, everything else
-# becomes an "n/d" string so nothing is ever rounded. Mat and q read the
-# encoded values back.
-
-def enc_q(x):
-    x = q(x)
-    return x if type(x) is int else str(x)
-
-
-def enc_qseq(xs) -> list:
-    return [enc_q(x) for x in _items(xs)]
-
-
-def enc_mat(m: Mat) -> list[list]:
-    return [enc_qseq(row) for row in _expect("matrix", Mat, m).rows]

@@ -39,7 +39,7 @@ class Operator(_Record):
             raise InputError(f"an operator needs a Mat, got {_shown(matrix, None)}")
         if matrix.n_rows != matrix.n_cols or matrix.n_rows not in (2, 4):
             raise InputError("an operator is a square 2x2 or 4x4 matrix")
-        self._fill(matrix, label)
+        self._fill(matrix, _expect("label", str, label))
 
     def apply(self, v: CohClass) -> CohClass:
         if self.matrix.n_rows == 2:

@@ -22,15 +22,12 @@ from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, ch_line_bundle, chi_tensor,
                    dual, fdeg, is_standard_k3, moduli_dim_k3, mult)
 from .errors import AdmissibilityError, InputError
-from .linalg import _Record, _expect, _shown, as_int, as_member, enc_qseq
+from .linalg import _Record, _expect, _shown, as_int, as_member
 
 
 class Theorem(Enum):
     K3 = "k3"
     GENERAL = "general"
-
-
-PASS, FAIL, NOT_EVALUATED = "pass", "fail", "not-evaluated"
 
 
 class SDPair(_Record):
@@ -128,7 +125,14 @@ class SDCheckResult(_Record):
 
     def __init__(self, theorem: Theorem, threshold_margins: tuple[int, int],
                  rk_xi_v: int, rk_phi_w: int):
-        self._fill(theorem, threshold_margins, rk_xi_v, rk_phi_w)
+        if len(_expect("threshold_margins", tuple, threshold_margins)) != 2:
+            raise InputError(f"threshold_margins must be a pair, "
+                             f"got {_shown(threshold_margins)}")
+        for label, x in zip(("margin_v", "margin_w", "rk_xi_v", "rk_phi_w"),
+                            (*threshold_margins, rk_xi_v, rk_phi_w)):
+            as_int(label, x)
+        self._fill(as_member("theorem", Theorem, theorem), threshold_margins,
+                   rk_xi_v, rk_phi_w)
 
     @property
     def passed(self) -> bool:
@@ -137,10 +141,6 @@ class SDCheckResult(_Record):
     @property
     def rank_margins(self) -> tuple[int, int]:
         return (self.rk_xi_v - 3, self.rk_phi_w - 3)
-
-    @property
-    def verdict(self) -> str:
-        return PASS if self.passed else FAIL
 
 
 def sd_check(theorem: Theorem, phi: FM2, d_v: int, d_w: int,
@@ -169,36 +169,17 @@ class SDReport(_Record):
     def __init__(self, phi: FM2, d_v: int, d_w: int, check: SDCheckResult,
                  pair: SDPair | None = None, orthogonal: bool | None = None,
                  base_case: bool | None = None, notes: tuple[str, ...] = ()):
+        _expect("phi", FM2, phi)
+        as_int("d_v", d_v)
+        as_int("d_w", d_w)
+        _expect("check", SDCheckResult, check)
+        for label, kind, x in (("pair", SDPair, pair), ("orthogonal", bool, orthogonal),
+                               ("base_case", bool, base_case)):
+            if x is not None:
+                _expect(label, kind, x)
+        for note in _expect("notes", tuple, notes):
+            _expect("note", str, note)
         self._fill(phi, d_v, d_w, check, pair, orthogonal, base_case, notes)
-
-    def verdict(self, theorem: Theorem) -> str:
-        """PASS or FAIL for the theorem checked, NOT_EVALUATED for the other."""
-        theorem = as_member("theorem", Theorem, theorem)
-        return self.check.verdict if theorem is self.check.theorem else NOT_EVALUATED
-
-    def to_json(self) -> dict:
-        check = self.check
-        margins = {"k3": None, "general": None}
-        margins[check.theorem.value] = {"threshold": enc_qseq(check.threshold_margins)}
-        if check.theorem is Theorem.K3:
-            margins["k3"]["rank"] = enc_qseq(check.rank_margins)
-        return {
-            "schema": 1,
-            "surface": None if self.pair is None else self.pair.surface.name,
-            "v": None if self.pair is None else enc_qseq(self.pair.v.coords()),
-            "w": None if self.pair is None else enc_qseq(self.pair.w.coords()),
-            "phi": list(self.phi.entries()),
-            "lambda": self.phi.lam,
-            "d_v": self.d_v,
-            "d_w": self.d_w,
-            "orthogonal": self.orthogonal,
-            "base_case": self.base_case,
-            "rk_xi_v": check.rk_xi_v,
-            "rk_phi_w": check.rk_phi_w,
-            "checks": {theorem.value: self.verdict(theorem) for theorem in Theorem},
-            "margins": margins,
-            "notes": list(self.notes),
-        }
 
 
 def build_report(phi: FM2, d_v: int, d_w: int, theorem: Theorem = Theorem.K3,
@@ -254,19 +235,12 @@ class SearchTarget(_Record):
         self._fill(d_v, d_w, theorem, t_v, t_w)
 
 
-class SearchHit(_Record):
-    __slots__ = ("phi",)
-
-    def __init__(self, phi: FM2):
-        self._fill(phi)
-
-
 # 499,500 (c, a) pairs and, untargeted at lambda 1, 302,194 hits
 MAX_SEARCH_BOUND = 1000
 
 
 def search_phi(lam: int, bound: int,
-               target: SearchTarget | None = None) -> list[SearchHit]:
+               target: SearchTarget | None = None) -> list[FM2]:
     """Enumerate admissible kernel matrices with bounded entries.
 
     Constraints: |c|, |a|, |e|, |b| <= bound, determinant one, a > 0,
@@ -293,9 +267,9 @@ def search_phi(lam: int, bound: int,
         t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
         # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
         above, below = t_w - target.d_w, target.d_v - t_v
-    hits: list[SearchHit] = []
+    hits: list[FM2] = []
     # one int object per distinct e or b value (at most 2.bound + 1), so a
-    # hit holds only its two records
+    # hit holds only its FM2
     shared = {}.setdefault
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2
         # cb - ae = 1 with lambda | e needs gcd(c, lambda) = 1
@@ -314,5 +288,5 @@ def search_phi(lam: int, bound: int,
             hi = (-c * (a + 1) - 1) // a
             for e in range(-bound + (residue + bound) % step, hi + 1, step):
                 b = (1 + a * e) // c
-                hits.append(SearchHit(FM2(c, a, shared(e, e), shared(b, b), lam)))
+                hits.append(FM2(c, a, shared(e, e), shared(b, b), lam))
     return hits

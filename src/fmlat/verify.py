@@ -17,7 +17,7 @@ from . import bridgeland, chow, operators, product
 from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
-from .linalg import Mat, _Record, _shown, as_int
+from .linalg import Mat, _Record, _expect, _shown, as_int
 from .operators import (_NEEDS_D, GoldenName, _fm_fd, build, op_pi_tensor,
                         op_tensor, restrict2)
 from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
@@ -33,22 +33,25 @@ class VerifyCase(_Record):
     __slots__ = ("id", "description", "lhs", "rhs")
 
     def __init__(self, id: str, description: str, lhs: str, rhs: str):
+        for label, x in (("id", id), ("description", description), ("lhs", lhs),
+                         ("rhs", rhs)):
+            _expect(label, str, x)
         self._fill(id, description, lhs, rhs)
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
-    def to_json(self) -> dict:
-        return {"id": self.id, "description": self.description,
-                "pass": self.passed, "lhs": self.lhs, "rhs": self.rhs}
-
 
 class VerifyOutcome(_Record):
-    __slots__ = ("suite", "d_lo", "d_hi", "cases")
+    __slots__ = ("d_lo", "d_hi", "cases")
 
-    def __init__(self, suite: str, d_lo: int, d_hi: int, cases: tuple[VerifyCase, ...]):
-        self._fill(suite, d_lo, d_hi, cases)
+    def __init__(self, d_lo: int, d_hi: int, cases: tuple[VerifyCase, ...]):
+        as_int("d_lo", d_lo)
+        as_int("d_hi", d_hi)
+        for case in _expect("cases", tuple, cases):
+            _expect("case", VerifyCase, case)
+        self._fill(d_lo, d_hi, cases)
 
     @property
     def n_passed(self) -> int:
@@ -61,12 +64,6 @@ class VerifyOutcome(_Record):
     @property
     def ok(self) -> bool:
         return self.n_failed == 0
-
-    def to_json(self) -> dict:
-        return {"schema": 1, "suite": self.suite,
-                "d_range": [self.d_lo, self.d_hi],
-                "cases": [case.to_json() for case in self.cases],
-                "passed": self.n_passed, "failed": self.n_failed}
 
 
 def _first_diff(a: Mat, b: Mat) -> str:
@@ -286,4 +283,4 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         "the boundary case d_v = 5 fails the strict inequality",
         f"passed={res_fail.passed}", "passed=False"))
 
-    return VerifyOutcome("fmlat-verify", d_lo, d_hi, tuple(cases))
+    return VerifyOutcome(d_lo, d_hi, tuple(cases))

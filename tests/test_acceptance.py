@@ -106,7 +106,12 @@ def test_acceptance_11_cli_contract(capsys, tmp_path):
 
     assert main(["verify", "--d-range", "1..2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == run_verify(1, 2).to_json()
+    cases = run_verify(1, 2).cases
+    assert doc == {"schema": 1, "suite": "fmlat-verify", "d_range": [1, 2],
+                   "cases": [{"id": case.id, "description": case.description,
+                              "pass": True, "lhs": case.lhs, "rhs": case.rhs}
+                             for case in cases],
+                   "passed": len(cases), "failed": 0}
 
     assert main(["transform", "--matrix", "FM_Pd", "--d", "1",
                  "--vector", "1,0,0,0"]) == 0

@@ -375,7 +375,7 @@ def test_restated_action_formulas():
                 assert res.passed == (min(margins) > 0)
                 assert res.rank_margins == (ranks[0] - 3, ranks[1] - 3)
                 if (lam, target) not in hits:
-                    hits[lam, target] = {hit.phi for hit in search_phi(lam, 50, target)}
+                    hits[lam, target] = set(search_phi(lam, 50, target))
                 assert (phi in hits[lam, target]) == res.passed, (phi, target)
                 passed += res.passed
     assert checked > 5000 and passed > 1000

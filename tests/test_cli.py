@@ -16,10 +16,12 @@ import fmlat.operators
 import fmlat.verify
 from fmlat.bridgeland import FM2
 from fmlat.chow import STANDARD_K3, CohClass, chi_tensor
-from fmlat.cli import main
-from fmlat.linalg import Mat, qvec, render_matrix
+from fmlat.cli import _grid, _report_json, main
+from fmlat.linalg import Mat, q, qvec
 from fmlat.operators import GoldenName, build, golden
 from fmlat.sd import build_report
+
+from helpers import small_q
 
 K3_CFG = """
 name = standard-k3
@@ -61,7 +63,13 @@ def test_verify_json_contains_case_ids(capsys):
     ids = [case["id"] for case in doc["cases"]]
     assert "golden_vs_built:FM_Pd:d=1" in ids
     assert doc["failed"] == 0
-    assert doc == fmlat.verify.run_verify(1, 1).to_json()
+    outcome = fmlat.verify.run_verify(1, 1)
+    assert doc == {
+        "schema": 1, "suite": "fmlat-verify", "d_range": [1, 1],
+        "cases": [{"id": case.id, "description": case.description,
+                   "pass": True, "lhs": case.lhs, "rhs": case.rhs}
+                  for case in outcome.cases],
+        "passed": len(outcome.cases), "failed": 0}
 
 
 def test_verify_corrupted_golden_table_exits_one(capsys, monkeypatch):
@@ -93,10 +101,14 @@ def test_verify_rejects_bad_ranges(capsys, bad):
 # matrix
 
 def test_matrix_prints_pinned_table(capsys):
+    # each column is right-aligned to its widest entry
     code, out, _ = run(capsys, "matrix", "FM_Pd", "--d", "3")
     assert code == 0
-    assert out.splitlines()[0] == "FM_Pd(d=3) ="
-    assert "[  0  1   0  0 ]" in out
+    assert out == ("FM_Pd(d=3) =\n"
+                   "[  0  1   0  0 ]\n"
+                   "[ -1  3   0  0 ]\n"
+                   "[  0  5   0  1 ]\n"
+                   "[  1  6  -1  3 ]\n")
 
 
 def test_matrix_json_roundtrip(capsys):
@@ -119,12 +131,39 @@ def test_matrix_twist_takes_rational_divisor(capsys):
     assert expected.rows[3][0] == Fraction(1, 4)
     code, out, _ = run(capsys, "matrix", "A_TL", "--divisor", "1/2,1")
     assert code == 0
-    assert out == f"A_TL(D=1/2,1) =\n{render_matrix(expected)}\n"
+    assert out == ("A_TL(D=1/2,1) =\n"
+                   "[   1  0    0  0 ]\n"
+                   "[ 1/2  1    0  0 ]\n"
+                   "[   1  0    1  0 ]\n"
+                   "[ 1/4  0  1/2  1 ]\n")
     code, out, _ = run(capsys, "matrix", "A_TL", "--divisor", "1/2,1", "--json")
     assert code == 0
     doc = json.loads(out)
+    # an integral entry is a JSON int, any other an "n/d" string
     assert doc["divisor"] == ["1/2", 1]
+    assert doc["matrix"][3] == ["1/4", 0, "1/2", 1]
     assert Mat(doc["matrix"]) == expected
+
+
+def test_matrix_text_right_aligns_each_column(capsys):
+    code, out, _ = run(capsys, "matrix", "A_TL", "--divisor=-7/2,1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["[     1  0     0  0 ]",
+                                    "[  -7/2  1     0  0 ]",
+                                    "[     1  0     1  0 ]",
+                                    "[ -63/4  8  -7/2  1 ]"]
+
+
+@pytest.mark.parametrize("divisor", ["-7/2,1", "1/3,-2/5", "4/2,0"])
+def test_matrix_json_reads_back_as_the_matrix(capsys, divisor):
+    code, out, _ = run(capsys, "matrix", "A_TL", f"--divisor={divisor}", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    expected = golden(GoldenName.A_TL, divisor=qvec(divisor.split(",")))
+    assert Mat(doc["matrix"]) == expected
+    # integral entries are JSON ints and the rest "n/d" strings, so none is rounded
+    assert [[type(x) is int for x in row] for row in doc["matrix"]] == \
+        [[type(x) is int for x in row] for row in expected.rows]
 
 
 @pytest.mark.parametrize("divisor", ["1", "1/2,1,0", "1/0,1", "0.5,1", "1e3,0"])
@@ -222,7 +261,7 @@ def test_long_matrix_entries_print_in_full(long_int_str):
     matrix = build(GoldenName.TensorL1, d=int(LONG)).matrix
     assert max(len(str(x)) for row in matrix.rows for x in row) > 4300
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == f"TensorL1(d={LONG}) =\n{render_matrix(matrix)}\n"
+    assert proc.stdout == f"TensorL1(d={LONG}) =\n{_grid(matrix)}\n"
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -280,6 +319,20 @@ def test_transform_accepts_rationals_and_roundtrips(capsys):
     doc = json.loads(out)
     image = qvec(doc["image"])
     assert image == golden(GoldenName.TensorSigma).apply(qvec(doc["vector"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_q(), min_size=4, max_size=4))
+def test_transform_json_numbers_read_back_exactly(xs):
+    # q reads each encoded number back; "-7/2" stays a string, 4/1 an int
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["transform", "--matrix", "A_S",
+                     "--vector=" + ",".join(map(str, xs)), "--json"]) == 0
+    doc = json.loads(out.getvalue())
+    assert [q(x) for x in doc["vector"]] == xs
+    assert [type(x) is int for x in doc["vector"]] == [x.denominator == 1 for x in xs]
+    assert qvec(doc["image"]) == golden(GoldenName.A_S).apply(xs)
 
 
 def test_transform_on_two_by_two(capsys):
@@ -393,9 +446,26 @@ def test_sd_check_json_roundtrip(capsys):
                        "--dv", "6", "--dw", "0", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc == build_report(FM2(3, 1, -7, -2, 1), 6, 0).to_json()
-    assert doc["checks"]["k3"] == "pass"
-    assert doc["checks"]["general"] == "not-evaluated"
+    assert doc == {
+        "schema": 1, "surface": None, "v": None, "w": None,
+        "phi": [3, 1, -7, -2], "lambda": 1, "d_v": 6, "d_w": 0,
+        "orthogonal": None, "base_case": None, "rk_xi_v": 3, "rk_phi_w": 3,
+        "checks": {"k3": "pass", "general": "not-evaluated"},
+        "margins": {"k3": {"threshold": [1, 1], "rank": [0, 0]}, "general": None},
+        "notes": []}
+
+
+@pytest.mark.parametrize("argv, code, checks", [
+    (["--dv", "6", "--dw", "0"], 0, {"k3": "pass", "general": "not-evaluated"}),
+    (["--dv", "5", "--dw", "0"], 1, {"k3": "fail", "general": "not-evaluated"}),
+    (["--dv", "6", "--dw", "0", "--theorem", "general", "--tv", "2", "--tw", "2"],
+     0, {"k3": "not-evaluated", "general": "pass"}),
+    (["--dv", "6", "--dw", "0", "--theorem", "general", "--tv", "3", "--tw", "2"],
+     1, {"k3": "not-evaluated", "general": "fail"}),
+], ids=["k3-pass", "k3-fail", "general-pass", "general-fail"])
+def test_sd_check_json_verdict_words(capsys, argv, code, checks):
+    got, out, _ = run(capsys, "sd-check", "--phi", "3,1,-7,-2", *argv, "--json")
+    assert (got, json.loads(out)["checks"]) == (code, checks)
 
 
 def test_sd_check_with_classes(capsys, k3_file):
@@ -522,7 +592,7 @@ def test_search_json_roundtrip(capsys):
     assert doc["schema"] == 1
     assert [3, 1, -7, -2] in [hit["phi"] for hit in doc["hits"]]
     for hit in doc["hits"]:
-        assert hit["report"] == build_report(FM2(*hit["phi"], 1), 6, 0).to_json()
+        assert hit["report"] == _report_json(build_report(FM2(*hit["phi"], 1), 6, 0))
 
 
 # usage errors

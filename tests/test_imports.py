@@ -121,3 +121,18 @@ def test_only_the_record_base_defines_value_semantics():
                 found += [f"{path.name}:{node.name}.{item.name}" for item in node.body
                           if isinstance(item, ast.FunctionDef) and item.name in methods]
     assert found == []
+
+
+def test_only_the_cli_writes_documents():
+    # the library returns plain values and cli turns them into text or
+    # schema-1 JSON; a document built elsewhere would split that decision
+    found = []
+    for path in sorted(pathlib.Path(fmlat.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value == "schema":
+                found.append(f"{path.name}:{node.lineno}: \"schema\"")
+            elif isinstance(node, ast.FunctionDef) and node.name == "to_json":
+                found.append(f"{path.name}:{node.lineno}: to_json")
+    assert found == []

@@ -13,8 +13,8 @@ import pytest
 from fmlat import bridgeland, chow, linalg, operators, product, sd, verify
 from fmlat.bridgeland import FM2
 from fmlat.chow import STANDARD_K3, CohClass
-from fmlat.errors import FmlatError
-from fmlat.linalg import Mat
+from fmlat.errors import FmlatError, InputError
+from fmlat.linalg import Mat, _Record
 from fmlat.operators import GoldenName, build
 from fmlat.product import DELTA, FMOrientation, Side
 from fmlat.sd import SDPair, SearchTarget, Theorem, sd_check
@@ -42,10 +42,6 @@ def _calls(surface_file: str) -> dict:
         linalg.as_int: [(("d", 3), {})],
         linalg.as_member: [(("theorem", Theorem, "k3"), {})],
         linalg.Mat: [((GRID,), {})],
-        linalg.render_matrix: [((Mat(GRID),), {})],
-        linalg.enc_q: [((3,), {})],
-        linalg.enc_qseq: [(((1, 2),), {})],
-        linalg.enc_mat: [((Mat(GRID),), {})],
         chow.SurfaceDescriptor: [(("k3", 2, ("sigma", "f"), ((-2, 1), (1, 0)), (0, 1),
                                    (0, 0)), {"section": (1, 0), "lam": 1})],
         chow.dot: [((S, (1, 0), (0, 1)), {})],
@@ -95,14 +91,15 @@ def _calls(surface_file: str) -> dict:
         sd.SDCheckResult: [((Theorem.K3, (1, 1), 3, 3), {})],
         sd.sd_check: [((Theorem.K3, PHI, 6, 0), {}),
                       ((Theorem.GENERAL, PHI, 6, 0), {"t_v": 2, "t_w": 2})],
-        sd.SDReport: [((PHI, 6, 0, sd_check(Theorem.K3, PHI, 6, 0)), {})],
+        sd.SDReport: [((PHI, 6, 0, sd_check(Theorem.K3, PHI, 6, 0)), {}),
+                      ((PHI, 6, 0, sd_check(Theorem.K3, PHI, 6, 0),
+                        SDPair(S, V, W, True), True, True, ("note",)), {})],
         sd.build_report: [((PHI, 6, 0), {"pair": SDPair(S, V, W, True)}),
                           ((PHI, 6, 0, Theorem.GENERAL), {"t_v": 2, "t_w": 2})],
         sd.SearchTarget: [((6, 0), {}), ((6, 0, Theorem.GENERAL), {"t_v": 2, "t_w": 2})],
-        sd.SearchHit: [((PHI,), {})],
         sd.search_phi: [((1, 8), {}), ((1, 8, SearchTarget(6, 0)), {})],
         verify.VerifyCase: [(("id", "description", "1", "1"), {})],
-        verify.VerifyOutcome: [(("suite", 1, 1, (VerifyCase("id", "d", "1", "1"),)), {})],
+        verify.VerifyOutcome: [((1, 1, (VerifyCase("id", "d", "1", "1"),)), {})],
         verify.run_verify: [((1, 1), {})],
     }
 
@@ -115,23 +112,23 @@ def _public_callables() -> set:
             and not (inspect.isclass(obj) and issubclass(obj, Enum))}
 
 
-def _with_big(value):
-    """(label, value) for BIG in place of value: alone, alone in a tuple,
+def _with(bad, value):
+    """(label, value) for bad in place of value: alone, alone in a tuple,
     and in place of each entry of a tuple or list at any depth."""
-    yield "BIG", BIG
-    yield "(BIG,)", (BIG,)
+    yield "bad", bad
+    yield "(bad,)", (bad,)
     if isinstance(value, (tuple, list)):
         for i, item in enumerate(value):
-            for label, new in _with_big(item):
+            for label, new in _with(bad, item):
                 yield f"[{i}]{label}", type(value)([*value[:i], new, *value[i + 1:]])
 
 
-def _variants(args: tuple, kwargs: dict):
+def _variants(bad, args: tuple, kwargs: dict):
     for i, arg in enumerate(args):
-        for label, new in _with_big(arg):
+        for label, new in _with(bad, arg):
             yield f"arg {i} {label}", (*args[:i], new, *args[i + 1:]), kwargs
     for key, arg in kwargs.items():
-        for label, new in _with_big(arg):
+        for label, new in _with(bad, arg):
             yield f"{key} {label}", args, {**kwargs, key: new}
 
 
@@ -158,7 +155,7 @@ def test_a_5000_digit_int_is_returned_or_an_fmlat_error(default_str_limit, tmp_p
     for func, calls in _calls(str(surface_file)).items():
         for args, kwargs in calls:
             func(*args, **kwargs)   # the sample call itself is valid
-            for label, new_args, new_kwargs in _variants(args, kwargs):
+            for label, new_args, new_kwargs in _variants(BIG, args, kwargs):
                 try:
                     func(*new_args, **new_kwargs)
                 except FmlatError:
@@ -167,3 +164,23 @@ def test_a_5000_digit_int_is_returned_or_an_fmlat_error(default_str_limit, tmp_p
                     failures.append(f"{func.__module__}.{func.__name__} "
                                     f"{label}: {type(exc).__name__}")
     assert failures == []
+
+
+def test_every_record_refuses_a_float_in_any_field():
+    # a record checks what it holds and computes nothing: 0.5 anywhere in a
+    # constructor's arguments is an InputError, never a stored field
+    records = {cls: calls for cls, calls in _calls("k3.cfg").items()
+               if inspect.isclass(cls) and issubclass(cls, _Record)}
+    assert set(records) == set(_Record.__subclasses__())
+    accepted = []
+    for cls, calls in records.items():
+        for args, kwargs in calls:
+            for label, new_args, new_kwargs in _variants(0.5, args, kwargs):
+                try:
+                    cls(*new_args, **new_kwargs)
+                except InputError:
+                    continue
+                except Exception as exc:   # any other type is a failure too
+                    label += f" {type(exc).__name__}"
+                accepted.append(f"{cls.__name__} {label}")
+    assert accepted == []

@@ -13,8 +13,8 @@ from fmlat.errors import InputError
 from fmlat.linalg import Mat, _Record
 from fmlat.operators import Operator
 from fmlat.product import ProductClass
-from fmlat.sd import (SDCheckResult, SDPair, SDReport, SearchHit, SearchTarget,
-                      Theorem, build_report, sd_check, search_phi)
+from fmlat.sd import (SDCheckResult, SDPair, SDReport, SearchTarget, Theorem,
+                      build_report, sd_check)
 from fmlat.verify import VerifyCase, VerifyOutcome
 
 
@@ -36,10 +36,9 @@ SAMPLES = {
     SDCheckResult: lambda: sd_check(Theorem.K3, FM2(3, 1, -7, -2), 6, 0),
     SDReport: lambda: build_report(FM2(3, 1, -7, -2), 6, 0, pair=_pair()),
     SearchTarget: lambda: SearchTarget(6, 0),
-    SearchHit: lambda: search_phi(1, 8, SearchTarget(6, 0))[0],
     VerifyCase: lambda: VerifyCase("id", "description", "1", "1"),
     VerifyOutcome: lambda: VerifyOutcome(
-        "suite", 1, 1, (VerifyCase("id", "description", "1", "1"),)),
+        1, 1, (VerifyCase("id", "description", "1", "1"),)),
 }
 RECORDS = list(SAMPLES)
 

@@ -13,9 +13,8 @@ from fmlat.chow import (CohClass, STANDARD_K3, ch_line_bundle, chi_tensor, dot,
                         dual, from_coords, mult)
 from fmlat.errors import AdmissibilityError, InputError
 from fmlat.linalg import Mat, qvec
-from fmlat.sd import (NOT_EVALUATED, SDPair, SearchTarget, Theorem,
-                      build_report, mo_base_check, orthogonal_check, sd_check,
-                      search_phi, transformed_ranks)
+from fmlat.sd import (SDPair, SearchTarget, Theorem, build_report, mo_base_check,
+                      orthogonal_check, sd_check, search_phi, transformed_ranks)
 
 from helpers import RATIONAL_ELLIPTIC
 
@@ -133,12 +132,11 @@ def test_mo_base_case_needs_integral_divisors():
     assert not mo_base_check(S, *twisted(v, w, (Fraction(1, 2), 0)), True)
 
 
-@pytest.mark.parametrize("hit", search_phi(1, 8), ids=lambda h: str(h.phi.entries()))
-def test_every_small_phi_covers_a_twisted_hilbert_pair(hit):
+@pytest.mark.parametrize("phi", search_phi(1, 8), ids=lambda phi: str(phi.entries()))
+def test_every_small_phi_covers_a_twisted_hilbert_pair(phi):
     # the smallest fiber degrees whose transformed ranks exceed 2a; the base
     # pair (1, O, -1), (1, L, -1) with L = (d_v + d_w) sigma + t.f and
     # L^2 >= 0 (k = 1, l = chi(L) - 1), twisted by D = d_v.sigma, has them
-    phi = hit.phi
     d_v, d_w = (3 * phi.a + phi.c) // phi.a, (3 * phi.a - phi.c) // phi.a
     s = d_v + d_w
     base_w = from_coords((1, s, s + (1 if s >= 0 else -1), -1))
@@ -215,7 +213,6 @@ def test_check_result_stores_only_margins_and_ranks():
         res = sd.SDCheckResult(Theorem.K3, margins, 7, 2)
         assert res.passed is passed
         assert res.rank_margins == (4, -1)
-        assert res.verdict == (sd.PASS if passed else sd.FAIL)
 
 
 def test_sd_check_boundary_is_strict():
@@ -312,10 +309,8 @@ def test_sd_entry_points_reject_wrong_types(call, label):
 
 def test_build_report_populates_both_forms():
     report = build_report(WORKED_PHI, 6, 0, theorem=Theorem.K3)
-    assert report.verdict(Theorem.K3) == "pass"
-    assert report.verdict("general") == NOT_EVALUATED
     k3 = report.check
-    assert k3.theorem is Theorem.K3
+    assert k3.theorem is Theorem.K3 and k3.passed
     assert (k3.threshold_margins, k3.rank_margins) == ((1, 1), (0, 0))
     assert (k3.rk_xi_v, k3.rk_phi_w) == (3, 3)
     assert build_report(WORKED_PHI, 6, 0, theorem="k3") == report
@@ -331,8 +326,9 @@ def test_build_report_with_pair_and_defaulted_dimensions():
     report = build_report(WORKED_PHI, 6, 0, theorem=Theorem.GENERAL, pair=pair)
     assert report.orthogonal is True
     assert report.base_case is True
-    assert report.verdict(Theorem.GENERAL) in ("pass", "fail")
-    assert report.verdict(Theorem.K3) == NOT_EVALUATED
+    # dimensions 4 and 6 from the K3 formula; ranks 3 and 3 fall short
+    assert report.check == sd.SDCheckResult(Theorem.GENERAL, (-1, -3), 3, 3)
+    assert not report.check.passed
     assert any("disagree" in note for note in report.notes)
     assert any("defaulted" in note for note in report.notes)
 
@@ -407,8 +403,8 @@ def test_report_json_roundtrip():
     }
     for theorem, fields in expected.items():
         dims = {"t_v": 2, "t_w": 2} if theorem is Theorem.GENERAL else {}
-        doc = build_report(WORKED_PHI, 6, 0, theorem=theorem, pair=pair,
-                           **dims).to_json()
+        report = build_report(WORKED_PHI, 6, 0, theorem=theorem, pair=pair, **dims)
+        doc = cli._report_json(report)
         assert json.loads(json.dumps(doc)) == doc
         assert doc == {**common, **fields}
         assert (qvec(doc["v"]), qvec(doc["w"])) == (v.coords(), w.coords())
@@ -417,28 +413,28 @@ def test_report_json_roundtrip():
 # search
 
 def test_search_rejects_near_miss():
-    hits = [hit.phi.entries() for hit in search_phi(1, 3)]
+    hits = [phi.entries() for phi in search_phi(1, 3)]
     assert (2, 1, -3, -1) not in hits   # -b = 1 is not above a = 1
     assert hits == []                   # nothing admissible this small
 
 
 def test_search_threshold_for_worked_matrix():
     assert (3, 1, -7, -2) not in \
-        [h.phi.entries() for h in search_phi(1, 6)]
+        [phi.entries() for phi in search_phi(1, 6)]
     assert (3, 1, -7, -2) in \
-        [h.phi.entries() for h in search_phi(1, 7)]
+        [phi.entries() for phi in search_phi(1, 7)]
 
 
 def test_search_lambda_forces_even_e():
-    for hit in search_phi(2, 12):
-        assert hit.phi.e % 2 == 0
+    for phi in search_phi(2, 12):
+        assert phi.e % 2 == 0
 
 
 def test_search_hits_have_valid_families():
     neg_id = -Mat.identity(2)
-    for hit in search_phi(1, 9):
-        assert hit.phi.matrix * hit.phi.psi == neg_id
-        assert hit.phi.omega * hit.phi.xi == neg_id
+    for phi in search_phi(1, 9):
+        assert phi.matrix * phi.psi == neg_id
+        assert phi.omega * phi.xi == neg_id
 
 
 def test_search_complete_against_naive_scan():
@@ -451,9 +447,9 @@ def test_search_complete_against_naive_scan():
                         if (c * b - a * e == 1 and a > 0 and e % lam == 0
                                 and c > a and -b > a):
                             expected.append((c, a, e, b))
-        got = [hit.phi.entries() for hit in search_phi(lam, bound)]
+        got = [phi.entries() for phi in search_phi(lam, bound)]
         assert got == sorted(expected)
-        assert got == [hit.phi.entries() for hit in search_phi(lam, bound)]
+        assert got == [phi.entries() for phi in search_phi(lam, bound)]
 
 
 def _cubic_reference_search(lam, bound, target=None):
@@ -499,9 +495,9 @@ def test_k3_pass_makes_rank_margins_at_least_2a_minus_2():
         if target is None or target.theorem is not Theorem.K3:
             continue
         for lam in range(1, 5):
-            for hit in search_phi(lam, 40, target):
-                res = sd_check(Theorem.K3, hit.phi, target.d_v, target.d_w)
-                a = hit.phi.a
+            for phi in search_phi(lam, 40, target):
+                res = sd_check(Theorem.K3, phi, target.d_v, target.d_w)
+                a = phi.a
                 assert res.passed
                 assert min(res.rk_xi_v, res.rk_phi_w) > 2 * a
                 assert min(res.rank_margins) >= 2 * a - 2
@@ -518,7 +514,7 @@ def test_search_matches_cubic_reference(target):
             t_v=target.t_v, t_w=target.t_w)) for phi in phis]
 
     def documents(hits):
-        return [(phi.entries(), None if report is None else report.to_json())
+        return [(phi.entries(), None if report is None else cli._report_json(report))
                 for phi, report in hits]
 
     top = 40
@@ -529,22 +525,20 @@ def test_search_matches_cubic_reference(target):
             # entries all lie within it
             expected = [phi for phi, _ in reference
                         if max(map(abs, phi.entries())) <= bound]
-            got = [hit.phi for hit in search_phi(lam, bound, target)]
+            got = search_phi(lam, bound, target)
             assert got == expected, (lam, bound)
         # every hit passes the reference's sd_check and reports exactly that
         assert reported(got) == reference
         assert documents(reported(got)) == documents(reference)
     assert _cubic_reference_search(2, 12, target) == reported(
-        hit.phi for hit in search_phi(2, 12, target))
+        search_phi(2, 12, target))
 
 
 def test_search_with_target_contains_worked_example():
     hits = search_phi(1, 8, target=SearchTarget(6, 0, Theorem.K3))
-    entries = [hit.phi.entries() for hit in hits]
-    assert (3, 1, -7, -2) in entries
-    for hit in hits:
-        res = sd_check(Theorem.K3, hit.phi, 6, 0)
-        assert res.passed and res.verdict == "pass"
+    assert (3, 1, -7, -2) in [phi.entries() for phi in hits]
+    for phi in hits:
+        assert sd_check(Theorem.K3, phi, 6, 0).passed
 
 
 def test_search_validates_inputs():
@@ -573,11 +567,11 @@ def test_search_hits_share_entry_ints():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # a SearchHit and its FM2 are about 121 bytes; a fresh int for each
-    # hit's e and b made it about 190
+    # a hit is its FM2, about 81 bytes; wrapped in a one-field record it
+    # took about 121, and with a fresh int for its e and b about 190
     assert len(hits) == 6560
-    assert retained / len(hits) <= 160
-    assert len({id(hit.phi.e) for hit in hits}) <= 2 * 150 + 1
+    assert retained / len(hits) <= 100
+    assert len({id(phi.e) for phi in hits}) <= 2 * 150 + 1
 
 
 def test_targeted_hits_cost_what_untargeted_ones_do():
@@ -589,12 +583,10 @@ def test_targeted_hits_cost_what_untargeted_ones_do():
     for target in (None, everything):
         tracemalloc.start()
         try:
-            hits = search_phi(1, 150, target)
+            phis[target] = search_phi(1, 150, target)
             retained[target] = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        phis[target] = [hit.phi for hit in hits]
-        del hits
     assert len(phis[None]) == 6560
     assert phis[everything] == phis[None]
     assert retained[everything] <= 1.1 * retained[None]
@@ -630,7 +622,7 @@ def test_unknown_theorem_is_an_input_error():
         with pytest.raises(InputError, match="unknown theorem"):
             build_report(WORKED_PHI, 6, 0, theorem=bad)
     with pytest.raises(InputError, match="bogus"):
-        build_report(WORKED_PHI, 6, 0).verdict("bogus")
+        sd.SDCheckResult("bogus", (1, 1), 3, 3)
     with pytest.raises(InputError, match="bogus"):
         SearchTarget(6, 0, "bogus")
 
