@@ -232,9 +232,9 @@ def _verdict(report: SDReport, theorem: Theorem) -> str:
 def _report_json(report: SDReport) -> dict:
     check, pair = report.check, report.pair
     margins = {"k3": None, "general": None}
-    margins[check.theorem.value] = {"threshold": _nums(check.threshold_margins)}
+    margins[check.theorem.value] = {"threshold": list(check.threshold_margins)}
     if check.theorem is Theorem.K3:
-        margins["k3"]["rank"] = _nums(check.rank_margins)
+        margins["k3"]["rank"] = list(check.rank_margins)
     return {"schema": 1, "surface": None if pair is None else pair.surface.name,
             "v": None if pair is None else _nums(pair.v.coords()),
             "w": None if pair is None else _nums(pair.w.coords()),
