@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
@@ -398,11 +399,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with "-" as an option unless the whole
+# value is one negative number, so "--vector -1,0,0,0" would lose its value;
+# a flag that takes a comma list gets such a value glued on with "="
+_LIST_FLAGS = frozenset({"--vector", "--divisor", "--v", "--w", "--phi"})
+_NEGATIVE_LEAD = re.compile(r"-[0-9]")
+
+
+def _glue_list_values(argv: list[str]) -> list[str]:
+    glued: list[str] = []
+    for arg in argv:
+        if glued and glued[-1] in _LIST_FLAGS and _NEGATIVE_LEAD.match(arg):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):   # print every exact result
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_list_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

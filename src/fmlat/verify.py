@@ -82,12 +82,14 @@ def _mat_str(m: Mat) -> str:
 
 def _case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
     """The case lhs = rhs. A Mat side prints as _mat_str, and a failing Mat
-    case names its first difference; any other side prints as str."""
+    case names its first difference; any other side prints as str. A
+    passing case keeps one string for both sides."""
     if isinstance(lhs, Mat):
         if lhs != rhs:
             description = f"{description} ({_first_diff(lhs, rhs)})"
         lhs, rhs = _mat_str(lhs), _mat_str(rhs)
-    return VerifyCase(case_id, description, str(lhs), str(rhs))
+    lhs, rhs = str(lhs), str(rhs)
+    return VerifyCase(case_id, description, lhs, lhs if lhs == rhs else rhs)
 
 
 def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
@@ -96,24 +98,74 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, "
                          f"got {_shown(d_lo)}..{_shown(d_hi)}")
     golden = operators.golden
-    cases: list[VerifyCase] = []
-    d_range = range(d_lo, d_hi + 1)
-    # each degree's FM_Pd, kernel class and tables serve several sections below
-    fm_pd = {d: build(GoldenName.FM_Pd, d=d) for d in d_range}
-    kernels = {d: kernel_class("Pd", d) for d in d_range}
-    tables = {(name, d): golden(name, d=d) for name in _NEEDS_D for d in d_range}
+    gram = chow.pairing_gram()
+    todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
+    # one pass over the degrees: each section gathers its cases in its own
+    # list, and nothing built for a degree outlives that degree's iteration
+    golden_vs_built, grr, pushforward, pairing, reductions = [], [], [], [], []
+    for d in range(d_lo, d_hi + 1):
+        fm_pd = build(GoldenName.FM_Pd, d=d)
+        tables = {name: golden(name, d=d) for name in _NEEDS_D}
 
-    # reference tables against operator compositions
-    for d in d_range:
+        # reference tables against operator compositions
         for name, op in ((GoldenName.TensorL1, build(GoldenName.TensorL1, d=d)),
                          (GoldenName.Tw_d, build(GoldenName.Tw_d, d=d)),
-                         (GoldenName.FM_Pd, fm_pd[d]),
-                         (GoldenName.FM_Fd, _fm_fd(fm_pd[d], d))):
-            cases.append(_case(
+                         (GoldenName.FM_Pd, fm_pd),
+                         (GoldenName.FM_Fd, _fm_fd(fm_pd, d))):
+            golden_vs_built.append(_case(
                 f"golden_vs_built:{name.value}:d={d}",
                 f"{name.value} built from elementary operators matches the "
                 f"pinned table at d={d}",
-                op.matrix, tables[name, d]))
+                op.matrix, tables[name]))
+
+        # Riemann-Roch on the product against the same tables
+        kernel = kernel_class("Pd", d)
+        grr.append(_case(
+            f"grr_vs_golden:FM_Pd:d={d}",
+            f"transform of the degree-{d} kernel class equals the pinned "
+            f"FM_Pd at d={d}",
+            product.fm_matrix(kernel, FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
+            tables[GoldenName.FM_Pd]))
+
+        # product-ring fixtures
+        pushed = push(Side.SECOND, prod_mult(kernel, todd_first))
+        expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
+        pushforward.append(_case(
+            f"product:pd_pushforward:d={d}",
+            f"pushforward of the degree-{d} kernel has class "
+            f"(d, -sigma+(d^2-d)f, 1-2d)",
+            render_class(pushed), render_class(expected)))
+        twisted = mult(STANDARD_K3, pushed,
+                       chow.ch_line_bundle(STANDARD_K3, (0, 2)))
+        pushforward.append(_case(
+            f"product:pd_pushforward_twist:d={d}",
+            f"its relative-dualizing twist equals the pinned twist class at d={d}",
+            render_class(twisted),
+            render_class(operators.pd_pushforward_twist_class(d))))
+
+        # pairing conservation; recorded fixture: the rank-(d+1) kernel
+        # transform preserves it too
+        for name, note in ((GoldenName.FM_Pd, ""),
+                           (GoldenName.FM_Fd, " (recorded fixture)")):
+            m = tables[name]
+            pairing.append(_case(
+                f"pairing:{name.value}:d={d}",
+                f"{name.value} preserves the Euler pairing at d={d}{note}",
+                m.transpose() * gram * m, gram))
+
+        # two-by-two reductions
+        reduced = restrict2(fm_pd).matrix
+        reductions.append(_case(
+            f"restrict2:FM_Pd:d={d}",
+            f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
+            reduced, Mat([[0, 1], [-1, d]])))
+        reductions.append(_case(
+            f"restrict2_det:FM_Pd:d={d}",
+            f"the reduction of FM_Pd is unimodular at d={d}",
+            reduced.det(), 1))
+
+    # the sections in order, each fixed case after its section's degrees
+    cases = golden_vs_built
     for name in (GoldenName.TensorSigma, GoldenName.PiPushPull,
                  GoldenName.PiPushPullSigma, GoldenName.A_S,
                  GoldenName.A_Sprime, GoldenName.B_S):
@@ -139,15 +191,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         "the negative inverse of A_S equals the pinned A_Sprime",
         -(golden(GoldenName.A_S).inverse()), golden(GoldenName.A_Sprime)))
 
-    # Riemann-Roch on the product against the same tables
-    for d in d_range:
-        cases.append(_case(
-            f"grr_vs_golden:FM_Pd:d={d}",
-            f"transform of the degree-{d} kernel class equals the pinned "
-            f"FM_Pd at d={d}",
-            product.fm_matrix(kernels[d],
-                              FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
-            tables[GoldenName.FM_Pd, d]))
+    cases += grr
     cases.append(_case(
         "grr_vs_golden:A_S",
         "transform of the diagonal-ideal kernel class equals the pinned A_S",
@@ -155,7 +199,6 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
                           FMOrientation.PUSH_SECOND_PULL_FIRST).matrix,
         golden(GoldenName.A_S)))
 
-    # product-ring fixtures
     td_expected = (product.UNIT + 2 * pull(Side.SECOND, chow.POINT_CLASS)
                    + 2 * pull(Side.FIRST, chow.POINT_CLASS) + 4 * product.POINT)
     cases.append(_case(
@@ -174,46 +217,10 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         "diagonal-ideal kernel class is Pi - [f x f] - Delta + 2[*]",
         render_product_class(kernel_class("IDelta")),
         render_product_class(idelta_expected)))
-    todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
-    for d in d_range:
-        pushed = push(Side.SECOND, prod_mult(kernels[d], todd_first))
-        expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
-        cases.append(_case(
-            f"product:pd_pushforward:d={d}",
-            f"pushforward of the degree-{d} kernel has class "
-            f"(d, -sigma+(d^2-d)f, 1-2d)",
-            render_class(pushed), render_class(expected)))
-        twisted = mult(STANDARD_K3, pushed,
-                       chow.ch_line_bundle(STANDARD_K3, (0, 2)))
-        cases.append(_case(
-            f"product:pd_pushforward_twist:d={d}",
-            f"its relative-dualizing twist equals the pinned twist class at d={d}",
-            render_class(twisted),
-            render_class(operators.pd_pushforward_twist_class(d))))
+    cases += pushforward
+    cases += pairing
 
-    # pairing conservation
-    gram = chow.pairing_gram()
-    for d in d_range:
-        # recorded fixture: the rank-(d+1) kernel transform preserves it too
-        for name, note in ((GoldenName.FM_Pd, ""),
-                           (GoldenName.FM_Fd, " (recorded fixture)")):
-            m = tables[name, d]
-            cases.append(_case(
-                f"pairing:{name.value}:d={d}",
-                f"{name.value} preserves the Euler pairing at d={d}{note}",
-                m.transpose() * gram * m, gram))
-
-    # two-by-two reductions
-    for d in d_range:
-        reduced = restrict2(fm_pd[d]).matrix
-        cases.append(_case(
-            f"restrict2:FM_Pd:d={d}",
-            f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
-            reduced, Mat([[0, 1], [-1, d]])))
-        cases.append(_case(
-            f"restrict2_det:FM_Pd:d={d}",
-            f"the reduction of FM_Pd is unimodular at d={d}",
-            reduced.det(), 1))
+    cases += reductions
     cases.append(_case(
         "restrict2:A_S", "A_S reduces to the pinned B_S",
         restrict2(build(GoldenName.A_S)).matrix, golden(GoldenName.B_S)))

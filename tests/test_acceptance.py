@@ -45,6 +45,10 @@ def test_verify_registry_shape(d_lo, d_hi):
     assert len(ids) == N_DEGREE_FAMILIES * (d_hi - d_lo + 1) + N_FIXED_CASES
 
 
+def test_passing_case_keeps_one_string_for_both_sides():
+    assert all(case.lhs is case.rhs for case in run_verify(1, 3).cases)
+
+
 def _numbers(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(tok) for tok in re.findall(r"-?\d+(?:/\d+)?", text))
 

@@ -88,7 +88,10 @@ def test_verify_corrupted_golden_table_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] golden_vs_built:FM_Pd:d=2" in out
     assert "first difference at [1][1]" in out
-    assert "lhs:" in out and "rhs:" in out
+    lhs, rhs = (line.split(": ", 1)
+                for line in out[out.index("[FAIL]"):].splitlines()[1:3])
+    assert (lhs[0].strip(), rhs[0].strip()) == ("lhs", "rhs")
+    assert lhs[1] != rhs[1]
 
 
 @pytest.mark.parametrize("bad", ["0..3", "5..2", "1..65", "x..y", "1.."])
@@ -606,6 +609,42 @@ def test_unknown_command_exits_two(capsys):
 def test_missing_required_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sd-check", "--dv", "6", "--dw", "0"])
+    assert exc.value.code == 2
+
+
+# a comma list whose first entry is negative, after each flag that takes
+# one, and the start of what fmlat then prints: phi's determinant 13 is
+# fmlat's own refusal, so that value too reached the command
+NEGATIVE_LEAD_CALLS = {
+    "vector": ("transform --matrix A_S --vector -1,0,0,0", 0, "1, 0, -2, 0\n"),
+    "divisor": ("matrix A_TL --divisor -1/2,1", 0, "A_TL(D=-1/2,1) =\n"),
+    "v": ("chi --surface {k3} --v -1,0,0,0 --w 1,2,0,0", 0, "-2\n"),
+    "w": ("chi --surface {k3} --v 1,2,0,0 --w -1,0,0,0", 0, "-2\n"),
+    "phi": ("sd-check --phi -3,1,-7,-2 --dv 6 --dw 0", 2,
+            "error: determinant cb - ae = 13, must be 1\n"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NEGATIVE_LEAD_CALLS))
+def test_negative_leading_list_value_reaches_its_flag(capsys, k3_file, flag):
+    line, expected_code, expected_start = NEGATIVE_LEAD_CALLS[flag]
+    argv = line.format(k3=k3_file).split()
+    i = argv.index(f"--{flag}")
+    glued = argv[:i] + [f"--{flag}={argv[i + 1]}"] + argv[i + 2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *glued)
+    assert code == expected_code
+    assert (out or err).startswith(expected_start)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--matrix", "A_S", "--vector", "-1,0,0,0", "--frob"],
+    ["transform", "--matrix", "A_S", "--frob", "-1,0,0,0", "--vector", "1,0,0,0"],
+    ["transform", "--matrix", "A_S", "--vector", "--json"],
+])
+def test_unknown_option_or_missing_value_still_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

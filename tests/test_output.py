@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
@@ -167,9 +168,14 @@ def test_untargeted_search_peak_rss_stays_near_a_small_one():
 
 @pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])
 def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
-    (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
-        f"verify --d-range 1..1{json_flag}", f"verify --d-range 1..64{json_flag}")
-    assert (small_exit, large_exit) == (0, 0)
-    # 726 cases and 186 kB of JSON over 1..64; the whole document once
-    # took about 1.2 MiB more than 1..1
-    assert large_kib - small_kib < 1024
+    runs = peak_rss_kib(*(f"verify --d-range 1..{hi}{json_flag}"
+                          for _ in range(3) for hi in (1, 64)))
+    assert {code for code, _ in runs} == {0}
+    growth = statistics.median(large - small for (_, small), (_, large)
+                               in zip(runs[::2], runs[1::2]))
+    # 726 cases and 186 kB of JSON over 1..64: the cases themselves take
+    # about 0.3 MiB. The whole document once took about 1.2 MiB more than
+    # 1..1, and every degree's operators and tables kept to the end, with
+    # two strings per passing case, about 0.6 MiB. One pair of runs spreads
+    # by about 0.3 MiB, so the median of three pairs is compared.
+    assert growth < 512
