@@ -165,10 +165,11 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
         c = rng.randint(-8, 8)
         if math.gcd(a, abs(c)) != 1:
             continue
-        # solve c.b0 - a.e0 = 1, then slide along the solution line
-        g, b0, e0 = _xgcd(c, -a)
-        if g != 1:
-            b0, e0 = -b0, -e0   # g == -1 for negative leading gcd
+        # solve c.b0 - a.e0 = 1 with b0 the residue nearest zero (ties
+        # below), then slide along the solution line
+        b0 = pow(c, -1, a)
+        b0 -= a * (2 * b0 >= a)
+        e0 = (c * b0 - 1) // a
         k = rng.randint(-5, 5)
         b, e = b0 + a * k, e0 + c * k
         if e % lam != 0:
@@ -177,13 +178,3 @@ def random_admissible(rng: random.Random, lam: int = 1, bound: int = 50) -> FM2:
             continue
         return FM2(c, a, e, b, lam)
 
-
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with u*x + v*y = g; g may be negative here
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while y:
-        quanta = x // y
-        x, y = y, x - quanta * y
-        u0, u1 = u1, u0 - quanta * u1
-        v0, v1 = v1, v0 - quanta * v1
-    return x, u0, v0

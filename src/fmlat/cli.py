@@ -326,22 +326,26 @@ def _cmd_search(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags are spelled in full, so that _glue_list_values sees every flag
     parser = argparse.ArgumentParser(
-        prog="fmlat",
+        prog="fmlat", allow_abbrev=False,
         description="Exact Fourier-Mukai lattice calculus for elliptic K3 surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def add_json(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (schema 1, exact numbers)")
 
-    p = sub.add_parser("verify", help="run the built-in verification suite")
+    p = command("verify", "run the built-in verification suite")
     p.add_argument("--d-range", default="1..12", metavar="LO..HI",
                    help="kernel degrees to check (within 1..64)")
     add_json(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("matrix", help="print a named operator matrix")
+    p = command("matrix", "print a named operator matrix")
     p.add_argument("name", help="matrix name, e.g. FM_Pd, A_S, TensorL1")
     p.add_argument("--d", type=_int_arg, default=None, help="kernel degree parameter")
     p.add_argument("--divisor", default=None, metavar="S,T",
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("transform", help="apply a named matrix to a class vector")
+    p = command("transform", "apply a named matrix to a class vector")
     p.add_argument("--matrix", required=True, help="matrix name")
     p.add_argument("--d", type=_int_arg, default=None)
     p.add_argument("--divisor", default=None, metavar="S,T")
@@ -358,14 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("chi", help="Euler characteristic of a tensor product")
+    p = command("chi", "Euler characteristic of a tensor product")
     p.add_argument("--surface", default=None, help="surface description file")
     p.add_argument("--v", required=True, help="first class vector")
     p.add_argument("--w", required=True, help="second class vector")
     add_json(p)
     p.set_defaults(func=_cmd_chi)
 
-    p = sub.add_parser("sd-check", help="Strange Duality hypothesis check")
+    p = command("sd-check", "Strange Duality hypothesis check")
     p.add_argument("--phi", required=True, metavar="C,A,E,B",
                    help="kernel matrix entries")
     p.add_argument("--lambda", dest="lam", type=_int_arg, default=1,
@@ -383,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_sd_check)
 
-    p = sub.add_parser("search", help="enumerate admissible kernel matrices")
+    p = command("search", "enumerate admissible kernel matrices")
     p.add_argument("--lambda", dest="lam", type=_int_arg, default=1)
     p.add_argument("--bound", type=_int_arg, required=True,
                    help="bound on |c|, |a|, |e|, |b|")

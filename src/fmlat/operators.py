@@ -8,8 +8,8 @@ Two elementary families generate everything used here:
 
 * op_tensor(c): multiplication by a fixed class c;
 * op_pi_tensor(c): v -> pullback-of-pushforward along the elliptic
-  fibration of v.c, via the base-curve formula
-  (r, s.sigma + t.f, p) -> (s, (2r - s + p).f, 0).
+  fibration of v.c; by Grothendieck-Riemann-Roch, pi_* v on the base curve
+  P^1 has rank fdeg(v) and degree chi(v . O(-F)).
 
 Every named matrix (the "golden" grid) exists twice: once as a
 hard-coded literal table, once rebuilt from the elementary generators. The
@@ -82,16 +82,17 @@ def op_tensor(c: CohClass) -> Operator:
     return Operator(Mat(_tensor_rows(to_coords(c))), f"tensor{render_class(c)}")
 
 
-def _pi_coords(r, s, t, p) -> tuple:
-    """Coordinates of pi^* pi_* v for the base curve P^1: no point part, and
-    the fiber coefficient picks up the Todd correction 2r of the K3."""
-    return (s, 0, 2 * r - s + p, 0)
+# pi^* pi_* takes e to fdeg(e).1 + chi(e . O(-F)).f; (s, 0, 2r - s + p, 0) on a K3
+_O_MINUS_F = ch_line_bundle(STANDARD_K3, [-x for x in STANDARD_K3.fiber])
+_PI_PUSH_PULL = Mat(zip(*[(chow.fdeg(STANDARD_K3, e), 0,
+                           chow.chi_tensor(STANDARD_K3, e, _O_MINUS_F), 0)
+                          for e in chow.COORD_BASIS]))
 
 
 def op_pi_tensor(c: CohClass) -> Operator:
     """The family v -> pi^* pi_* (v.c), as a matrix."""
-    cols = [_pi_coords(*col) for col in zip(*_tensor_rows(to_coords(c)))]
-    return Operator(Mat(zip(*cols)), f"pi_tensor{render_class(c)}")
+    return Operator(_PI_PUSH_PULL * Mat(_tensor_rows(to_coords(c))),
+                    f"pi_tensor{render_class(c)}")
 
 
 # Distinguished classes of the degree-d kernel construction.

@@ -9,8 +9,8 @@ normalized into the decomposable grid as the class [*].
 
 Multiplication encodes the diagonal self-intersection through the excess
 formula delta_*(g1) . delta_*(g2) = delta_*(g1.g2.c2(T_X)) with
-c2(T_X) = 24 pt on a K3; only delta_*(1).delta_*(1) = 24[*] survives the
-degree truncation.
+c2(T_X) = 12 chi(O_X) - K.K pt (Noether), read off the surface descriptor;
+only delta_*(1).delta_*(1) = c2[*] survives the degree truncation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul
 
-from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
-                   from_coords, mult, to_coords, todd)
+from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, UNIT_CLASS,
+                   ch_line_bundle, dot, from_coords, mult, to_coords, todd)
 from .errors import InputError
 from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid, qvec
 from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
@@ -96,7 +96,11 @@ _TRIPLE_TABLE = tuple(tuple(tuple(zip(*_tensor_rows(PAIR_TABLE[u][i]))) for i in
                       for u in range(3))
 # (e_j . e_k)[pt], and multiplication by the Todd class, for fm_matrix
 _POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in PAIR_TABLE)
-_TODD_TENSOR = Mat(_tensor_rows(to_coords(todd(STANDARD_K3))))
+_TODD = todd(STANDARD_K3)
+_TODD_TENSOR = Mat(_tensor_rows(to_coords(_TODD)))
+# c2(T_X) by Noether's formula, the degree of the diagonal's self-intersection
+_C2 = 12 * STANDARD_K3.chi_O - dot(STANDARD_K3, STANDARD_K3.canonical,
+                                   STANDARD_K3.canonical)
 
 
 def pull(side: Side, v: CohClass) -> ProductClass:
@@ -167,33 +171,26 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
                         diag[slot] += coeff * g[slot]
                     dec[3][3] += coeff * g[3]   # delta_*(pt) is [*]
 
-    # diagonal self-intersection: only delta_*(1).delta_*(1) = 24[*] survives
-    dec[3][3] += 24 * a.diag[0] * b.diag[0]
+    # diagonal self-intersection: only delta_*(1).delta_*(1) = c2[*] survives
+    dec[3][3] += _C2 * a.diag[0] * b.diag[0]
 
     return ProductClass(tuple(tuple(row) for row in dec), tuple(diag))
 
 
-# the d-free factors of "Pd": its base class, and that times the second-factor
-# pull of ch O(sigma), taken first since the ring is commutative and associative
-_PD_BASE = PI - F_CROSS_F - DELTA + 2 * POINT
-_PD_BASE_SIGMA = prod_mult(_PD_BASE, pull(Side.SECOND, _SIGMA_CH))
-
-
-def _geometric_inverse(t: ProductClass) -> ProductClass:
-    # inverse of 1 + n with n nilpotent: alternating powers of n
-    n = t - UNIT
-    out = UNIT
-    power = UNIT
-    for k in range(1, 5):
-        power = prod_mult(power, n)
-        out = out + ((-1) ** k) * power
-    return out
+def _both_factors(v: CohClass) -> ProductClass:
+    """The product of the pulls of v along both projections."""
+    return prod_mult(pull(Side.FIRST, v), pull(Side.SECOND, v))
 
 
 def product_todd() -> ProductClass:
     """Todd class of X x X: the product of the factor Todd classes."""
-    t = todd(STANDARD_K3)
-    return prod_mult(pull(Side.FIRST, t), pull(Side.SECOND, t))
+    return _both_factors(_TODD)
+
+
+# td_X^-1 = 1 - u + u^2 with u = td_X - 1, exact because u^3 lies in degree
+# three; td(X x X)^-1 is then the product of its pulls
+_U = _TODD - UNIT_CLASS
+_PRODUCT_TODD_INVERSE = _both_factors(UNIT_CLASS - _U + mult(STANDARD_K3, _U, _U))
 
 
 def diag_push_grr(v: CohClass) -> ProductClass:
@@ -203,11 +200,18 @@ def diag_push_grr(v: CohClass) -> ProductClass:
     the diagonal has class Delta - 2[*].
     """
     to_coords(v)   # a class off the K3 lattice fails here, not in mult
-    c = to_coords(mult(STANDARD_K3, v, todd(STANDARD_K3)))
+    c = to_coords(mult(STANDARD_K3, v, _TODD))
     naive = ProductClass(
         ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, c[3])),
         (c[0], c[1], c[2]))
-    return prod_mult(naive, _geometric_inverse(product_todd()))
+    return prod_mult(naive, _PRODUCT_TODD_INVERSE)
+
+
+# the ideal sheaf of the diagonal is Pi - Pi^2/2 - ch O_Delta; "Pd" twists it,
+# and its d-free part, this times the second-factor pull of ch O(sigma), is
+# taken first since the ring is commutative and associative
+_PD_BASE = PI - Fraction(1, 2) * prod_mult(PI, PI) - diag_push_grr(UNIT_CLASS)
+_PD_BASE_SIGMA = prod_mult(_PD_BASE, pull(Side.SECOND, _SIGMA_CH))
 
 
 _KERNEL_KINDS = ("Pd", "IDelta")
@@ -227,8 +231,7 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
     if kind == "IDelta":
         if d is not None:
             raise InputError(f"IDelta takes no kernel degree d, got {_shown(d)}")
-        pi_sq = prod_mult(PI, PI)
-        return PI - Fraction(1, 2) * pi_sq - DELTA + 2 * POINT
+        return _PD_BASE
     _check_d(d)
     # pull is a ring map: multiply the first-factor line bundles on X first
     first = mult(STANDARD_K3, ch_line_bundle(STANDARD_K3, (d + 1, 0)),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -282,6 +283,22 @@ def test_random_admissible_respects_lambda():
     for _ in range(30):
         phi = random_admissible(rng, lam=2, bound=60)
         assert phi.e % 2 == 0 and phi.lam == 2
+
+
+@pytest.mark.parametrize("seed, kwargs, first, digest", [
+    (74207281, {}, [(-2, 3, -1, 1), (-5, 1, -6, 1), (5, 2, -18, -7)],
+     "cf5305e0087a92815a069388773caf7f0da3e6982ff9b586b4c0d1982e826b8a"),
+    (0, {"lam": 2, "bound": 60}, [(5, 4, -24, -19), (1, 4, 2, 9), (1, 2, -4, -7)],
+     "b8924c0017f9e325f125ec7eae212636c9b1492aac0da9c8cc9b3a89c3dedad3"),
+], ids=["verify-seed", "lambda-2"])
+def test_random_admissible_draws_are_pinned(seed, kwargs, first, digest):
+    # the entries of the first 1,000 draws, recorded when b0 and e0 came
+    # from the extended Euclidean algorithm; a different particular solution
+    # of c.b0 - a.e0 = 1 would shift every draw along its solution line
+    rng = random.Random(seed)
+    draws = [random_admissible(rng, **kwargs).entries() for _ in range(1000)]
+    assert draws[:3] == first
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
 
 
 def test_random_admissible_rejects_bad_lambda_and_bound():

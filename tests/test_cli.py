@@ -637,6 +637,23 @@ def test_negative_leading_list_value_reaches_its_flag(capsys, k3_file, flag):
     assert (out or err).startswith(expected_start)
 
 
+@pytest.mark.parametrize("line", [
+    "transform --matrix A_S --vec -1,0,0,0",
+    "transform --matrix A_S --vec 1,0,0,0",
+    "matrix A_TL --div -1,1",
+    "matrix A_TL --div 1,1",
+    "verify --d 1..3",
+])
+def test_abbreviated_flags_are_usage_errors(capsys, line):
+    # flags are spelled in full, whatever the value, so an abbreviation
+    # cannot lose the negative-led value that a full flag gets glued to
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "--matrix", "A_S", "--vector", "-1,0,0,0", "--frob"],
     ["transform", "--matrix", "A_S", "--frob", "-1,0,0,0", "--vector", "1,0,0,0"],

@@ -1,7 +1,11 @@
 """The per-basis-vector routes that op_tensor, op_pi_tensor, fm_matrix and
 kernel_class took before they were read off the multiplication table, kept
 here as references: one ring product (`mult` or `prod_mult`) per basis
-vector, with no table in between."""
+vector, with no table in between. Two more routes the package no longer
+takes are kept too: the literal base-curve formula for pi^* pi_*, and the
+inverse of td(X x X) as an alternating series."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +15,12 @@ from fmlat.chow import (COORD_BASIS, PAIR_TABLE, STANDARD_K3, UNIT_CLASS,
                         to_coords, todd)
 from fmlat.linalg import Mat
 from fmlat.operators import Operator, op_pi_tensor, op_tensor
-from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT, Side,
-                           _TRIPLE_TABLE, fm_matrix, kernel_class, prod_mult,
-                           pull, push)
+from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT,
+                           ProductClass, Side, UNIT, _TRIPLE_TABLE,
+                           diag_push_grr, fm_matrix, kernel_class, prod_mult,
+                           product_todd, pull, push)
 
-from helpers import coh_k3, product_classes
+from helpers import coh_k3, product_classes, random_coh
 
 S = STANDARD_K3
 
@@ -34,6 +39,23 @@ def reference_op_pi_tensor(c):
     cols = [to_coords(reference_pi_pushpull(mult(S, basis, c)))
             for basis in COORD_BASIS]
     return Operator(Mat(cols).transpose(), f"pi_tensor{render_class(c)}")
+
+
+def reference_todd_inverse():
+    # the inverse of 1 + n with n nilpotent: alternating powers of n
+    n = product_todd() - UNIT
+    out = UNIT
+    power = UNIT
+    for k in range(1, 5):
+        power = prod_mult(power, n)
+        out = out + ((-1) ** k) * power
+    return out
+
+
+def naive_diag_push(v):
+    # delta_*(v . td_X), with no Todd correction on X x X
+    r, s, t, p = to_coords(mult(S, v, todd(S)))
+    return ProductClass(((0,) * 4,) * 3 + ((0, 0, 0, p),), (r, s, t))
 
 
 def reference_fm_matrix(kernel, orientation):
@@ -72,6 +94,14 @@ def test_elementary_operators_match_reference(c):
     assert op_tensor(c) == reference_op_tensor(c)
     assert op_pi_tensor(c) == reference_op_pi_tensor(c)
     assert op_pi_tensor(UNIT_CLASS).apply(c) == reference_pi_pushpull(c)
+
+
+def test_diag_push_matches_reference():
+    inverse = reference_todd_inverse()
+    assert prod_mult(product_todd(), inverse) == UNIT
+    rng = random.Random(13)
+    for v in [*COORD_BASIS, *(random_coh(rng) for _ in range(40))]:
+        assert diag_push_grr(v) == prod_mult(naive_diag_push(v), inverse)
 
 
 @settings(max_examples=30, deadline=None)
