@@ -1,16 +1,16 @@
 """The modeled Chow ring of X x X for the standard K3 model.
 
-A class is a decomposable part plus a diagonal part. The decomposable part
-is a 4x4 grid of coefficients of q1^* e_i . q2^* e_j over the coordinate
-basis e = (1, sigma, f, pt); the diagonal part holds coefficients of
-delta_*(1), delta_*(sigma), delta_*(f). The pushforward of a point along
-the diagonal is the same cycle as q1^* pt . q2^* pt, so it is always
-normalized into the decomposable grid as the class [*].
+Every class has one form: a 4x4 grid of coefficients of q1^* e_i . q2^* e_j
+over the coordinate basis e = (1, sigma, f, pt), plus one coefficient of the
+diagonal Delta. The form is unique because H^1(X) = H^3(X) = 0: the diagonal
+pushforward of a divisor x is the grid class x (x) pt + pt (x) x, and of a
+point it is [*], so only delta_*(1) = Delta lies outside the grid. Hence ==
+on ProductClass is equality of classes.
 
 Multiplication encodes the diagonal self-intersection through the excess
 formula delta_*(g1) . delta_*(g2) = delta_*(g1.g2.c2(T_X)) with
 c2(T_X) = 12 chi(O_X) - K.K pt (Noether), read off the surface descriptor;
-only delta_*(1).delta_*(1) = c2[*] survives the degree truncation.
+only Delta.Delta = c2[*] survives the degree truncation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import mul
 from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, UNIT_CLASS,
                    ch_line_bundle, dot, from_coords, mult, to_coords, todd)
 from .errors import InputError
-from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid, qvec
+from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid
 from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
 
 
@@ -39,26 +39,23 @@ class FMOrientation(Enum):
 
 
 class ProductClass(_Record):
-    """Decomposable grid plus diagonal coefficients; immutable and exact."""
+    """Decomposable grid plus the coefficient of Delta; immutable and exact."""
 
-    __slots__ = ("decomp", "diag")
+    __slots__ = ("decomp", "delta")
 
     def __init__(self, decomp: tuple[tuple[int | Fraction, ...], ...],
-                 diag: tuple[int | Fraction, int | Fraction, int | Fraction]):
+                 delta: int | Fraction):
         decomp = qgrid(decomp)
         if len(decomp) != 4 or any(len(r) != 4 for r in decomp):
             raise InputError("decomposable part must be a 4x4 grid")
-        diag = qvec(diag)
-        if len(diag) != 3:
-            raise InputError("diagonal part has three slots: 1, sigma, f")
-        self._fill(decomp, diag)
+        self._fill(decomp, q(delta))
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         _expect("operand", ProductClass, other)
         return ProductClass(
             tuple(tuple(a + b for a, b in zip(ra, rb))
                   for ra, rb in zip(self.decomp, other.decomp)),
-            tuple(a + b for a, b in zip(self.diag, other.diag)))
+            self.delta + other.delta)
 
     def __sub__(self, other: "ProductClass") -> "ProductClass":
         return self + (-1) * _expect("operand", ProductClass, other)
@@ -70,20 +67,20 @@ class ProductClass(_Record):
         k = q(k)
         return ProductClass(
             tuple(tuple(k * a for a in row) for row in self.decomp),
-            tuple(k * a for a in self.diag))
+            k * self.delta)
 
 
 def _single(i: int, j: int, value=1) -> ProductClass:
     dec = [[0] * 4 for _ in range(4)]
     dec[i][j] = value
-    return ProductClass(tuple(tuple(row) for row in dec), (0, 0, 0))
+    return ProductClass(tuple(tuple(row) for row in dec), 0)
 
 
 UNIT = _single(0, 0)
 F_CROSS_F = _single(2, 2)      # [f x f]
 POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f
-DELTA = ProductClass(((0,) * 4,) * 4, (1, 0, 0))
+DELTA = ProductClass(((0,) * 4,) * 4, 1)
 
 _BASIS_LABELS = ("1", "sigma", "f", "*")
 
@@ -91,9 +88,6 @@ _BASIS_LABELS = ("1", "sigma", "f", "*")
 # the nonzero coordinates (slot, value) of each product e_i . e_k
 _PAIR_TERMS = tuple(tuple(tuple((u, x) for u, x in enumerate(p) if x) for p in products)
                     for products in PAIR_TABLE)
-# e_u . e_i . e_j for the diagonal slots u = 1, sigma, f
-_TRIPLE_TABLE = tuple(tuple(tuple(zip(*_tensor_rows(PAIR_TABLE[u][i]))) for i in range(4))
-                      for u in range(3))
 # (e_j . e_k)[pt], and multiplication by the Todd class, for fm_matrix
 _POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in PAIR_TABLE)
 _TODD = todd(STANDARD_K3)
@@ -109,23 +103,22 @@ def pull(side: Side, v: CohClass) -> ProductClass:
     side = as_member("side", Side, side)
     c = to_coords(v)
     if side is Side.FIRST:
-        return ProductClass(tuple((x, 0, 0, 0) for x in c), (0, 0, 0))
-    return ProductClass((c,) + ((0, 0, 0, 0),) * 3, (0, 0, 0))
+        return ProductClass(tuple((x, 0, 0, 0) for x in c), 0)
+    return ProductClass((c,) + ((0, 0, 0, 0),) * 3, 0)
 
 
 def push(side: Side, a: ProductClass) -> CohClass:
     """Pushforward along one projection.
 
     Integrating a factor keeps only its point coefficient; the diagonal is a
-    section of either projection, so delta_*(g) pushes to g.
+    section of either projection, so Delta pushes to 1.
     """
     _expect("class", ProductClass, a)
     if as_member("side", Side, side) is Side.FIRST:
         coords = [row[3] for row in a.decomp]
     else:
         coords = list(a.decomp[3])
-    for u in range(3):
-        coords[u] += a.diag[u]
+    coords[0] += a.delta
     return from_coords(coords)
 
 
@@ -134,7 +127,6 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     _expect("operand", ProductClass, a)
     _expect("operand", ProductClass, b)
     dec = [[0] * 4 for _ in range(4)]
-    diag = [0] * 3
 
     def add_outer(coeff, first, second):
         for u, fu in first:
@@ -154,57 +146,50 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
                         continue
                     add_outer(ca * cb, _PAIR_TERMS[i][k], _PAIR_TERMS[j][l])
 
-    # diagonal x decomposable: delta_*(g) . q1^*al . q2^*be = delta_*(g.al.be)
-    for dg, dc in ((a.diag, b.decomp), (b.diag, a.decomp)):
-        for u in range(3):
-            cu = dg[u]
-            if not cu:
-                continue
-            for i in range(4):
-                for j in range(4):
-                    cij = dc[i][j]
-                    if not cij:
-                        continue
-                    g = _TRIPLE_TABLE[u][i][j]
-                    coeff = cu * cij
-                    for slot in range(3):
-                        diag[slot] += coeff * g[slot]
-                    dec[3][3] += coeff * g[3]   # delta_*(pt) is [*]
+    # Delta x decomposable: Delta . q1^*e_i . q2^*e_j = delta_*(e_i . e_j);
+    # restrict to the diagonal first, x = sum of the grid's e_i . e_j
+    x = [0] * 4
+    for cd, grid in ((a.delta, b.decomp), (b.delta, a.decomp)):
+        if not cd:
+            continue
+        for i in range(4):
+            for j in range(4):
+                cij = grid[i][j]
+                if cij:
+                    for u, xu in _PAIR_TERMS[i][j]:
+                        x[u] += cd * cij * xu
+    # then delta_*(x) in normal form: delta_*(e) = e x pt + pt x e for a
+    # divisor e, and delta_*(pt) = [*]
+    for u in (1, 2):
+        dec[u][3] += x[u]
+        dec[3][u] += x[u]
+    # diagonal self-intersection: Delta . Delta = c2[*]
+    dec[3][3] += x[3] + _C2 * a.delta * b.delta
 
-    # diagonal self-intersection: only delta_*(1).delta_*(1) = c2[*] survives
-    dec[3][3] += _C2 * a.diag[0] * b.diag[0]
-
-    return ProductClass(tuple(tuple(row) for row in dec), tuple(diag))
-
-
-def _both_factors(v: CohClass) -> ProductClass:
-    """The product of the pulls of v along both projections."""
-    return prod_mult(pull(Side.FIRST, v), pull(Side.SECOND, v))
+    return ProductClass(tuple(tuple(row) for row in dec), x[0])
 
 
 def product_todd() -> ProductClass:
     """Todd class of X x X: the product of the factor Todd classes."""
-    return _both_factors(_TODD)
+    return prod_mult(pull(Side.FIRST, _TODD), pull(Side.SECOND, _TODD))
 
 
 # td_X^-1 = 1 - u + u^2 with u = td_X - 1, exact because u^3 lies in degree
-# three; td(X x X)^-1 is then the product of its pulls
+# three
 _U = _TODD - UNIT_CLASS
-_PRODUCT_TODD_INVERSE = _both_factors(UNIT_CLASS - _U + mult(STANDARD_K3, _U, _U))
+_TODD_INVERSE = UNIT_CLASS - _U + mult(STANDARD_K3, _U, _U)
 
 
 def diag_push_grr(v: CohClass) -> ProductClass:
     """Pushforward of a class along the diagonal, with Todd correction.
 
-    delta_*(v . td_X) . td_{XxX}^{-1}, so that e.g. the structure sheaf of
-    the diagonal has class Delta - 2[*].
+    Grothendieck-Riemann-Roch for the diagonal embedding, whose normal
+    bundle is T_X: delta_*(v . td_X^{-1}), which by the projection formula
+    is delta_*(v . td_X) . td_{XxX}^{-1}. The structure sheaf of the
+    diagonal has class Delta - 2[*].
     """
     to_coords(v)   # a class off the K3 lattice fails here, not in mult
-    c = to_coords(mult(STANDARD_K3, v, _TODD))
-    naive = ProductClass(
-        ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, c[3])),
-        (c[0], c[1], c[2]))
-    return prod_mult(naive, _PRODUCT_TODD_INVERSE)
+    return prod_mult(DELTA, pull(Side.FIRST, mult(STANDARD_K3, v, _TODD_INVERSE)))
 
 
 # the ideal sheaf of the diagonal is Pi - Pi^2/2 - ch O_Delta; "Pd" twists it,
@@ -245,17 +230,16 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
     Riemann-Roch for the projections: the source class is multiplied by the
     surface Todd class, pulled up, multiplied with the kernel and pushed
     down; the target-side Todd correction cancels and is omitted. Before the
-    Todd factor e_k maps to sum_ij K_ij (e_j . e_k)[pt] e_i + delta . e_k
+    Todd factor e_k maps to sum_ij K_ij (e_j . e_k)[pt] e_i + delta e_k
     (K transposed when pushing along the second factor).
     """
     orientation = as_member("orientation", FMOrientation, orientation)
     grid = _expect("kernel", ProductClass, kernel).decomp
     if orientation is FMOrientation.PUSH_SECOND_PULL_FIRST:
         grid = tuple(zip(*grid))
-    delta = _tensor_rows((*kernel.diag, 0))
-    images = Mat([[sum(map(mul, row, pairing)) + dk
-                   for pairing, dk in zip(_POINT_PAIRING, delta_row)]
-                  for row, delta_row in zip(grid, delta)])
+    images = Mat([[sum(map(mul, row, pairing)) + (kernel.delta if i == k else 0)
+                   for k, pairing in enumerate(_POINT_PAIRING)]
+                  for i, row in enumerate(grid)])
     return Operator(images * _TODD_TENSOR, f"fm[{orientation.value}]")
 
 
@@ -277,10 +261,8 @@ def render_product_class(a: ProductClass) -> str:
                 right = "X" if j == 0 else _BASIS_LABELS[j]
                 label = f"[{left} x {right}]"
             terms.append((coeff, label))
-    diag_labels = ("Delta", "delta(sigma)", "delta(f)")
-    for u in range(3):
-        if a.diag[u]:
-            terms.append((a.diag[u], diag_labels[u]))
+    if a.delta:
+        terms.append((a.delta, "Delta"))
     if not terms:
         return "0"
     parts = []

@@ -22,10 +22,10 @@ def coh_k3():
 
 
 def product_classes():
-    """Random classes on X x X: a 4x4 grid and three diagonal slots."""
-    return st.lists(small_q(), min_size=19, max_size=19).map(
+    """Random classes on X x X: a 4x4 grid and the coefficient of Delta."""
+    return st.lists(small_q(), min_size=17, max_size=17).map(
         lambda xs: ProductClass(tuple(tuple(xs[4 * i:4 * i + 4]) for i in range(4)),
-                                tuple(xs[16:])))
+                                xs[16]))
 
 
 def random_coh(rng: random.Random) -> CohClass:
@@ -38,8 +38,7 @@ def random_product_class(rng: random.Random) -> ProductClass:
     def pick():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
     decomp = tuple(tuple(pick() for _ in range(4)) for _ in range(4))
-    diag = (pick(), pick(), pick())
-    return ProductClass(decomp, diag)
+    return ProductClass(decomp, pick())
 
 
 # A non-K3 elliptic surface for contrast: rational elliptic surface with a

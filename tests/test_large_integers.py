@@ -61,7 +61,7 @@ def _calls(surface_file: str) -> dict:
         chow.pairing_gram: [((), {})],
         chow.parse_surface: [((K3_TEXT,), {"filename": "k3.cfg"})],
         chow.load_surface: [((surface_file,), {})],
-        product.ProductClass: [((((0,) * 4,) * 4, (1, 0, 0)), {})],
+        product.ProductClass: [((((0,) * 4,) * 4, 1), {})],
         product.pull: [((Side.FIRST, V), {})],
         product.push: [((Side.FIRST, DELTA), {})],
         product.prod_mult: [((DELTA, DELTA), {})],

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from fmlat.chow import (CohClass, FIBER_CLASS, POINT_CLASS, SIGMA_CLASS,
-                        STANDARD_K3, UNIT_CLASS, ch_line_bundle, dot,
-                        from_coords, mult, todd)
+from fmlat.chow import (COORD_BASIS, CohClass, FIBER_CLASS, POINT_CLASS,
+                        SIGMA_CLASS, STANDARD_K3, UNIT_CLASS, ch_line_bundle,
+                        dot, from_coords, mult, todd)
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
                              op_tensor, pd_pushforward_twist_class)
@@ -18,9 +18,9 @@ from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, FMOrientation, PI, POINT,
 from helpers import coh_k3, random_product_class
 
 S = STANDARD_K3
-ZERO = ProductClass(((0,) * 4,) * 4, (0, 0, 0))
-SIGMA_FIRST = ProductClass(((0,) * 4, (1, 0, 0, 0), (0,) * 4, (0,) * 4), (0, 0, 0))
-SIGMA_SECOND = ProductClass(((0, 1, 0, 0),) + ((0,) * 4,) * 3, (0, 0, 0))
+ZERO = ProductClass(((0,) * 4,) * 4, 0)
+SIGMA_FIRST = ProductClass(((0,) * 4, (1, 0, 0, 0), (0,) * 4, (0,) * 4), 0)
+SIGMA_SECOND = ProductClass(((0, 1, 0, 0),) + ((0,) * 4,) * 3, 0)
 
 
 # pull
@@ -79,10 +79,10 @@ def test_unknown_sides_and_orientations_are_input_errors():
 def test_product_class_rejects_non_grids():
     for decomp in (5, "1234", ((0,) * 4,) * 3, (5, 5, 5, 5)):
         with pytest.raises(InputError):
-            ProductClass(decomp, (0, 0, 0))
-    for diag in (5, "000", (0, 0)):
+            ProductClass(decomp, 0)
+    for delta in ((1, 0, 0), "x", 0.5):
         with pytest.raises(InputError):
-            ProductClass(((0,) * 4,) * 4, diag)
+            ProductClass(((0,) * 4,) * 4, delta)
 
 
 @pytest.mark.parametrize("call, label", [
@@ -115,6 +115,32 @@ def test_pi_squared():
     assert prod_mult(PI, PI) == 2 * F_CROSS_F
 
 
+def both_ways(x):
+    """x (x) pt + pt (x) x, built from pulls."""
+    return (prod_mult(pull(Side.FIRST, x), pull(Side.SECOND, POINT_CLASS))
+            + prod_mult(pull(Side.FIRST, POINT_CLASS), pull(Side.SECOND, x)))
+
+
+@pytest.mark.parametrize("x", [SIGMA_CLASS, FIBER_CLASS], ids=["sigma", "f"])
+def test_equality_is_class_equality(x):
+    # H^1 = H^3 = 0, so delta_*(x) of a divisor is a grid class, and the one
+    # form makes == see it whichever side x is pulled from
+    assert prod_mult(DELTA, pull(Side.FIRST, x)) == both_ways(x)
+    assert prod_mult(DELTA, pull(Side.SECOND, x)) == both_ways(x)
+
+
+def test_diagonal_pushforward_pairs_as_the_ring_product():
+    # the defining property of delta_*: integrating delta_*(al) against
+    # e_i x e_j is the surface integral of al . e_i . e_j
+    for al in COORD_BASIS:
+        pushed = prod_mult(DELTA, pull(Side.FIRST, al))
+        for ei in COORD_BASIS:
+            for ej in COORD_BASIS:
+                cross = prod_mult(pull(Side.FIRST, ei), pull(Side.SECOND, ej))
+                assert prod_mult(pushed, cross).decomp[3][3] == \
+                    mult(S, mult(S, al, ei), ej).p
+
+
 def test_delta_self_intersection():
     # excess intersection against c2 of the tangent bundle: 24 points
     assert prod_mult(DELTA, DELTA) == 24 * POINT
@@ -122,13 +148,13 @@ def test_delta_self_intersection():
 
 def product_dual(a):
     """ch of the derived dual on X x X: odd codimension flips sign. Grid
-    entry (i, j) has codimension codim e_i + codim e_j; delta_*(sigma) and
-    delta_*(f) have codimension three."""
+    entry (i, j) has codimension codim e_i + codim e_j; Delta has
+    codimension two and keeps its sign."""
     codim = (0, 1, 1, 2)
     return ProductClass(
         tuple(tuple((-1) ** (codim[i] + codim[j]) * x for j, x in enumerate(row))
               for i, row in enumerate(a.decomp)),
-        (a.diag[0], -a.diag[1], -a.diag[2]))
+        a.delta)
 
 
 def test_diagonal_euler_characteristic_is_the_topological_one():
@@ -199,8 +225,7 @@ def test_diag_push_point():
 
 def test_diag_push_fiber_regression():
     # Todd corrections cancel for a fiber: the class stays delta_*(f)
-    expected = ProductClass(((0,) * 4,) * 4, (0, 0, 1))
-    assert diag_push_grr(FIBER_CLASS) == expected
+    assert diag_push_grr(FIBER_CLASS) == both_ways(FIBER_CLASS)
 
 
 # kernel classes

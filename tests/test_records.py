@@ -31,7 +31,7 @@ SAMPLES = {
     CohClass: lambda: CohClass(1, (0, 1), Fraction(1, 2)),
     Mat: lambda: Mat(((1, 0), (0, 1))),
     Operator: lambda: Operator(Mat.identity(4), "id"),
-    ProductClass: lambda: ProductClass(tuple((i, 0, 0, 0) for i in range(4)), (1, 0, 0)),
+    ProductClass: lambda: ProductClass(tuple((i, 0, 0, 0) for i in range(4)), 1),
     SDPair: _pair,
     SDCheckResult: lambda: sd_check(Theorem.K3, FM2(3, 1, -7, -2), 6, 0),
     SDReport: lambda: build_report(FM2(3, 1, -7, -2), 6, 0, pair=_pair()),
