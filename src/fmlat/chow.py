@@ -8,12 +8,12 @@ surface, so the ring multiplication truncates.
 The distinguished "standard K3 model" has basis (sigma, f) with
 sigma^2 = -2, sigma.f = 1, f^2 = 0, trivial canonical class and chi(O) = 2.
 Several higher modules (operators, the product ring of X x X) are pinned to
-this model and refuse anything else.
+this model and refuse anything else. They read its ring through one private
+record, _K3_RING, whose every table this module derives from the descriptor.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from fractions import Fraction
@@ -276,21 +276,38 @@ FIBER_CLASS = from_coords((0, 0, 1, 0))
 POINT_CLASS = from_coords((0, 0, 0, 1))
 COORD_BASIS = (UNIT_CLASS, SIGMA_CLASS, FIBER_CLASS, POINT_CLASS)
 
-# Multiplication table of the coordinate basis: PAIR_TABLE[i][k] holds the
-# coordinates of e_i . e_k, so x . y = sum_ik x_i y_k PAIR_TABLE[i][k].
-PAIR_TABLE = tuple(tuple(to_coords(mult(STANDARD_K3, ei, ek)) for ek in COORD_BASIS)
-                   for ei in COORD_BASIS)
 
+class _Ring(_Record):
+    """The ring facts the operator and product layers read, each derived once
+    from a rank-2 descriptor on the coordinate basis e = (1, D1, D2, pt).
 
-@functools.cache
-def pairing_gram() -> Mat:
-    """Gram matrix of (v, w) -> chi(v^dual . w) in (r, s, t, p) coordinates.
-
-    Computed by expanding the Riemann-Roch pairing on the coordinate basis;
-    it is symmetric and unimodular up to sign.
+    pair_table[i][k] holds the coordinates of e_i . e_k; gram is the
+    Riemann-Roch pairing (v, w) -> chi(v^dual . w); todd_inverse is
+    1 - u + u^2 for u = todd - 1, exact as u^3 lies in degree three; c2 is
+    c2(T_X) = 12 chi(O) - K.K (Noether); pi_push_pull is pi^* pi_* along the
+    elliptic fibration, e -> fdeg(e).1 + chi(e . O(-F)).f by GRR on P^1.
     """
-    return Mat([[chi_tensor(STANDARD_K3, dual(ei), ej) for ej in COORD_BASIS]
-                for ei in COORD_BASIS])
+
+    __slots__ = ("pair_table", "gram", "todd", "todd_inverse", "c2", "pi_push_pull")
+
+    def __init__(self, surface: SurfaceDescriptor):
+        s, b = _expect("surface", SurfaceDescriptor, surface), COORD_BASIS
+        pair_table = tuple(tuple(to_coords(mult(s, ei, ek)) for ek in b) for ei in b)
+        td, o_minus_f = todd(s), ch_line_bundle(s, [-x for x in s.fiber])
+        u = td - UNIT_CLASS
+        self._fill(pair_table, Mat([[chi_tensor(s, dual(ei), ek) for ek in b] for ei in b]),
+                   td, UNIT_CLASS - u + mult(s, u, u),
+                   12 * s.chi_O - dot(s, s.canonical, s.canonical),
+                   Mat(zip(*[(fdeg(s, e), 0, chi_tensor(s, e, o_minus_f), 0) for e in b])))
+
+
+_K3_RING = _Ring(STANDARD_K3)
+
+
+def pairing_gram() -> Mat:
+    """Gram matrix of (v, w) -> chi(v^dual . w) in (r, s, t, p) coordinates;
+    it is symmetric and unimodular up to sign."""
+    return _K3_RING.gram
 
 
 # Surface description files: plain "key = value" lines, '#' comments.

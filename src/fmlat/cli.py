@@ -325,9 +325,24 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    """argparse reports a missing required flag before an unknown one, so
+    --vec for --vector would read as --vector missing; this names --vec."""
+
+    def _parse_known_args(self, arg_strings, *rest):
+        typed = {a.split("=", 1)[0] for a in arg_strings if a[:1] == "-"
+                 and not _NEGATIVE_LEAD.match(a)}
+        unknown = typed - set(self._option_string_actions)
+        missing = [a for a in self._actions if a.required and a.option_strings
+                   and not typed & set(a.option_strings)]
+        if unknown and missing and not typed & {"-h", "--help"}:
+            self.error("unrecognized arguments: " + " ".join(sorted(unknown)))
+        return super()._parse_known_args(arg_strings, *rest)
+
+
+def _build_parser() -> _Parser:
     # flags are spelled in full, so that _glue_list_values sees every flag
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fmlat", allow_abbrev=False,
         description="Exact Fourier-Mukai lattice calculus for elliptic K3 surfaces")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,8 +8,9 @@ Two elementary families generate everything used here:
 
 * op_tensor(c): multiplication by a fixed class c;
 * op_pi_tensor(c): v -> pullback-of-pushforward along the elliptic
-  fibration of v.c; by Grothendieck-Riemann-Roch, pi_* v on the base curve
-  P^1 has rank fdeg(v) and degree chi(v . O(-F)).
+  fibration of v.c.
+
+Both read the K3's tables from chow's ring record.
 
 Every named matrix (the "golden" grid) exists twice: once as a
 hard-coded literal table, once rebuilt from the elementary generators. The
@@ -22,8 +23,7 @@ from enum import Enum
 from operator import mul
 from typing import Iterable
 
-from . import chow
-from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, ch_line_bundle,
+from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS, ch_line_bundle,
                    from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
 from .linalg import Mat, _Record, _expect, _shown, as_int, as_member, qdiv, qvec
@@ -66,10 +66,10 @@ class Operator(_Record):
 IDENTITY = Operator(Mat.identity(4), "id")
 
 
-# PAIR_TABLE indexed [row][k][i]: entry [row][k] of the matrix of
+# the pair table indexed [row][k][i]: entry [row][k] of the matrix of
 # multiplication by the class with coordinates x is x . _TENSOR_TABLE[row][k]
-_TENSOR_TABLE = tuple(tuple(tuple(PAIR_TABLE[i][k][row] for i in range(4)) for k in range(4))
-                      for row in range(4))
+_TENSOR_TABLE = tuple(tuple(tuple(_K3_RING.pair_table[i][k][row] for i in range(4))
+                            for k in range(4)) for row in range(4))
 
 
 def _tensor_rows(x) -> list[list]:
@@ -82,16 +82,9 @@ def op_tensor(c: CohClass) -> Operator:
     return Operator(Mat(_tensor_rows(to_coords(c))), f"tensor{render_class(c)}")
 
 
-# pi^* pi_* takes e to fdeg(e).1 + chi(e . O(-F)).f; (s, 0, 2r - s + p, 0) on a K3
-_O_MINUS_F = ch_line_bundle(STANDARD_K3, [-x for x in STANDARD_K3.fiber])
-_PI_PUSH_PULL = Mat(zip(*[(chow.fdeg(STANDARD_K3, e), 0,
-                           chow.chi_tensor(STANDARD_K3, e, _O_MINUS_F), 0)
-                          for e in chow.COORD_BASIS]))
-
-
 def op_pi_tensor(c: CohClass) -> Operator:
     """The family v -> pi^* pi_* (v.c), as a matrix."""
-    return Operator(_PI_PUSH_PULL * Mat(_tensor_rows(to_coords(c))),
+    return Operator(_K3_RING.pi_push_pull * Mat(_tensor_rows(to_coords(c))),
                     f"pi_tensor{render_class(c)}")
 
 
@@ -170,7 +163,7 @@ def build(name: GoldenName, d: int | None = None,
     elif name is GoldenName.TensorSigma:
         op = op_tensor(_SIGMA_CH)
     elif name is GoldenName.PiPushPull:
-        op = op_pi_tensor(chow.UNIT_CLASS)
+        op = op_pi_tensor(UNIT_CLASS)
     elif name is GoldenName.PiPushPullSigma:
         op = op_pi_tensor(_SIGMA_CH)
     elif name is GoldenName.FM_Pd:
@@ -180,7 +173,7 @@ def build(name: GoldenName, d: int | None = None,
     elif name is GoldenName.FM_Fd:
         op = _fm_fd(build(GoldenName.FM_Pd, d), d)
     elif name is GoldenName.A_S:
-        op = op_pi_tensor(chow.UNIT_CLASS) - IDENTITY
+        op = op_pi_tensor(UNIT_CLASS) - IDENTITY
     elif name is GoldenName.A_Sprime:
         a_s = build(GoldenName.A_S)
         op = -Operator(a_s.matrix.inverse(), f"({a_s.label})^-1")

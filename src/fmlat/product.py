@@ -8,9 +8,9 @@ point it is [*], so only delta_*(1) = Delta lies outside the grid. Hence ==
 on ProductClass is equality of classes.
 
 Multiplication encodes the diagonal self-intersection through the excess
-formula delta_*(g1) . delta_*(g2) = delta_*(g1.g2.c2(T_X)) with
-c2(T_X) = 12 chi(O_X) - K.K pt (Noether), read off the surface descriptor;
-only Delta.Delta = c2[*] survives the degree truncation.
+formula delta_*(g1) . delta_*(g2) = delta_*(g1.g2.c2(T_X)); only
+Delta.Delta = c2[*] survives the degree truncation. The K3's tables, c2 and
+Todd classes are read from chow's ring record.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul
 
-from .chow import (PAIR_TABLE, CohClass, STANDARD_K3, UNIT_CLASS,
-                   ch_line_bundle, dot, from_coords, mult, to_coords, todd)
+from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS,
+                   ch_line_bundle, from_coords, mult, to_coords)
 from .errors import InputError
 from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid
 from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
@@ -82,19 +82,15 @@ POINT = _single(3, 3)          # [*]
 PI = _single(2, 0) + _single(0, 2)    # q1^* f + q2^* f
 DELTA = ProductClass(((0,) * 4,) * 4, 1)
 
-_BASIS_LABELS = ("1", "sigma", "f", "*")
+_BASIS_LABELS = ("X", "sigma", "f", "*")
 
 
 # the nonzero coordinates (slot, value) of each product e_i . e_k
 _PAIR_TERMS = tuple(tuple(tuple((u, x) for u, x in enumerate(p) if x) for p in products)
-                    for products in PAIR_TABLE)
+                    for products in _K3_RING.pair_table)
 # (e_j . e_k)[pt], and multiplication by the Todd class, for fm_matrix
-_POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in PAIR_TABLE)
-_TODD = todd(STANDARD_K3)
-_TODD_TENSOR = Mat(_tensor_rows(to_coords(_TODD)))
-# c2(T_X) by Noether's formula, the degree of the diagonal's self-intersection
-_C2 = 12 * STANDARD_K3.chi_O - dot(STANDARD_K3, STANDARD_K3.canonical,
-                                   STANDARD_K3.canonical)
+_POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in _K3_RING.pair_table)
+_TODD_TENSOR = Mat(_tensor_rows(to_coords(_K3_RING.todd)))
 
 
 def pull(side: Side, v: CohClass) -> ProductClass:
@@ -164,20 +160,14 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
         dec[u][3] += x[u]
         dec[3][u] += x[u]
     # diagonal self-intersection: Delta . Delta = c2[*]
-    dec[3][3] += x[3] + _C2 * a.delta * b.delta
+    dec[3][3] += x[3] + _K3_RING.c2 * a.delta * b.delta
 
     return ProductClass(tuple(tuple(row) for row in dec), x[0])
 
 
 def product_todd() -> ProductClass:
     """Todd class of X x X: the product of the factor Todd classes."""
-    return prod_mult(pull(Side.FIRST, _TODD), pull(Side.SECOND, _TODD))
-
-
-# td_X^-1 = 1 - u + u^2 with u = td_X - 1, exact because u^3 lies in degree
-# three
-_U = _TODD - UNIT_CLASS
-_TODD_INVERSE = UNIT_CLASS - _U + mult(STANDARD_K3, _U, _U)
+    return prod_mult(pull(Side.FIRST, _K3_RING.todd), pull(Side.SECOND, _K3_RING.todd))
 
 
 def diag_push_grr(v: CohClass) -> ProductClass:
@@ -189,7 +179,7 @@ def diag_push_grr(v: CohClass) -> ProductClass:
     diagonal has class Delta - 2[*].
     """
     to_coords(v)   # a class off the K3 lattice fails here, not in mult
-    return prod_mult(DELTA, pull(Side.FIRST, mult(STANDARD_K3, v, _TODD_INVERSE)))
+    return prod_mult(DELTA, pull(Side.FIRST, mult(STANDARD_K3, v, _K3_RING.todd_inverse)))
 
 
 # the ideal sheaf of the diagonal is Pi - Pi^2/2 - ch O_Delta; "Pd" twists it,
@@ -246,33 +236,13 @@ def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
 def render_product_class(a: ProductClass) -> str:
     """Basis-labeled sum, e.g. "[f x X] + [X x f] - [f x f] - Delta + 2[*]"."""
     _expect("class", ProductClass, a)
-    terms: list[tuple[int | Fraction, str]] = []
-    for i in range(4):
-        for j in range(4):
-            coeff = a.decomp[i][j]
-            if not coeff:
-                continue
-            if i == 0 and j == 0:
-                label = "1"
-            elif i == 3 and j == 3:
-                label = "[*]"
-            else:
-                left = "X" if i == 0 else _BASIS_LABELS[i]
-                right = "X" if j == 0 else _BASIS_LABELS[j]
-                label = f"[{left} x {right}]"
-            terms.append((coeff, label))
-    if a.delta:
-        terms.append((a.delta, "Delta"))
+    terms = [(c, "" if i == j == 0 else "[*]" if i == j == 3
+              else f"[{_BASIS_LABELS[i]} x {_BASIS_LABELS[j]}]")
+             for i, row in enumerate(a.decomp) for j, c in enumerate(row) if c]
+    terms += [(a.delta, "Delta")] if a.delta else []
     if not terms:
         return "0"
-    parts = []
-    for idx, (coeff, label) in enumerate(terms):
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        body = label if (mag == 1 and label != "1") else (
-            str(mag) if label == "1" else f"{mag}{label}")
-        if idx == 0:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    # "+ 3", "- Delta", "+ 2[*]": a size-1 coefficient of a label goes unwritten
+    text = " ".join(f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 and label else abs(c)}{label}"
+                    for c, label in terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

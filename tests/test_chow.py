@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from fmlat.chow import (CohClass, STANDARD_K3, SurfaceDescriptor,
-                        ch_line_bundle, chi_tensor, dot, dual, fdeg,
-                        from_coords, integrality_warnings, is_standard_k3,
-                        moduli_dim_k3, mult, pairing_gram, parse_surface,
-                        render_class, to_coords, todd)
+from fmlat.chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS,
+                        SurfaceDescriptor, _Ring, ch_line_bundle, chi_tensor,
+                        dot, dual, fdeg, from_coords, integrality_warnings,
+                        is_standard_k3, moduli_dim_k3, mult, pairing_gram,
+                        parse_surface, render_class, to_coords, todd)
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.linalg import Mat
 
@@ -331,6 +331,51 @@ def test_pairing_gram_symmetric_unimodular():
     g = pairing_gram()
     assert g == g.transpose()
     assert abs(g.det()) == 1
+
+
+# the ring record
+
+def test_k3_ring_is_pinned():
+    assert _K3_RING == _Ring(S)
+    assert _K3_RING.pair_table == (
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((0, 1, 0, 0), (0, 0, 0, -2), (0, 0, 0, 1), (0, 0, 0, 0)),
+        ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0)),
+        ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
+    assert _K3_RING.gram == pairing_gram() == Mat([[2, 0, 0, 1],
+                                                   [0, 2, -1, 0],
+                                                   [0, -1, 0, 0],
+                                                   [1, 0, 0, 0]])
+    assert _K3_RING.todd == from_coords((1, 0, 0, 2)) == todd(S)
+    assert _K3_RING.todd_inverse == from_coords((1, 0, 0, -2))
+    assert _K3_RING.c2 == 24
+    # the PiPushPull golden table
+    assert _K3_RING.pi_push_pull == Mat([[0, 1, 0, 0],
+                                         [0, 0, 0, 0],
+                                         [2, -1, 0, 1],
+                                         [0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3, 4])
+def test_ring_of_a_surface_with_section_square_minus_chi(chi):
+    # an elliptic surface with a section: sigma^2 = -chi(O), K = (chi - 2) f.
+    # pi^* pi_* has a -chi/2 entry at odd chi, since sigma is not the ch of a
+    # sheaf, so integrality and symmetry are not asserted off the K3
+    surface = SurfaceDescriptor(f"sigma2=-{chi}", chi, ("sigma", "f"),
+                                ((-chi, 1), (1, 0)), (0, 1), (0, chi - 2),
+                                section=(1, 0))
+    ring = _Ring(surface)
+    assert ring.c2 == 12 * chi
+    assert mult(surface, ring.todd, ring.todd_inverse) == UNIT_CLASS
+    assert ring.gram.det() == 1
+
+
+def test_ring_needs_a_rank_two_lattice():
+    rank3 = _k3_like(basis_names=("sigma", "f", "e"), fiber=(0, 1, 0),
+                     gram=((-2, 1, 0), (1, 0, 0), (0, 0, -2)), canonical=(0, 0, 0),
+                     section=(1, 0, 0))
+    with pytest.raises(InputError, match="lattice rank 3"):
+        _Ring(rank3)
 
 
 # coordinates and warnings

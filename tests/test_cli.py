@@ -654,6 +654,35 @@ def test_abbreviated_flags_are_usage_errors(capsys, line):
     assert "error:" in err and "Traceback" not in err
 
 
+# what each abbreviation prints last: the flag as typed, named unrecognized
+ABBREVIATED_MESSAGES = {
+    "transform --matrix A_S --vec 1,0,0,0":
+        "fmlat transform: error: unrecognized arguments: --vec\n",
+    "sd-check --ph 3,1,-7,-2 --dv 6 --dw 0":
+        "fmlat sd-check: error: unrecognized arguments: --ph\n",
+    "matrix A_TL --div 1,1": "fmlat: error: unrecognized arguments: --div 1,1\n",
+    "verify --d 1..3": "fmlat: error: unrecognized arguments: --d 1..3\n",
+}
+
+
+@pytest.mark.parametrize("line", list(ABBREVIATED_MESSAGES))
+def test_an_abbreviated_flag_is_named_as_unrecognized(capsys, line):
+    # argparse checks required flags first; an abbreviation of one is still
+    # reported as the token typed, not as the full flag gone missing
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(ABBREVIATED_MESSAGES[line]) and "Traceback" not in err
+
+
+def test_help_still_wins_over_an_unknown_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--vec", "1,0,0,0", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fmlat transform")
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "--matrix", "A_S", "--vector", "-1,0,0,0", "--frob"],
     ["transform", "--matrix", "A_S", "--frob", "-1,0,0,0", "--vector", "1,0,0,0"],

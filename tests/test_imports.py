@@ -123,6 +123,23 @@ def test_only_the_record_base_defines_value_semantics():
     assert found == []
 
 
+def test_only_chow_derives_ring_facts():
+    # operators and product read the K3's tables from chow._K3_RING; a fact
+    # derived again in either could drift from the record's
+    derivers = {"PAIR_TABLE", "todd", "dot", "fdeg", "chi_tensor", "pairing_gram"}
+    found = []
+    for name in ("operators.py", "product.py"):
+        path = pathlib.Path(fmlat.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("chow"):
+                found += [f"{name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name in derivers]
+            elif (isinstance(node, ast.Attribute) and node.attr in derivers
+                  and getattr(node.value, "id", None) == "chow"):
+                found.append(f"{name}:{node.lineno}: chow.{node.attr}")
+    assert found == []
+
+
 def test_only_the_cli_writes_documents():
     # the library returns plain values and cli turns them into text or
     # schema-1 JSON; a document built elsewhere would split that decision

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fmlat.bridgeland import FM2
-from fmlat.chow import STANDARD_K3, CohClass, SurfaceDescriptor
+from fmlat.chow import STANDARD_K3, CohClass, SurfaceDescriptor, _Ring
 from fmlat.errors import InputError
 from fmlat.linalg import Mat, _Record
 from fmlat.operators import Operator
@@ -28,6 +28,7 @@ SAMPLES = {
     SurfaceDescriptor: lambda: SurfaceDescriptor(
         "standard-k3", 2, ["sigma", "f"], [[-2, 1], [1, 0]], [0, 1], [0, 0],
         section=[1, 0]),
+    _Ring: lambda: _Ring(STANDARD_K3),
     CohClass: lambda: CohClass(1, (0, 1), Fraction(1, 2)),
     Mat: lambda: Mat(((1, 0), (0, 1))),
     Operator: lambda: Operator(Mat.identity(4), "id"),

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from fmlat.chow import (COORD_BASIS, PAIR_TABLE, STANDARD_K3, UNIT_CLASS,
+from fmlat.chow import (_K3_RING, COORD_BASIS, STANDARD_K3, UNIT_CLASS,
                         ch_line_bundle, from_coords, mult, render_class,
                         to_coords, todd)
 from fmlat.linalg import Mat
@@ -82,7 +82,7 @@ def reference_kernel_pd(d):
 def test_tables_match_ring_products():
     for i, ei in enumerate(COORD_BASIS):
         for j, ej in enumerate(COORD_BASIS):
-            assert PAIR_TABLE[i][j] == to_coords(mult(S, ei, ej))
+            assert _K3_RING.pair_table[i][j] == to_coords(mult(S, ei, ej))
 
 
 @settings(max_examples=60)
