@@ -17,9 +17,9 @@ from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
 from .linalg import Mat
 from .operators import (GoldenName, Operator, build, golden, op_pi_tensor,
                         op_tensor, restrict2)
-from .product import (FMOrientation, ProductClass, Side, diag_push_grr,
-                      fm_matrix, kernel_class, prod_mult, product_todd, pull,
-                      push, render_product_class)
+from .product import (ProductClass, Side, diag_push_grr, fm_matrix,
+                      kernel_class, prod_mult, product_todd, pull, push,
+                      render_product_class)
 from .sd import (SDCheckResult, SDPair, SDReport, SearchTarget, Theorem,
                  build_report, mo_base_check, orthogonal_check, sd_check,
                  search_phi, transformed_ranks)

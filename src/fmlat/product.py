@@ -31,13 +31,6 @@ class Side(Enum):
     SECOND = "second"
 
 
-class FMOrientation(Enum):
-    """Which projection is pushed along and which is pulled back."""
-
-    PUSH_FIRST_PULL_SECOND = "PushFirstPullSecond"
-    PUSH_SECOND_PULL_FIRST = "PushSecondPullFirst"
-
-
 class ProductClass(_Record):
     """Decomposable grid plus the coefficient of Delta; immutable and exact."""
 
@@ -214,23 +207,21 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
     return prod_mult(_PD_BASE_SIGMA, pull(Side.FIRST, first))
 
 
-def fm_matrix(kernel: ProductClass, orientation: FMOrientation) -> Operator:
-    """Action on the Chow ring of the transform with the given kernel.
+def fm_matrix(kernel: ProductClass) -> Operator:
+    """The transform with this kernel on the Chow ring, second factor to first.
 
     Riemann-Roch for the projections: the source class is multiplied by the
-    surface Todd class, pulled up, multiplied with the kernel and pushed
-    down; the target-side Todd correction cancels and is omitted. Before the
-    Todd factor e_k maps to sum_ij K_ij (e_j . e_k)[pt] e_i + delta e_k
-    (K transposed when pushing along the second factor).
+    surface Todd class, pulled back from the second factor, multiplied with
+    the kernel and pushed to the first; the target-side Todd correction
+    cancels and is omitted. Before the Todd factor e_k maps to
+    sum_ij K_ij (e_j . e_k)[pt] e_i + delta e_k. Swapping the factors,
+    ProductClass(tuple(zip(*k.decomp)), k.delta), gives the other direction.
     """
-    orientation = as_member("orientation", FMOrientation, orientation)
     grid = _expect("kernel", ProductClass, kernel).decomp
-    if orientation is FMOrientation.PUSH_SECOND_PULL_FIRST:
-        grid = tuple(zip(*grid))
     images = Mat([[sum(map(mul, row, pairing)) + (kernel.delta if i == k else 0)
                    for k, pairing in enumerate(_POINT_PAIRING)]
                   for i, row in enumerate(grid)])
-    return Operator(images * _TODD_TENSOR, f"fm[{orientation.value}]")
+    return Operator(images * _TODD_TENSOR, "fm")
 
 
 def render_product_class(a: ProductClass) -> str:

@@ -20,8 +20,8 @@ from .errors import InputError
 from .linalg import Mat, _Record, _expect, _shown, as_int
 from .operators import (_NEEDS_D, GoldenName, _fm_fd, build, op_pi_tensor,
                         op_tensor, restrict2)
-from .product import (FMOrientation, Side, kernel_class, prod_mult, pull,
-                      push, render_product_class)
+from .product import (Side, kernel_class, prod_mult, pull, push,
+                      render_product_class)
 from .sd import Theorem, sd_check
 
 _SEED = 74207281
@@ -124,7 +124,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
             f"grr_vs_golden:FM_Pd:d={d}",
             f"transform of the degree-{d} kernel class equals the pinned "
             f"FM_Pd at d={d}",
-            product.fm_matrix(kernel, FMOrientation.PUSH_FIRST_PULL_SECOND).matrix,
+            product.fm_matrix(kernel).matrix,
             tables[GoldenName.FM_Pd]))
 
         # product-ring fixtures
@@ -195,8 +195,7 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     cases.append(_case(
         "grr_vs_golden:A_S",
         "transform of the diagonal-ideal kernel class equals the pinned A_S",
-        product.fm_matrix(kernel_class("IDelta"),
-                          FMOrientation.PUSH_SECOND_PULL_FIRST).matrix,
+        product.fm_matrix(kernel_class("IDelta")).matrix,
         golden(GoldenName.A_S)))
 
     td_expected = (product.UNIT + 2 * pull(Side.SECOND, chow.POINT_CLASS)

@@ -28,6 +28,12 @@ def product_classes():
                                 xs[16]))
 
 
+def swap(k: ProductClass) -> ProductClass:
+    """The class with the factors of X x X exchanged: fm_matrix(swap(k)) is
+    the transform with kernel k read from the first factor to the second."""
+    return ProductClass(tuple(zip(*k.decomp)), k.delta)
+
+
 def random_coh(rng: random.Random) -> CohClass:
     def pick():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))

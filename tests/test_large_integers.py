@@ -16,7 +16,7 @@ from fmlat.chow import STANDARD_K3, CohClass
 from fmlat.errors import FmlatError, InputError
 from fmlat.linalg import Mat, _Record
 from fmlat.operators import GoldenName, build
-from fmlat.product import DELTA, FMOrientation, Side
+from fmlat.product import DELTA, Side
 from fmlat.sd import SDPair, SearchTarget, Theorem, sd_check
 from fmlat.verify import VerifyCase
 
@@ -69,7 +69,7 @@ def _calls(surface_file: str) -> dict:
         product.product_todd: [((), {})],
         product.diag_push_grr: [((V,), {})],
         product.kernel_class: [(("Pd", 2), {}), (("IDelta", None), {})],
-        product.fm_matrix: [((DELTA, FMOrientation.PUSH_FIRST_PULL_SECOND), {})],
+        product.fm_matrix: [((DELTA,), {})],
         product.render_product_class: [((DELTA,), {})],
         operators.Operator: [((Mat.identity(4), "id"), {})],
         operators.op_tensor: [((V,), {})],

@@ -169,7 +169,7 @@ def test_untargeted_search_peak_rss_stays_near_a_small_one():
 @pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])
 def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
     runs = peak_rss_kib(*(f"verify --d-range 1..{hi}{json_flag}"
-                          for _ in range(3) for hi in (1, 64)))
+                          for _ in range(5) for hi in (1, 64)))
     assert {code for code, _ in runs} == {0}
     growth = statistics.median(large - small for (_, small), (_, large)
                                in zip(runs[::2], runs[1::2]))
@@ -177,5 +177,7 @@ def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
     # about 0.3 MiB. The whole document once took about 1.2 MiB more than
     # 1..1, and every degree's operators and tables kept to the end, with
     # two strings per passing case, about 0.6 MiB. One pair of runs spreads
-    # by about 0.3 MiB, so the median of three pairs is compared.
+    # by about 0.3 MiB, and the median of three pairs still spread from about
+    # 250 to 490 KiB between repeats of the same code, so the median of five
+    # pairs is compared.
     assert growth < 512

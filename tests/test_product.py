@@ -10,12 +10,13 @@ from fmlat.chow import (COORD_BASIS, CohClass, FIBER_CLASS, POINT_CLASS,
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
                              op_tensor, pd_pushforward_twist_class)
-from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, FMOrientation, PI, POINT,
-                           ProductClass, Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
+from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, PI, POINT, ProductClass,
+                           Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
                            prod_mult, product_todd, pull, push,
                            render_product_class)
+from fmlat.sd import Theorem
 
-from helpers import coh_k3, random_product_class
+from helpers import coh_k3, random_product_class, swap
 
 S = STANDARD_K3
 ZERO = ProductClass(((0,) * 4,) * 4, 0)
@@ -53,27 +54,21 @@ def test_a_class_off_the_k3_lattice_is_an_unsupported_model(call):
         call()
 
 
-def test_sides_and_orientations_are_taken_by_value():
+def test_sides_are_taken_by_value():
     # a value names its member; "first" once fell through to the second side
     assert pull("first", SIGMA_CLASS) == SIGMA_FIRST
     assert pull("second", SIGMA_CLASS) == SIGMA_SECOND
     a = prod_mult(pull(Side.FIRST, POINT_CLASS), pull(Side.SECOND, FIBER_CLASS))
     assert push("first", a) == push(Side.FIRST, a) == from_coords((0, 0, 0, 0))
     assert push("second", a) == push(Side.SECOND, a) == FIBER_CLASS
-    kernel = kernel_class("Pd", 2)
-    for orientation in FMOrientation:
-        assert fm_matrix(kernel, orientation.value) == fm_matrix(kernel, orientation)
 
 
-def test_unknown_sides_and_orientations_are_input_errors():
-    for bad in ("First", "left", 0, None, True, FMOrientation.PUSH_FIRST_PULL_SECOND):
+def test_unknown_sides_are_input_errors():
+    for bad in ("First", "left", 0, None, True, Theorem.K3):
         with pytest.raises(InputError, match="unknown side"):
             pull(bad, SIGMA_CLASS)
         with pytest.raises(InputError, match="unknown side"):
             push(bad, DELTA)
-    for bad in ("PushFirst", "pushfirstpullsecond", Side.FIRST, None, 1):
-        with pytest.raises(InputError, match="unknown orientation"):
-            fm_matrix(kernel_class("IDelta"), bad)
 
 
 def test_product_class_rejects_non_grids():
@@ -89,7 +84,7 @@ def test_product_class_rejects_non_grids():
     (lambda: push(Side.FIRST, 5), "class must be of type ProductClass"),
     (lambda: prod_mult(5, DELTA), "operand must be of type ProductClass"),
     (lambda: prod_mult(DELTA, 5), "operand must be of type ProductClass"),
-    (lambda: fm_matrix(5, FMOrientation.PUSH_FIRST_PULL_SECOND),
+    (lambda: fm_matrix(5),
      "kernel must be of type ProductClass"),
     (lambda: DELTA + 5, "operand must be of type ProductClass"),
     (lambda: pull(Side.FIRST, 5), "class must be of type CohClass"),
@@ -286,23 +281,39 @@ def test_kernel_unknown_kind():
 # transforms from kernels
 
 def test_fm_idelta_on_unit():
-    op = fm_matrix(kernel_class("IDelta"), FMOrientation.PUSH_SECOND_PULL_FIRST)
+    op = fm_matrix(kernel_class("IDelta"))
     assert op.apply(UNIT_CLASS) == from_coords((-1, 0, 2, 0))
 
 
 def test_fm_idelta_full_matrix_is_pinned():
-    op = fm_matrix(kernel_class("IDelta"), FMOrientation.PUSH_SECOND_PULL_FIRST)
+    op = fm_matrix(kernel_class("IDelta"))
     assert op.matrix == golden(GoldenName.A_S)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_fm_pd_matches_pinned_matrix(d):
-    op = fm_matrix(kernel_class("Pd", d), FMOrientation.PUSH_FIRST_PULL_SECOND)
+    op = fm_matrix(kernel_class("Pd", d))
     assert op.matrix == golden(GoldenName.FM_Pd, d=d)
 
 
+def test_symmetric_kernels_read_the_same_in_both_directions():
+    # verify reads A_S off I_Delta in fm_matrix's one direction; that is
+    # sound because I_Delta, like these fixed classes, is its own swap
+    for k in (kernel_class("IDelta"), DELTA, PI, UNIT, POINT, F_CROSS_F,
+              product_todd(), *map(diag_push_grr, COORD_BASIS)):
+        assert swap(k) == k
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_pd_kernels_are_not_symmetric(d):
+    # so FM_Pd is pinned to fm_matrix's direction: the other one differs
+    kernel = kernel_class("Pd", d)
+    assert swap(kernel) != kernel
+    assert fm_matrix(swap(kernel)).matrix != golden(GoldenName.FM_Pd, d=d)
+
+
 def test_fm_zero_kernel_is_zero_operator():
-    op = fm_matrix(ZERO, FMOrientation.PUSH_FIRST_PULL_SECOND)
+    op = fm_matrix(ZERO)
     assert all(x == 0 for row in op.matrix.rows for x in row)
 
 
@@ -340,8 +351,5 @@ def test_fm_matrix_is_bilinear_in_the_kernel():
     for _ in range(10):
         a = random_product_class(rng)
         b = random_product_class(rng)
-        for orientation in FMOrientation:
-            lhs = fm_matrix(a + b, orientation).matrix
-            rhs = fm_matrix(a, orientation).matrix + fm_matrix(b, orientation).matrix
-            assert lhs == rhs
-            assert fm_matrix(3 * a, orientation).matrix == 3 * fm_matrix(a, orientation).matrix
+        assert fm_matrix(a + b).matrix == fm_matrix(a).matrix + fm_matrix(b).matrix
+        assert fm_matrix(3 * a).matrix == 3 * fm_matrix(a).matrix

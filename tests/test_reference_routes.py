@@ -15,11 +15,11 @@ from fmlat.chow import (_K3_RING, COORD_BASIS, STANDARD_K3, UNIT_CLASS,
                         to_coords, todd)
 from fmlat.linalg import Mat
 from fmlat.operators import Operator, op_pi_tensor, op_tensor
-from fmlat.product import (DELTA, F_CROSS_F, FMOrientation, PI, POINT,
-                           ProductClass, Side, UNIT, diag_push_grr, fm_matrix,
-                           kernel_class, prod_mult, product_todd, pull, push)
+from fmlat.product import (DELTA, F_CROSS_F, PI, POINT, ProductClass, Side,
+                           UNIT, diag_push_grr, fm_matrix, kernel_class,
+                           prod_mult, product_todd, pull, push)
 
-from helpers import coh_k3, product_classes, random_coh
+from helpers import coh_k3, product_classes, random_coh, swap
 
 S = STANDARD_K3
 
@@ -59,17 +59,14 @@ def naive_diag_push(v):
     return ProductClass(grid, r)
 
 
-def reference_fm_matrix(kernel, orientation):
-    if orientation is FMOrientation.PUSH_FIRST_PULL_SECOND:
-        src, tgt = Side.SECOND, Side.FIRST
-    else:
-        src, tgt = Side.FIRST, Side.SECOND
+def reference_fm_matrix(kernel, src, tgt):
+    # the transform of kernel from the src factor to the tgt factor
     t = todd(S)
     cols = []
     for basis in COORD_BASIS:
         y = mult(S, basis, t)
         cols.append(to_coords(push(tgt, prod_mult(kernel, pull(src, y)))))
-    return Operator(Mat(cols).transpose(), f"fm[{orientation.value}]")
+    return Operator(Mat(cols).transpose(), "fm")
 
 
 def reference_kernel_pd(d):
@@ -102,22 +99,25 @@ def test_diag_push_matches_reference():
         assert diag_push_grr(v) == prod_mult(naive_diag_push(v), inverse)
 
 
+def assert_both_directions_match_reference(kernel):
+    # fm_matrix reads second to first; swapping the factors reads first to second
+    assert fm_matrix(kernel) == reference_fm_matrix(kernel, Side.SECOND, Side.FIRST)
+    assert fm_matrix(swap(kernel)).matrix == \
+        reference_fm_matrix(kernel, Side.FIRST, Side.SECOND).matrix
+
+
 @settings(max_examples=30, deadline=None)
 @given(product_classes())
 def test_fm_matrix_matches_reference(kernel):
-    for orientation in FMOrientation:
-        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)
+    assert_both_directions_match_reference(kernel)
 
 
 @pytest.mark.parametrize("d", range(1, 65))
 def test_kernel_pd_matches_reference(d):
     kernel = kernel_class("Pd", d)
     assert kernel == reference_kernel_pd(d)
-    for orientation in FMOrientation:
-        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)
+    assert_both_directions_match_reference(kernel)
 
 
 def test_kernel_idelta_transforms_match_reference():
-    kernel = kernel_class("IDelta")
-    for orientation in FMOrientation:
-        assert fm_matrix(kernel, orientation) == reference_fm_matrix(kernel, orientation)
+    assert_both_directions_match_reference(kernel_class("IDelta"))

@@ -13,10 +13,9 @@ from fmlat.chow import (STANDARD_K3, CohClass, chi_tensor, dot, fdeg,
 from fmlat.errors import InputError, SingularMatrixError
 from fmlat.linalg import Mat, q, qdiv, qgrid, qvec
 from fmlat.operators import GoldenName, build, golden, op_pi_tensor, op_tensor
-from fmlat.product import (FMOrientation, ProductClass, kernel_class,
-                           fm_matrix, prod_mult)
+from fmlat.product import ProductClass, kernel_class, fm_matrix, prod_mult
 
-from helpers import coh_k3, product_classes, small_q
+from helpers import coh_k3, product_classes, small_q, swap
 
 S = STANDARD_K3
 _NEEDS_D = ("TensorL1", "Tw_d", "FM_Pd", "FM_Fd")
@@ -124,16 +123,15 @@ def test_mat_operations_are_normal(a, b, vec):
 @given(product_classes(), product_classes())
 def test_prod_mult_and_fm_matrix_are_normal(a, b):
     assert_normal_product(prod_mult(a, b))
-    for orientation in FMOrientation:
-        assert_normal_mat(fm_matrix(a, orientation).matrix)
+    assert_normal_mat(fm_matrix(a).matrix)
 
 
 @pytest.mark.parametrize("d", range(1, 5))
 def test_kernel_classes_are_normal(d):
     for kernel in (kernel_class("Pd", d), kernel_class("IDelta")):
         assert_normal_product(kernel)
-        for orientation in FMOrientation:
-            assert_normal_mat(fm_matrix(kernel, orientation).matrix)
+        for k in (kernel, swap(kernel)):
+            assert_normal_mat(fm_matrix(k).matrix)
 
 
 @settings(max_examples=40, deadline=None)
