@@ -84,8 +84,7 @@ def test_product_class_rejects_non_grids():
     (lambda: push(Side.FIRST, 5), "class must be of type ProductClass"),
     (lambda: prod_mult(5, DELTA), "operand must be of type ProductClass"),
     (lambda: prod_mult(DELTA, 5), "operand must be of type ProductClass"),
-    (lambda: fm_matrix(5),
-     "kernel must be of type ProductClass"),
+    (lambda: fm_matrix(5), "kernel must be of type ProductClass"),
     (lambda: DELTA + 5, "operand must be of type ProductClass"),
     (lambda: pull(Side.FIRST, 5), "class must be of type CohClass"),
     (lambda: diag_push_grr(5), "class must be of type CohClass"),
