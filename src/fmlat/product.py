@@ -1,11 +1,11 @@
 """The modeled Chow ring of X x X for the standard K3 model.
 
-Every class has one form: a 4x4 grid of coefficients of q1^* e_i . q2^* e_j
-over the coordinate basis e = (1, sigma, f, pt), plus one coefficient of the
-diagonal Delta. The form is unique because H^1(X) = H^3(X) = 0: the diagonal
-pushforward of a divisor x is the grid class x (x) pt + pt (x) x, and of a
-point it is [*], so only delta_*(1) = Delta lies outside the grid. Hence ==
-on ProductClass is equality of classes.
+Every class has one form: a 4x4 grid, a Mat, of coefficients of
+q1^* e_i . q2^* e_j over the coordinate basis e = (1, sigma, f, pt), plus one
+coefficient of the diagonal Delta. The form is unique because
+H^1(X) = H^3(X) = 0: the diagonal pushforward of a divisor x is the grid
+class x (x) pt + pt (x) x, and of a point it is [*], so only delta_*(1) =
+Delta lies outside the grid. Hence == on ProductClass is equality of classes.
 
 Multiplication encodes the diagonal self-intersection through the excess
 formula delta_*(g1) . delta_*(g2) = delta_*(g1.g2.c2(T_X)); only
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from operator import mul
 
 from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS,
                    ch_line_bundle, from_coords, mult, to_coords)
 from .errors import InputError
-from .linalg import Mat, _Record, _expect, _shown, as_member, q, qgrid
-from .operators import _SIGMA_CH, Operator, _check_d, _tensor_rows
+from .linalg import Mat, _Record, _expect, _shown, as_member, q
+from .operators import _SIGMA_CH, Operator, _check_d, op_tensor
 
 
 class Side(Enum):
@@ -32,23 +31,20 @@ class Side(Enum):
 
 
 class ProductClass(_Record):
-    """Decomposable grid plus the coefficient of Delta; immutable and exact."""
+    """A 4x4 Mat grid plus the coefficient of Delta; immutable and exact."""
 
     __slots__ = ("decomp", "delta")
 
-    def __init__(self, decomp: tuple[tuple[int | Fraction, ...], ...],
+    def __init__(self, decomp: Mat | tuple[tuple[int | Fraction, ...], ...],
                  delta: int | Fraction):
-        decomp = qgrid(decomp)
-        if len(decomp) != 4 or any(len(r) != 4 for r in decomp):
+        decomp = decomp if isinstance(decomp, Mat) else Mat(decomp)
+        if decomp.n_rows != 4 or decomp.n_cols != 4:
             raise InputError("decomposable part must be a 4x4 grid")
         self._fill(decomp, q(delta))
 
     def __add__(self, other: "ProductClass") -> "ProductClass":
         _expect("operand", ProductClass, other)
-        return ProductClass(
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.decomp, other.decomp)),
-            self.delta + other.delta)
+        return ProductClass(self.decomp + other.decomp, self.delta + other.delta)
 
     def __sub__(self, other: "ProductClass") -> "ProductClass":
         return self + (-1) * _expect("operand", ProductClass, other)
@@ -58,15 +54,13 @@ class ProductClass(_Record):
 
     def __rmul__(self, k) -> "ProductClass":
         k = q(k)
-        return ProductClass(
-            tuple(tuple(k * a for a in row) for row in self.decomp),
-            k * self.delta)
+        return ProductClass(k * self.decomp, k * self.delta)
 
 
 def _single(i: int, j: int, value=1) -> ProductClass:
     dec = [[0] * 4 for _ in range(4)]
     dec[i][j] = value
-    return ProductClass(tuple(tuple(row) for row in dec), 0)
+    return ProductClass(dec, 0)
 
 
 UNIT = _single(0, 0)
@@ -81,9 +75,10 @@ _BASIS_LABELS = ("X", "sigma", "f", "*")
 # the nonzero coordinates (slot, value) of each product e_i . e_k
 _PAIR_TERMS = tuple(tuple(tuple((u, x) for u, x in enumerate(p) if x) for p in products)
                     for products in _K3_RING.pair_table)
-# (e_j . e_k)[pt], and multiplication by the Todd class, for fm_matrix
-_POINT_PAIRING = tuple(tuple(p[3] for p in products) for products in _K3_RING.pair_table)
-_TODD_TENSOR = Mat(_tensor_rows(to_coords(_K3_RING.todd)))
+# multiplication by td, and fm_matrix's P.td
+_TODD_TENSOR = op_tensor(_K3_RING.todd).matrix
+_PAIRING_TODD = Mat([[p[3] for p in products]
+                     for products in _K3_RING.pair_table]) * _TODD_TENSOR
 
 
 def pull(side: Side, v: CohClass) -> ProductClass:
@@ -104,9 +99,9 @@ def push(side: Side, a: ProductClass) -> CohClass:
     """
     _expect("class", ProductClass, a)
     if as_member("side", Side, side) is Side.FIRST:
-        coords = [row[3] for row in a.decomp]
+        coords = [row[3] for row in a.decomp.rows]
     else:
-        coords = list(a.decomp[3])
+        coords = list(a.decomp.rows[3])
     coords[0] += a.delta
     return from_coords(coords)
 
@@ -115,6 +110,7 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     """Bilinear product; total codimension above four is discarded."""
     _expect("operand", ProductClass, a)
     _expect("operand", ProductClass, b)
+    grid_a, grid_b = a.decomp.rows, b.decomp.rows
     dec = [[0] * 4 for _ in range(4)]
 
     def add_outer(coeff, first, second):
@@ -125,12 +121,12 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     # decomposable x decomposable: factorwise surface products
     for i in range(4):
         for j in range(4):
-            ca = a.decomp[i][j]
+            ca = grid_a[i][j]
             if not ca:
                 continue
             for k in range(4):
                 for l in range(4):
-                    cb = b.decomp[k][l]
+                    cb = grid_b[k][l]
                     if not cb:
                         continue
                     add_outer(ca * cb, _PAIR_TERMS[i][k], _PAIR_TERMS[j][l])
@@ -138,7 +134,7 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     # Delta x decomposable: Delta . q1^*e_i . q2^*e_j = delta_*(e_i . e_j);
     # restrict to the diagonal first, x = sum of the grid's e_i . e_j
     x = [0] * 4
-    for cd, grid in ((a.delta, b.decomp), (b.delta, a.decomp)):
+    for cd, grid in ((a.delta, grid_b), (b.delta, grid_a)):
         if not cd:
             continue
         for i in range(4):
@@ -155,7 +151,7 @@ def prod_mult(a: ProductClass, b: ProductClass) -> ProductClass:
     # diagonal self-intersection: Delta . Delta = c2[*]
     dec[3][3] += x[3] + _K3_RING.c2 * a.delta * b.delta
 
-    return ProductClass(tuple(tuple(row) for row in dec), x[0])
+    return ProductClass(dec, x[0])
 
 
 def product_todd() -> ProductClass:
@@ -214,14 +210,13 @@ def fm_matrix(kernel: ProductClass) -> Operator:
     surface Todd class, pulled back from the second factor, multiplied with
     the kernel and pushed to the first; the target-side Todd correction
     cancels and is omitted. Before the Todd factor e_k maps to
-    sum_ij K_ij (e_j . e_k)[pt] e_i + delta e_k. Swapping the factors,
-    ProductClass(tuple(zip(*k.decomp)), k.delta), gives the other direction.
+    sum_ij G_ij (e_j . e_k)[pt] e_i + delta e_k, which is G.P + delta with
+    P[j][k] = (e_j . e_k)[pt]; so the transform is G.(P.td) + delta.td.
+    Swapping the factors, ProductClass(k.decomp.transpose(), k.delta), gives
+    the other direction.
     """
-    grid = _expect("kernel", ProductClass, kernel).decomp
-    images = Mat([[sum(map(mul, row, pairing)) + (kernel.delta if i == k else 0)
-                   for k, pairing in enumerate(_POINT_PAIRING)]
-                  for i, row in enumerate(grid)])
-    return Operator(images * _TODD_TENSOR, "fm")
+    _expect("kernel", ProductClass, kernel)
+    return Operator(kernel.decomp * _PAIRING_TODD + kernel.delta * _TODD_TENSOR, "fm")
 
 
 def render_product_class(a: ProductClass) -> str:
@@ -229,7 +224,7 @@ def render_product_class(a: ProductClass) -> str:
     _expect("class", ProductClass, a)
     terms = [(c, "" if i == j == 0 else "[*]" if i == j == 3
               else f"[{_BASIS_LABELS[i]} x {_BASIS_LABELS[j]}]")
-             for i, row in enumerate(a.decomp) for j, c in enumerate(row) if c]
+             for i, row in enumerate(a.decomp.rows) for j, c in enumerate(row) if c]
     terms += [(a.delta, "Delta")] if a.delta else []
     if not terms:
         return "0"

@@ -31,7 +31,7 @@ def product_classes():
 def swap(k: ProductClass) -> ProductClass:
     """The class with the factors of X x X exchanged: fm_matrix(swap(k)) is
     the transform with kernel k read from the first factor to the second."""
-    return ProductClass(tuple(zip(*k.decomp)), k.delta)
+    return ProductClass(k.decomp.transpose(), k.delta)
 
 
 def random_coh(rng: random.Random) -> CohClass:

@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from fmlat.chow import (COORD_BASIS, CohClass, FIBER_CLASS, POINT_CLASS,
                         SIGMA_CLASS, STANDARD_K3, UNIT_CLASS, ch_line_bundle,
                         dot, from_coords, mult, todd)
 from fmlat.errors import InputError, UnsupportedModelError
+from fmlat.linalg import Mat
 from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
                              op_tensor, pd_pushforward_twist_class)
 from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, PI, POINT, ProductClass,
-                           Side, UNIT, diag_push_grr, fm_matrix, kernel_class,
-                           prod_mult, product_todd, pull, push,
+                           Side, UNIT, _single, diag_push_grr, fm_matrix,
+                           kernel_class, prod_mult, product_todd, pull, push,
                            render_product_class)
 from fmlat.sd import Theorem
 
@@ -75,9 +77,15 @@ def test_product_class_rejects_non_grids():
     for decomp in (5, "1234", ((0,) * 4,) * 3, (5, 5, 5, 5)):
         with pytest.raises(InputError):
             ProductClass(decomp, 0)
+    for decomp in (Mat([[0] * 3] * 4), Mat.identity(2)):
+        with pytest.raises(InputError, match="must be a 4x4 grid"):
+            ProductClass(decomp, 0)
     for delta in ((1, 0, 0), "x", 0.5):
         with pytest.raises(InputError):
             ProductClass(((0,) * 4,) * 4, delta)
+    # a Mat is taken as it is, and equals the class of the same tuple grid
+    grid = tuple(tuple(Fraction(i - 2 * j, 3) for j in range(4)) for i in range(4))
+    assert ProductClass(Mat(grid), Fraction(1, 2)) == ProductClass(grid, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("call, label", [
@@ -131,7 +139,7 @@ def test_diagonal_pushforward_pairs_as_the_ring_product():
         for ei in COORD_BASIS:
             for ej in COORD_BASIS:
                 cross = prod_mult(pull(Side.FIRST, ei), pull(Side.SECOND, ej))
-                assert prod_mult(pushed, cross).decomp[3][3] == \
+                assert prod_mult(pushed, cross).decomp.rows[3][3] == \
                     mult(S, mult(S, al, ei), ej).p
 
 
@@ -147,7 +155,7 @@ def product_dual(a):
     codim = (0, 1, 1, 2)
     return ProductClass(
         tuple(tuple((-1) ** (codim[i] + codim[j]) * x for j, x in enumerate(row))
-              for i, row in enumerate(a.decomp)),
+              for i, row in enumerate(a.decomp.rows)),
         a.delta)
 
 
@@ -155,7 +163,7 @@ def test_diagonal_euler_characteristic_is_the_topological_one():
     # chi(O_Delta, O_Delta) = e(X) = 12 chi(O) - K.K by Noether: a route to
     # the excess term that does not restate it, unlike the test above
     o = diag_push_grr(UNIT_CLASS)
-    chi = prod_mult(prod_mult(product_dual(o), o), product_todd()).decomp[3][3]
+    chi = prod_mult(prod_mult(product_dual(o), o), product_todd()).decomp.rows[3][3]
     assert chi == 12 * S.chi_O - dot(S, S.canonical, S.canonical) == 24
 
 
@@ -309,6 +317,19 @@ def test_pd_kernels_are_not_symmetric(d):
     kernel = kernel_class("Pd", d)
     assert swap(kernel) != kernel
     assert fm_matrix(swap(kernel)).matrix != golden(GoldenName.FM_Pd, d=d)
+
+
+def test_fm_matrix_misses_only_the_transcendental_diagonal():
+    # Delta_tr, Delta less its algebraic Kunneth part (built from the inverse
+    # of NS's Gram matrix), lies in H^2_tr (x) H^2_tr: the 4x4 matrix cannot
+    # see it, and it spans the whole kernel of K -> fm_matrix(K)
+    algebraic = (_single(0, 3) + _single(3, 0) + _single(1, 2) + _single(2, 1)
+                 + 2 * _single(2, 2))
+    assert fm_matrix(DELTA - algebraic).matrix == Mat([[0] * 4] * 4)
+    basis = [_single(i, j) for i in range(4) for j in range(4)] + [DELTA]
+    images = sympy.Matrix([[x for row in fm_matrix(k).matrix.rows for x in row]
+                           for k in basis])
+    assert images.rank() == 16
 
 
 def test_fm_zero_kernel_is_zero_operator():

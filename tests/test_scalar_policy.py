@@ -33,7 +33,8 @@ def assert_normal_mat(m: Mat):
 
 
 def assert_normal_product(a: ProductClass):
-    for row in a.decomp:
+    assert type(a.decomp) is Mat
+    for row in a.decomp.rows:
         assert_normal(*row)
     assert_normal(a.delta)
 
