@@ -24,8 +24,8 @@ from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
 from .errors import FmlatError, InputError
 from .linalg import Mat, _shown, parse_int, qvec
 from .operators import build
-from .sd import (SDPair, SDReport, SearchTarget, Theorem, build_report,
-                 search_phi, transformed_ranks)
+from .sd import (SDPair, SDReport, SearchTarget, Theorem, _search,
+                 build_report, transformed_ranks)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -312,7 +312,7 @@ def _cmd_search(args) -> int:
                               t_v=args.tv, t_w=args.tw)
     elif args.theorem is not None or args.tv is not None or args.tw is not None:
         raise InputError("--theorem, --tv and --tw need --dv and --dw")
-    hits = search_phi(args.lam, args.bound, target=target)
+    hits = _search(args.lam, args.bound, target)   # one hit held at a time
     if args.json:
         _write_json({"schema": 1, "lambda": args.lam, "bound": args.bound,
                      "target": None if target is None else {
@@ -320,8 +320,10 @@ def _cmd_search(args) -> int:
                          "theorem": target.theorem.value},
                      "hits": (_hit_json(phi, target) for phi in hits)})
     else:
-        sys.stdout.writelines(_hit_line(phi, target) for phi in hits)
-        print(f"# {len(hits)} hit(s)", file=sys.stderr)
+        write, count = sys.stdout.write, 0
+        for count, phi in enumerate(hits, 1):
+            write(_hit_line(phi, target))
+        print(f"# {count} hit(s)", file=sys.stderr)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ hypotheses placed on the numerical data.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from enum import Enum
 
 from .bridgeland import FM2
@@ -254,7 +255,16 @@ def search_phi(lam: int, bound: int,
     target's check depends on (c, a) alone: its margins are exactly
     a(d_v - t_v) - c and c - a(t_w - d_w), so the window between those two
     ends is the whole check.
+
+    This collects into a list the same enumeration `fmlat search` streams
+    to stdout one hit at a time.
     """
+    return list(_search(lam, bound, target))
+
+
+def _search(lam: int, bound: int, target: SearchTarget | None) -> Iterator[FM2]:
+    """search_phi's hits, one at a time. The arguments are checked here, at
+    the call, so a bad one fails before a caller writes anything."""
     if as_int("bound", bound) < 1:
         raise InputError(f"bound must be a positive integer, got {_shown(bound)}")
     if bound > MAX_SEARCH_BOUND:
@@ -262,14 +272,19 @@ def search_phi(lam: int, bound: int,
                          f"got {_shown(bound)}")
     if as_int("lambda", lam) < 1:
         raise InputError(f"lambda must be a positive integer, got {_shown(lam)}")
-    if target is not None:
-        _expect("target", SearchTarget, target)
-        t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
-        # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
-        above, below = t_w - target.d_w, target.d_v - t_v
-    hits: list[FM2] = []
-    # one int object per distinct e or b value (at most 2.bound + 1), so a
-    # hit holds only its FM2
+    if target is None:
+        return _admissible(lam, bound, 0, bound + 1)   # a window holding every c
+    _expect("target", SearchTarget, target)
+    t_v, t_w = _thresholds(target.theorem, target.t_v, target.t_w)
+    # both transformed ranks > a.t, solved for c (test_restated_action_formulas)
+    return _admissible(lam, bound, t_w - target.d_w, target.d_v - t_v)
+
+
+def _admissible(lam: int, bound: int, above: int, below: int) -> Iterator[FM2]:
+    """The admissible matrices with a.above < c < a.below, in search_phi's
+    order."""
+    # one int object per distinct e or b value (at most 2.bound + 1), so
+    # search_phi's list of hits holds only their FM2s
     shared = {}.setdefault
     for c in range(2, bound + 1):          # c > a >= 1 forces c >= 2
         # cb - ae = 1 with lambda | e needs gcd(c, lambda) = 1
@@ -277,7 +292,7 @@ def search_phi(lam: int, bound: int,
             continue
         lam_inv, step = pow(lam, -1, c), c * lam
         for a in range(1, c):
-            if target is not None and not a * above < c < a * below:
+            if not a * above < c < a * below:
                 continue
             if math.gcd(a, c) != 1:
                 continue
@@ -288,5 +303,4 @@ def search_phi(lam: int, bound: int,
             hi = (-c * (a + 1) - 1) // a
             for e in range(-bound + (residue + bound) % step, hi + 1, step):
                 b = (1 + a * e) // c
-                hits.append(FM2(c, a, shared(e, e), shared(b, b), lam))
-    return hits
+                yield FM2(c, a, shared(e, e), shared(b, b), lam)

@@ -19,7 +19,7 @@ from fmlat.chow import STANDARD_K3, CohClass, chi_tensor
 from fmlat.cli import _grid, _report_json, main
 from fmlat.linalg import Mat, q, qvec
 from fmlat.operators import GoldenName, build, golden
-from fmlat.sd import build_report
+from fmlat.sd import SearchTarget, build_report, search_phi
 
 from helpers import small_q
 
@@ -523,7 +523,25 @@ def test_search_streams_hits(capsys):
                          "--dv", "6", "--dw", "0")
     assert code == 0
     assert "3,1,-7,-2" in out
-    assert "hit(s)" in err
+    assert err == f"# {len(out.splitlines())} hit(s)\n"
+
+
+def test_search_counts_the_hits_it_streams(capsys):
+    code, out, err = run(capsys, "search", "--lambda", "1", "--bound", "214")
+    assert code == 0
+    assert err == f"# {len(out.splitlines())} hit(s)\n"
+    assert len(out.splitlines()) == len(search_phi(1, 214)) == 13548
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--lambda", "1", "--bound", "1001", "--json"), "bound must be at most 1000, got 1001"),
+    (("--lambda", "0", "--bound", "5", "--json"), "lambda must be a positive integer, got 0"),
+    (("--lambda", "1", "--bound", "0"), "bound must be a positive integer, got 0"),
+])
+def test_search_argument_errors_write_nothing_to_stdout(capsys, argv, message):
+    # the JSON head goes out before the first hit is pulled, so the search
+    # must refuse its arguments before that
+    assert run(capsys, "search", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_search_bound_above_the_cap_exits_two():
@@ -596,6 +614,17 @@ def test_search_json_roundtrip(capsys):
     assert [3, 1, -7, -2] in [hit["phi"] for hit in doc["hits"]]
     for hit in doc["hits"]:
         assert hit["report"] == _report_json(build_report(FM2(*hit["phi"], 1), 6, 0))
+
+
+@pytest.mark.parametrize("target", [(), ("--dv", "6", "--dw", "0")],
+                         ids=["untargeted", "targeted"])
+def test_search_json_holds_every_hit(capsys, target):
+    code, out, _ = run(capsys, "search", "--lambda", "2", "--bound", "60",
+                       *target, "--json")
+    assert code == 0
+    hits = search_phi(2, 60, SearchTarget(6, 0) if target else None)
+    assert [hit["phi"] for hit in json.loads(out)["hits"]] == \
+        [list(phi.entries()) for phi in hits]
 
 
 # usage errors

@@ -29,7 +29,11 @@ def test_no_unused_top_level_imports():
 # The paper's birationality step. Its coming callers are `reduce` (ROADMAP
 # item 2), which prints its verdict, and `cover` (item 4), whose certificate
 # prints both; without those callers it goes.
-UNUSED_ON_PURPOSE = {"gen_birat_classify"}
+# The list form of the search. `fmlat search` streams sd._search, so nothing
+# in the package calls search_phi; it stays as library API for the tests and
+# for the benchmark's `sd.search_phi` span, whose hit count takes its len()
+# until that benchmark counts hits as they stream (ROADMAP item 6).
+UNUSED_ON_PURPOSE = {"gen_birat_classify", "search_phi"}
 
 
 def test_every_public_name_is_used_elsewhere_in_the_package():
@@ -101,12 +105,14 @@ def test_every_verify_case_is_built_by_one_constructor():
 def test_the_search_window_is_its_only_check():
     # sd_check's margins are exactly (a.below - c, c - a.above), so a
     # targeted search states its check once, as its c-window; a second
-    # statement could only cost a report per hit
+    # statement could only cost a report per hit. The (c, a, e) loop that
+    # builds the hits is sd._admissible's; search_phi only lists it.
     path = pathlib.Path(fmlat.__file__).parent / "sd.py"
     search = next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
-                  if isinstance(node, ast.FunctionDef) and node.name == "search_phi")
+                  if isinstance(node, ast.FunctionDef) and node.name == "_admissible")
     names = {getattr(node, "id", getattr(node, "attr", None))
              for node in ast.walk(search) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "FM2" in names
     assert names & {"build_report", "sd_check", "SDReport", "passed"} == set()
 
 

@@ -161,9 +161,20 @@ def test_untargeted_search_peak_rss_stays_near_a_small_one():
     (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
         f"{search} 8", f"{search} 214")
     assert (small_exit, large_exit) == (0, 0)
-    # 13,548 hits at bound 214 add about 1.6 MiB when hits share their e
-    # and b ints, and about 2.4 MiB with a fresh int for each
-    assert large_kib - small_kib < 2 * 1024
+    # 13,548 hits at bound 214: streamed one at a time they add about
+    # 0.05 MiB; held in a list until printed they added about 1 MiB
+    assert large_kib - small_kib < 512
+
+
+@pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])
+def test_search_at_the_cap_peaks_near_a_small_one(json_flag):
+    search = f"search --lambda 1{json_flag} --bound"
+    (small_exit, small_kib), (large_exit, large_kib) = peak_rss_kib(
+        f"{search} 8", f"{search} 1000")
+    assert (small_exit, large_exit) == (0, 0)
+    # 302,194 hits at the cap: streamed they add about 0.1 MiB; held in a
+    # list until printed they added about 28 MiB
+    assert large_kib - small_kib < 1024
 
 
 @pytest.mark.parametrize("json_flag", ["", " --json"], ids=["text", "json"])

@@ -547,6 +547,15 @@ def test_search_validates_inputs():
             search_phi(lam, bound)
 
 
+def test_the_hit_stream_checks_its_arguments_before_the_first_hit():
+    # the CLI writes the JSON head before it pulls a hit, so a bad argument
+    # must fail where the stream is made, not at its first next()
+    for lam, bound, target in ((1, 0, None), (0, 5, None), (1, 1001, None),
+                               (1, 8.0, None), (1, 5, 5)):
+        with pytest.raises(InputError):
+            sd._search(lam, bound, target)
+
+
 def test_search_bound_cap_is_checked_before_any_work():
     assert sd.MAX_SEARCH_BOUND == 1000
     with pytest.raises(InputError, match="at most 1000"):
