@@ -10,12 +10,11 @@ or bad input, 141 stdout closed by its reader.
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import verify as verify_mod
 from .bridgeland import FM2
@@ -55,13 +54,6 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
         return tuple(map(parse_int, toks))
     except InputError as exc:
         raise InputError(f"{what}: {exc}") from None
-
-
-def _int_arg(text: str) -> int:
-    try:
-        return parse_int(text)
-    except InputError as exc:   # argparse names the flag and exits 2
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _class_from_vector(surface: SurfaceDescriptor, text: str) -> CohClass:
@@ -327,123 +319,154 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse reports a missing required flag before an unknown one, so
-    --vec for --vector would read as --vector missing; this names --vec."""
+# The whole command line: per command its handler, help line, positionals
+# (name, help) and flags (dest, kind, default, required, help), where a
+# required flag's default is None and a kind is _INT for an integer read by
+# parse_int, a tuple of choices, None for a switch, or a text's metavar.
+_INT = "N"
+_JSON = ("json", None, False, False, "machine-readable output (schema 1, exact numbers)")
+_D = ("d", _INT, None, False, "kernel degree parameter")
+_DIVISOR = ("divisor", "S,T", None, False,
+            "divisor s·sigma + t·f for A_TL (n/d rationals accepted)")
+_SURFACE = ("surface", "FILE", None, False, "surface description file")
+_LAMBDA = ("lam", _INT, 1, False, "smallest positive fiber degree (default 1)")
+_TV = ("tv", _INT, None, False, "moduli dimension for v")
+_TW = ("tw", _INT, None, False, "moduli dimension for w")
+_THEOREMS = tuple(theorem.value for theorem in Theorem)
 
-    def _parse_known_args(self, arg_strings, *rest):
-        typed = {a.split("=", 1)[0] for a in arg_strings if a[:1] == "-"
-                 and not _NEGATIVE_LEAD.match(a)}
-        unknown = typed - set(self._option_string_actions)
-        missing = [a for a in self._actions if a.required and a.option_strings
-                   and not typed & set(a.option_strings)]
-        if unknown and missing and not typed & {"-h", "--help"}:
-            self.error("unrecognized arguments: " + " ".join(sorted(unknown)))
-        return super()._parse_known_args(arg_strings, *rest)
-
-
-def _build_parser() -> _Parser:
-    # flags are spelled in full, so that _glue_list_values sees every flag
-    parser = _Parser(
-        prog="fmlat", allow_abbrev=False,
-        description="Exact Fourier-Mukai lattice calculus for elliptic K3 surfaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output (schema 1, exact numbers)")
-
-    p = command("verify", "run the built-in verification suite")
-    p.add_argument("--d-range", default="1..12", metavar="LO..HI",
-                   help="kernel degrees to check (within 1..64)")
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = command("matrix", "print a named operator matrix")
-    p.add_argument("name", help="matrix name, e.g. FM_Pd, A_S, TensorL1")
-    p.add_argument("--d", type=_int_arg, default=None, help="kernel degree parameter")
-    p.add_argument("--divisor", default=None, metavar="S,T",
-                   help="divisor s·sigma + t·f for A_TL (n/d rationals accepted)")
-    add_json(p)
-    p.set_defaults(func=_cmd_matrix)
-
-    p = command("transform", "apply a named matrix to a class vector")
-    p.add_argument("--matrix", required=True, help="matrix name")
-    p.add_argument("--d", type=_int_arg, default=None)
-    p.add_argument("--divisor", default=None, metavar="S,T")
-    p.add_argument("--vector", required=True, metavar="R,S,T,P",
-                   help="comma-separated exact values (n/d rationals accepted)")
-    add_json(p)
-    p.set_defaults(func=_cmd_transform)
-
-    p = command("chi", "Euler characteristic of a tensor product")
-    p.add_argument("--surface", default=None, help="surface description file")
-    p.add_argument("--v", required=True, help="first class vector")
-    p.add_argument("--w", required=True, help="second class vector")
-    add_json(p)
-    p.set_defaults(func=_cmd_chi)
-
-    p = command("sd-check", "Strange Duality hypothesis check")
-    p.add_argument("--phi", required=True, metavar="C,A,E,B",
-                   help="kernel matrix entries")
-    p.add_argument("--lambda", dest="lam", type=_int_arg, default=1,
-                   help="smallest positive fiber degree (default 1)")
-    p.add_argument("--dv", type=_int_arg, required=True, help="fiber degree of v")
-    p.add_argument("--dw", type=_int_arg, required=True, help="fiber degree of w")
-    p.add_argument("--theorem", choices=["k3", "general"], default="k3")
-    p.add_argument("--tv", type=_int_arg, default=None, help="moduli dimension for v")
-    p.add_argument("--tw", type=_int_arg, default=None, help="moduli dimension for w")
-    p.add_argument("--surface", default=None, help="surface description file")
-    p.add_argument("--v", default=None, help="optional class vector for v")
-    p.add_argument("--w", default=None, help="optional class vector for w")
-    p.add_argument("--attest-no-higher-cohomology", action="store_true",
-                   help="attest that O(div v + div w) has no higher cohomology")
-    add_json(p)
-    p.set_defaults(func=_cmd_sd_check)
-
-    p = command("search", "enumerate admissible kernel matrices")
-    p.add_argument("--lambda", dest="lam", type=_int_arg, default=1)
-    p.add_argument("--bound", type=_int_arg, required=True,
-                   help="bound on |c|, |a|, |e|, |b|")
-    p.add_argument("--dv", type=_int_arg, default=None)
-    p.add_argument("--dw", type=_int_arg, default=None)
-    p.add_argument("--theorem", choices=["k3", "general"], default=None,
-                   help="theorem a target is checked against (default k3)")
-    p.add_argument("--tv", type=_int_arg, default=None)
-    p.add_argument("--tw", type=_int_arg, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_search)
-
-    return parser
+_COMMANDS = {
+    "verify": (_cmd_verify, "run the built-in verification suite", (), {
+        "--d-range": ("d_range", "LO..HI", "1..12", False,
+                      "kernel degrees to check (within 1..64)"),
+        "--json": _JSON}),
+    "matrix": (_cmd_matrix, "print a named operator matrix",
+               (("name", "matrix name, e.g. FM_Pd, A_S, TensorL1"),),
+               {"--d": _D, "--divisor": _DIVISOR, "--json": _JSON}),
+    "transform": (_cmd_transform, "apply a named matrix to a class vector", (), {
+        "--matrix": ("matrix", "NAME", None, True, "matrix name"),
+        "--d": _D, "--divisor": _DIVISOR,
+        "--vector": ("vector", "R,S,T,P", None, True,
+                     "comma-separated exact values (n/d rationals accepted)"),
+        "--json": _JSON}),
+    "chi": (_cmd_chi, "Euler characteristic of a tensor product", (), {
+        "--surface": _SURFACE,
+        "--v": ("v", "R,...,P", None, True, "first class vector"),
+        "--w": ("w", "R,...,P", None, True, "second class vector"),
+        "--json": _JSON}),
+    "sd-check": (_cmd_sd_check, "Strange Duality hypothesis check", (), {
+        "--phi": ("phi", "C,A,E,B", None, True, "kernel matrix entries"),
+        "--lambda": _LAMBDA,
+        "--dv": ("dv", _INT, None, True, "fiber degree of v"),
+        "--dw": ("dw", _INT, None, True, "fiber degree of w"),
+        "--theorem": ("theorem", _THEOREMS, "k3", False, "theorem checked (default k3)"),
+        "--tv": _TV, "--tw": _TW, "--surface": _SURFACE,
+        "--v": ("v", "R,...,P", None, False, "optional class vector for v"),
+        "--w": ("w", "R,...,P", None, False, "optional class vector for w"),
+        "--attest-no-higher-cohomology": (
+            "attest_no_higher_cohomology", None, False, False,
+            "attest that O(div v + div w) has no higher cohomology"),
+        "--json": _JSON}),
+    "search": (_cmd_search, "enumerate admissible kernel matrices", (), {
+        "--lambda": _LAMBDA,
+        "--bound": ("bound", _INT, None, True, "bound on |c|, |a|, |e|, |b|"),
+        "--dv": ("dv", _INT, None, False, "fiber degree of v in a target"),
+        "--dw": ("dw", _INT, None, False, "fiber degree of w in a target"),
+        "--theorem": ("theorem", _THEOREMS, None, False,
+                      "theorem a target is checked against (default k3)"),
+        "--tv": _TV, "--tw": _TW, "--json": _JSON}),
+}
 
 
-# argparse reads a value that starts with "-" as an option unless the whole
-# value is one negative number, so "--vector -1,0,0,0" would lose its value;
-# a flag that takes a comma list gets such a value glued on with "="
-_LIST_FLAGS = frozenset({"--vector", "--divisor", "--v", "--w", "--phi"})
-_NEGATIVE_LEAD = re.compile(r"-[0-9]")
+def _spelled(flag: str, kind) -> str:
+    """A flag as usage and help show it, with a placeholder for its value."""
+    if isinstance(kind, tuple):
+        kind = "{" + ",".join(kind) + "}"
+    return flag if kind is None else f"{flag} {kind}"
 
 
-def _glue_list_values(argv: list[str]) -> list[str]:
-    glued: list[str] = []
-    for arg in argv:
-        if glued and glued[-1] in _LIST_FLAGS and _NEGATIVE_LEAD.match(arg):
-            glued[-1] += "=" + arg
-        else:
-            glued.append(arg)
-    return glued
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: fmlat [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, _, positionals, flags = _COMMANDS[command]
+    words = ["usage: fmlat", command, "[-h]", *(name.upper() for name, _ in positionals)]
+    for flag, (_, kind, _, required, _) in flags.items():
+        words.append(_spelled(flag, kind) if required else f"[{_spelled(flag, kind)}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        about = "Exact Fourier-Mukai lattice calculus for elliptic K3 surfaces"
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, about, positionals, flags = _COMMANDS[command]
+        rows = [(name.upper(), text) for name, text in positionals]
+        rows += [(_spelled(flag, kind), text)
+                 for flag, (_, kind, _, _, text) in flags.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(command), "", about, "",
+                      *(f"  {left.ljust(width)}{text}" for left, text in rows)])
+
+
+def _usage_error(command: str | None, message: str):
+    prog = "fmlat" if command is None else f"fmlat {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _parse(argv: list[str]):
+    """The handler argv names and its arguments, read against _COMMANDS. A
+    flag takes the text after its "=", or else the next token whole unless
+    that is one of the command's flags; a repeated flag keeps its last value.
+    -h or --help anywhere prints help and exits 0; bad usage exits 2."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS and command not in ("-h", "--help"):
+        _usage_error(None, "the following arguments are required: command"
+                     if command is None else f"argument command: invalid choice: {command!r}")
+    if "-h" in argv or "--help" in argv:
+        print(_help(command if command in _COMMANDS else None))
+        raise SystemExit(EXIT_OK)
+    handler, _, positionals, flags = _COMMANDS[command]
+    values = {dest: default for dest, _, default, _, _ in flags.values()}
+    unfilled = [name for name, _ in positionals]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token[:1] != "-" and unfilled:
+            values[unfilled.pop(0)] = token
+            continue
+        if flag not in flags:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        dest, kind, _, _, _ = flags[flag]
+        if kind is None:
+            if eq:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.partition("=")[0] in flags:
+                _usage_error(command, f"argument {flag}: expected one argument")
+        if kind == _INT:
+            try:
+                value = parse_int(value)
+            except InputError as exc:
+                _usage_error(command, f"argument {flag}: {exc}")
+        elif isinstance(kind, tuple) and value not in kind:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r}")
+        values[dest] = value
+    missing = unfilled + [flag for flag, (dest, _, _, required, _) in flags.items()
+                          if required and values[dest] is None]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):   # print every exact result
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(_glue_list_values(sys.argv[1:] if argv is None else argv))
     try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except FmlatError as exc:

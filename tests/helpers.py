@@ -10,6 +10,18 @@ from hypothesis import strategies as st
 from fmlat.chow import CohClass, SurfaceDescriptor
 from fmlat.product import ProductClass
 
+# the standard K3 model as a surface description file
+K3_CFG = """
+name = standard-k3
+chi_O = 2
+basis = sigma, f
+gram = -2 1; 1 0
+fiber = 0 1
+section = 1 0
+canonical = 0 0
+lambda = 1
+"""
+
 
 def small_q():
     return st.fractions(min_value=-6, max_value=6, max_denominator=4)

@@ -16,23 +16,12 @@ import fmlat.operators
 import fmlat.verify
 from fmlat.bridgeland import FM2
 from fmlat.chow import STANDARD_K3, CohClass, chi_tensor
-from fmlat.cli import _grid, _report_json, main
+from fmlat.cli import _COMMANDS, _grid, _report_json, main
 from fmlat.linalg import Mat, q, qvec
 from fmlat.operators import GoldenName, build, golden
 from fmlat.sd import SearchTarget, build_report, search_phi
 
-from helpers import small_q
-
-K3_CFG = """
-name = standard-k3
-chi_O = 2
-basis = sigma, f
-gram = -2 1; 1 0
-fiber = 0 1
-section = 1 0
-canonical = 0 0
-lambda = 1
-"""
+from helpers import K3_CFG, small_q
 
 
 @pytest.fixture
@@ -43,7 +32,12 @@ def k3_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call; a usage error's SystemExit
+    gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -641,25 +635,73 @@ def test_missing_required_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
-# a comma list whose first entry is negative, after each flag that takes
-# one, and the start of what fmlat then prints: phi's determinant 13 is
-# fmlat's own refusal, so that value too reached the command
+# one call per value flag of every command, its value led by "-", and the
+# exit code and start of what fmlat then prints: a library error (phi's
+# determinant 13, the d range, lambda, the bound) shows the value reached
+# the command, and an invalid --theorem is a usage error in both spellings
+_PHI = "sd-check --phi 3,1,-7,-2 --dv 6 --dw 0"
+_REPORT = "phi = [[3,1],[-7,-2]]"
 NEGATIVE_LEAD_CALLS = {
-    "vector": ("transform --matrix A_S --vector -1,0,0,0", 0, "1, 0, -2, 0\n"),
-    "divisor": ("matrix A_TL --divisor -1/2,1", 0, "A_TL(D=-1/2,1) =\n"),
-    "v": ("chi --surface {k3} --v -1,0,0,0 --w 1,2,0,0", 0, "-2\n"),
-    "w": ("chi --surface {k3} --v 1,2,0,0 --w -1,0,0,0", 0, "-2\n"),
-    "phi": ("sd-check --phi -3,1,-7,-2 --dv 6 --dw 0", 2,
-            "error: determinant cb - ae = 13, must be 1\n"),
+    ("verify", "--d-range"): ("verify --d-range -1..5", 2,
+                              "error: d range must satisfy 1 <= lo <= hi <= 64"),
+    ("matrix", "--d"): ("matrix TensorL1 --d -1", 2, "error: kernel degree d"),
+    ("matrix", "--divisor"): ("matrix A_TL --divisor -1/2,1", 0, "A_TL(D=-1/2,1) =\n"),
+    ("transform", "--matrix"): ("transform --matrix -A_S --vector 1,0,0,0", 2,
+                                "error: unknown matrix name '-A_S'"),
+    ("transform", "--d"): ("transform --matrix TensorL1 --d -1 --vector 1,0,0,0", 2,
+                           "error: kernel degree d"),
+    ("transform", "--divisor"): ("transform --matrix A_TL --divisor -1,1 "
+                                 "--vector 1,0,0,0", 0, "1, -1, 1, -2\n"),
+    ("transform", "--vector"): ("transform --matrix A_S --vector -1,0,0,0", 0,
+                                "1, 0, -2, 0\n"),
+    ("chi", "--surface"): ("chi --surface -k3.cfg --v 1,0,0,0 --w 1,0,0,0", 2,
+                           "error: cannot read surface file -k3.cfg"),
+    ("chi", "--v"): ("chi --surface {k3} --v -1,0,0,0 --w 1,2,0,0", 0, "-2\n"),
+    ("chi", "--w"): ("chi --surface {k3} --v 1,2,0,0 --w -1,0,0,0", 0, "-2\n"),
+    ("sd-check", "--phi"): ("sd-check --phi -3,1,-7,-2 --dv 6 --dw 0", 2,
+                            "error: determinant cb - ae = 13, must be 1\n"),
+    ("sd-check", "--lambda"): (f"{_PHI} --lambda -1", 2, "error: lambda must be positive"),
+    ("sd-check", "--dv"): ("sd-check --phi 3,1,-7,-2 --dv -6 --dw 0", 1,
+                           f"{_REPORT}   lambda = 1\nd_v = -6"),
+    ("sd-check", "--dw"): ("sd-check --phi 3,1,-7,-2 --dv 6 --dw -1", 1,
+                           f"{_REPORT}   lambda = 1\nd_v = 6   d_w = -1"),
+    ("sd-check", "--theorem"): (f"{_PHI} --theorem -k3", 2, "usage: fmlat sd-check"),
+    ("sd-check", "--tv"): (f"{_PHI} --theorem general --tv -2 --tw 2", 0, _REPORT),
+    ("sd-check", "--tw"): (f"{_PHI} --theorem general --tv 2 --tw -2", 0, _REPORT),
+    ("sd-check", "--surface"): (f"{_PHI} --surface -k3.cfg --v 1,0,0,-2 --w 1,1,4,0",
+                                2, "error: cannot read surface file -k3.cfg"),
+    ("sd-check", "--v"): (f"{_PHI} --surface {{k3}} --v -1,0,0,2 --w 1,1,4,0", 2,
+                          "error: v must have rank one, got rank -1"),
+    ("sd-check", "--w"): (f"{_PHI} --surface {{k3}} --v 1,0,0,-2 --w -1,1,4,0", 2,
+                          "error: w must have rank one, got rank -1"),
+    ("search", "--lambda"): ("search --bound 3 --lambda -1", 2,
+                             "error: lambda must be a positive integer, got -1"),
+    ("search", "--bound"): ("search --bound -5", 2,
+                            "error: bound must be a positive integer, got -5"),
+    ("search", "--dv"): ("search --bound 3 --dv -6 --dw 0", 0, "# 0 hit(s)"),
+    ("search", "--dw"): ("search --bound 3 --dv 6 --dw -1", 0, "# 0 hit(s)"),
+    ("search", "--theorem"): ("search --bound 3 --dv 6 --dw 0 --theorem -k3", 2,
+                              "usage: fmlat search"),
+    ("search", "--tv"): ("search --bound 3 --dv 6 --dw 0 --theorem general "
+                         "--tv -2 --tw 2", 0, "# 0 hit(s)"),
+    ("search", "--tw"): ("search --bound 3 --dv 6 --dw 0 --theorem general "
+                         "--tv 2 --tw -2", 0, "# 0 hit(s)"),
 }
 
 
-@pytest.mark.parametrize("flag", sorted(NEGATIVE_LEAD_CALLS))
-def test_negative_leading_list_value_reaches_its_flag(capsys, k3_file, flag):
-    line, expected_code, expected_start = NEGATIVE_LEAD_CALLS[flag]
+def test_every_value_flag_has_a_negative_lead_call():
+    value_flags = {(command, flag) for command, (_, _, _, flags) in _COMMANDS.items()
+                   for flag, (_, kind, _, _, _) in flags.items() if kind is not None}
+    assert set(NEGATIVE_LEAD_CALLS) == value_flags
+
+
+@pytest.mark.parametrize("command, flag", sorted(NEGATIVE_LEAD_CALLS))
+def test_negative_leading_list_value_reaches_its_flag(capsys, k3_file, command, flag):
+    line, expected_code, expected_start = NEGATIVE_LEAD_CALLS[command, flag]
     argv = line.format(k3=k3_file).split()
-    i = argv.index(f"--{flag}")
-    glued = argv[:i] + [f"--{flag}={argv[i + 1]}"] + argv[i + 2:]
+    i = argv.index(flag)
+    assert argv.count(flag) == 1 and argv[i + 1].startswith("-")
+    glued = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == run(capsys, *glued)
     assert code == expected_code
@@ -674,8 +716,7 @@ def test_negative_leading_list_value_reaches_its_flag(capsys, k3_file, flag):
     "verify --d 1..3",
 ])
 def test_abbreviated_flags_are_usage_errors(capsys, line):
-    # flags are spelled in full, whatever the value, so an abbreviation
-    # cannot lose the negative-led value that a full flag gets glued to
+    # flags are spelled in full, so an abbreviation is no flag at all
     with pytest.raises(SystemExit) as exc:
         main(line.split())
     assert exc.value.code == 2
@@ -689,20 +730,41 @@ ABBREVIATED_MESSAGES = {
         "fmlat transform: error: unrecognized arguments: --vec\n",
     "sd-check --ph 3,1,-7,-2 --dv 6 --dw 0":
         "fmlat sd-check: error: unrecognized arguments: --ph\n",
-    "matrix A_TL --div 1,1": "fmlat: error: unrecognized arguments: --div 1,1\n",
-    "verify --d 1..3": "fmlat: error: unrecognized arguments: --d 1..3\n",
+    "matrix A_TL --div 1,1": "fmlat matrix: error: unrecognized arguments: --div\n",
+    "verify --d 1..3": "fmlat verify: error: unrecognized arguments: --d\n",
 }
 
 
 @pytest.mark.parametrize("line", list(ABBREVIATED_MESSAGES))
 def test_an_abbreviated_flag_is_named_as_unrecognized(capsys, line):
-    # argparse checks required flags first; an abbreviation of one is still
-    # reported as the token typed, not as the full flag gone missing
+    # an abbreviation of a required flag is reported as the token typed,
+    # not as the full flag gone missing
     with pytest.raises(SystemExit) as exc:
         main(line.split())
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.endswith(ABBREVIATED_MESSAGES[line]) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", ["verify", "matrix", "transform", "chi",
+                                     "sd-check", "search"])
+def test_help_names_every_command_and_flag(capsys, command, help_flag):
+    with pytest.raises(SystemExit) as exc:
+        main([help_flag])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and command in out.split()
+    with pytest.raises(SystemExit) as exc:
+        main([command, help_flag])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: fmlat {command} ")
+    assert set(_COMMANDS[command][3]) <= set(out.split())
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    last = run(capsys, "matrix", "FM_Pd", "--json", "--d", "2")
+    assert last[0] == 0
+    assert run(capsys, "matrix", "FM_Pd", "--d", "1", "--json", "--d=2") == last
 
 
 def test_help_still_wins_over_an_unknown_flag(capsys):
@@ -827,7 +889,7 @@ def _opt(values):
     return st.sampled_from((None,) + values)
 
 
-# Flags argparse requires are always given; a stray "--bogus" covers usage
+# Flags the parser requires are always given; a stray "--bogus" covers usage
 # errors. Work stays bounded: verify always gets a range inside 1..4 and
 # search a bound of at most 30.
 _FUZZ_OPTIONS = {
@@ -895,7 +957,7 @@ def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:   # argparse usage errors
+        except SystemExit as exc:   # usage errors
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()

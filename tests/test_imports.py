@@ -9,6 +9,10 @@ import sys
 
 import fmlat
 
+from helpers import K3_CFG
+
+SRC = str(pathlib.Path(fmlat.__file__).parent.parent)
+
 
 def test_no_unused_top_level_imports():
     unused = []
@@ -62,13 +66,36 @@ HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def test_cli_startup_imports_nothing_heavy():
-    src = str(pathlib.Path(fmlat.__file__).parent.parent)
     code = ("import sys, fmlat.cli; "
             f"print(sorted(set(sys.modules) & set({HEAVY_AT_STARTUP!r})))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# argparse held about 0.65 MiB of every call's peak RSS: its import, the
+# gettext lookup that imports locale, and the built parser.
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+def test_no_command_imports_a_parser_library(tmp_path):
+    surface = tmp_path / "k3.cfg"
+    surface.write_text(K3_CFG, encoding="utf-8")
+    calls = [["verify", "--d-range", "1..1"], ["matrix", "FM_Pd", "--d", "2"],
+             ["transform", "--matrix", "FM_Pd", "--d", "1", "--vector", "1,0,0,0"],
+             ["chi", "--surface", str(surface), "--v", "1,0,0,-2", "--w", "1,0,0,0"],
+             ["sd-check", "--phi", "3,1,-7,-2", "--dv", "6", "--dw", "0", "--json"],
+             ["search", "--lambda", "1", "--bound", "8", "--dv", "6", "--dw", "0"]]
+    # only what fmlat imports counts, not what the interpreter's start-up did
+    code = ("import sys\nbefore = set(sys.modules)\nfrom fmlat.cli import main\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            f"print(codes, sorted((set(sys.modules) - before) & set({PARSER_MODULES!r})), "
+            "file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=60, check=True)
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_outside_integers_have_one_grammar():

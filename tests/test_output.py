@@ -120,8 +120,8 @@ def test_closed_pipe_exits_141_without_traceback(json_flag):
 
 # memory
 
-# A small launcher spawns each fmlat command line it is given (one argument
-# each, split on spaces) with stdout on os.devnull and reads that child's
+# A small launcher spawns each Python command line it is given (one argument
+# each, split on tabs) with stdout on os.devnull and reads that child's
 # own peak RSS from wait4. A child's ru_maxrss starts at the peak of the
 # process that spawned it, so the launcher must stay smaller than the
 # children, which rules out spawning them from this test process;
@@ -130,7 +130,7 @@ _PEAK_RSS = """
 import os, sys
 null = os.open(os.devnull, os.O_WRONLY)
 for command in sys.argv[1:]:
-    argv = [sys.executable, "-m", "fmlat.cli", *command.split()]
+    argv = [sys.executable, *command.split("\\t")]
     pid = os.posix_spawn(sys.executable, argv, os.environ,
                          file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])
     _, status, usage = os.wait4(pid, 0)
@@ -138,10 +138,13 @@ for command in sys.argv[1:]:
 """
 
 
-def peak_rss_kib(*commands: str) -> list[tuple[int, int]]:
-    """(exit code, peak RSS in KiB) of each command, run one at a time."""
-    done = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *commands],
-                          capture_output=True, text=True, env=CHILD_ENV,
+def peak_rss_kib(*commands, env=CHILD_ENV) -> list[tuple[int, int]]:
+    """(exit code, peak RSS in KiB) of each command, run one at a time: an
+    fmlat command line, or a tuple of arguments to Python itself."""
+    argvs = ["\t".join(c if isinstance(c, tuple) else ("-m", "fmlat.cli", *c.split()))
+             for c in commands]
+    done = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *argvs],
+                          capture_output=True, text=True, env=env,
                           timeout=120, check=True)
     return [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
 
@@ -192,3 +195,21 @@ def test_verify_peak_rss_does_not_grow_with_the_degree_range(json_flag):
     # 250 to 490 KiB between repeats of the same code, so the median of five
     # pairs is compared.
     assert growth < 512
+
+
+def test_parsing_a_command_line_costs_little_memory(tmp_path):
+    # bytecode is cached, as for an installed fmlat: compiling cli.py from
+    # source alone peaks about 0.6 MiB above the package import
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+    matrix = "matrix FM_Pd --d 2"
+    warm, *runs = peak_rss_kib(matrix, *(command for _ in range(5) for command in
+                                         (("-c", "import fmlat.verify"), matrix)), env=env)
+    assert {code for code, _ in [warm, *runs]} == {0}
+    extra = statistics.median(cli - imported for (_, imported), (_, cli)
+                              in zip(runs[::2], runs[1::2]))
+    # runpy, fmlat.cli with its json.encoder import, and one small command
+    # peak 0.1 to 0.3 MiB above the package import (medians of four repeats);
+    # with argparse, the gettext lookup that imports locale and a built
+    # six-command parser, the same call peaked about 0.9 MiB above it
+    assert extra < 384
