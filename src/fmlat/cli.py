@@ -424,7 +424,7 @@ def _parse(argv: list[str]):
         _usage_error(None, "the following arguments are required: command"
                      if command is None else f"argument command: invalid choice: {command!r}")
     if "-h" in argv or "--help" in argv:
-        print(_help(command if command in _COMMANDS else None))
+        print(_help(command if command in _COMMANDS else None), flush=True)  # in main's try
         raise SystemExit(EXIT_OK)
     handler, _, positionals, flags = _COMMANDS[command]
     values = {dest: default for dest, _, default, _, _ in flags.values()}

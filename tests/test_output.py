@@ -118,6 +118,23 @@ def test_closed_pipe_exits_141_without_traceback(json_flag):
     assert b"Traceback" not in err and b"Exception" not in err
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("sd-check", "-h")])
+def test_help_to_a_closed_pipe_exits_141_without_traceback(argv):
+    # the reader is gone before the child starts, so the help's first write
+    # fails; stdout stays block-buffered, as it is for an installed fmlat
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fmlat.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr
+
+
 # memory
 
 # A small launcher spawns each Python command line it is given (one argument
