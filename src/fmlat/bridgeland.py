@@ -36,20 +36,19 @@ class FM2(_Record):
     __slots__ = ("c", "a", "e", "b", "lam")
 
     def __init__(self, c: int, a: int, e: int, b: int, lam: int = 1):
-        for label, x in (("c", c), ("a", a), ("e", e), ("b", b), ("lam", lam)):
-            as_int(label, x)
+        # the search builds one per candidate: plain ints skip as_int
+        if not (type(c) is type(a) is type(e) is type(b) is type(lam) is int):
+            for label, x in (("c", c), ("a", a), ("e", e), ("b", b), ("lam", lam)):
+                as_int(label, x)
         if lam <= 0:
             raise InputError(f"lambda must be positive, got {_shown(lam)}")
-        failures = []
         det = c * b - a * e
-        if det != 1:
-            failures.append(f"determinant cb - ae = {_shown(det)}, must be 1")
-        if a <= 0:
-            failures.append(f"a = {_shown(a)}, must be positive")
-        if e % lam != 0:
-            failures.append(f"e = {_shown(e)} is not a multiple of lambda = {_shown(lam)}")
-        if failures:
-            raise AdmissibilityError(failures)
+        if det != 1 or a <= 0 or e % lam != 0:
+            checks = ((det == 1, f"determinant cb - ae = {_shown(det)}, must be 1"),
+                      (a > 0, f"a = {_shown(a)}, must be positive"),
+                      (e % lam == 0,
+                       f"e = {_shown(e)} is not a multiple of lambda = {_shown(lam)}"))
+            raise AdmissibilityError([message for ok, message in checks if not ok])
         self._fill(c, a, e, b, lam)
 
     @property

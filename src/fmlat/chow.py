@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, UnsupportedModelError

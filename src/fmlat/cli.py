@@ -288,7 +288,7 @@ def _hit_json(phi: FM2, target: SearchTarget | None) -> dict:
 
 
 def _hit_line(phi: FM2, target: SearchTarget | None) -> str:
-    line = ",".join(str(x) for x in phi.entries())
+    line = f"{phi.c},{phi.a},{phi.e},{phi.b}"
     if target is not None:
         rk_xi_v, rk_phi_w = transformed_ranks(phi, target.d_v, target.d_w)
         line += f"   rk_xi_v={rk_xi_v} rk_phi_w={rk_phi_w}"

@@ -2,16 +2,17 @@
 
 Scalars are exact and integer-first: an integral value is a plain int, and
 only a value whose denominator is not 1 is a fractions.Fraction. No floating
-point enters any computation; all division goes through qdiv. Matrices act
-on column vectors.
+point enters any computation; all division goes through qdiv, the one place
+that imports fractions, on the first quotient that is not integral. Matrices
+act on column vectors.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from fractions import Fraction
 from operator import add, mul, neg, sub
 
 from .errors import InputError, SingularMatrixError
@@ -20,12 +21,19 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 _MAX_DIGITS = 4300   # CPython's default int/str limit; keeps parsing bounded
 
 
+def _is_fraction(x) -> bool:
+    """isinstance(x, Fraction) without importing fractions: no Fraction can
+    exist before its module has been imported."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _shown(x, n: int | None = 40) -> str:
     """x as the package prints it (a Fraction as n/d, anything else by repr),
     cut to n characters and "…" unless n is None. A value that cannot be
     written, like an int past the 4,300-digit str limit, shows as <int>."""
     try:
-        text = str(x) if isinstance(x, Fraction) else repr(x)
+        text = str(x) if _is_fraction(x) else repr(x)
     except Exception:   # any repr may raise, and the message must not
         return f"<{type(x).__name__}>"
     return text if n is None or len(text) <= n else text[:n] + "…"
@@ -41,7 +49,7 @@ def q(x) -> int | Fraction:
     """
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
+    if _is_fraction(x):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
@@ -69,6 +77,9 @@ def qdiv(a, b) -> int | Fraction:
     a, b = q(a), q(b)
     if b == 0:
         raise InputError(f"division by zero: {_shown(a)}/0")
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    from fractions import Fraction
     return q(Fraction(a, b))
 
 

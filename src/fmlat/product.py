@@ -16,12 +16,11 @@ Todd classes are read from chow's ring record.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS,
                    ch_line_bundle, from_coords, mult, to_coords)
 from .errors import InputError
-from .linalg import Mat, _Record, _expect, _shown, as_member, q
+from .linalg import Mat, _Record, _expect, _shown, as_member, q, qdiv
 from .operators import _SIGMA_CH, Operator, _check_d, op_tensor
 
 
@@ -171,10 +170,16 @@ def diag_push_grr(v: CohClass) -> ProductClass:
     return prod_mult(DELTA, pull(Side.FIRST, mult(STANDARD_K3, v, _K3_RING.todd_inverse)))
 
 
+def _half(a: ProductClass) -> ProductClass:
+    """a/2 entry by entry through qdiv, so an even class stays integral."""
+    return ProductClass([[qdiv(x, 2) for x in row] for row in a.decomp.rows],
+                        qdiv(a.delta, 2))
+
+
 # the ideal sheaf of the diagonal is Pi - Pi^2/2 - ch O_Delta; "Pd" twists it,
 # and its d-free part, this times the second-factor pull of ch O(sigma), is
 # taken first since the ring is commutative and associative
-_PD_BASE = PI - Fraction(1, 2) * prod_mult(PI, PI) - diag_push_grr(UNIT_CLASS)
+_PD_BASE = PI - _half(prod_mult(PI, PI)) - diag_push_grr(UNIT_CLASS)
 _PD_BASE_SIGMA = prod_mult(_PD_BASE, pull(Side.SECOND, _SIGMA_CH))
 
 

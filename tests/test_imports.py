@@ -74,6 +74,20 @@ def test_cli_startup_imports_nothing_heavy():
     assert done.stdout.strip() == "[]"
 
 
+def run_in_child(calls) -> tuple[list[int], list[str], str]:
+    """Run each argv through fmlat's main in one fresh child; return the exit
+    codes, the modules the calls imported (not the interpreter's start-up)
+    and the calls' stdout."""
+    code = ("import sys\nbefore = set(sys.modules)\nfrom fmlat.cli import main\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            "print((codes, sorted(set(sys.modules) - before)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=60, check=True)
+    codes, imported = ast.literal_eval(done.stderr.splitlines()[-1])
+    return codes, imported, done.stdout
+
+
 # argparse held about 0.65 MiB of every call's peak RSS: its import, the
 # gettext lookup that imports locale, and the built parser.
 PARSER_MODULES = ("argparse", "gettext", "locale")
@@ -87,15 +101,37 @@ def test_no_command_imports_a_parser_library(tmp_path):
              ["chi", "--surface", str(surface), "--v", "1,0,0,-2", "--w", "1,0,0,0"],
              ["sd-check", "--phi", "3,1,-7,-2", "--dv", "6", "--dw", "0", "--json"],
              ["search", "--lambda", "1", "--bound", "8", "--dv", "6", "--dw", "0"]]
-    # only what fmlat imports counts, not what the interpreter's start-up did
-    code = ("import sys\nbefore = set(sys.modules)\nfrom fmlat.cli import main\n"
-            f"codes = [main(argv) for argv in {calls!r}]\n"
-            f"print(codes, sorted((set(sys.modules) - before) & set({PARSER_MODULES!r})), "
-            "file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": SRC},
-                          timeout=60, check=True)
-    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    codes, imported, _ = run_in_child(calls)
+    assert codes == [0, 0, 0, 0, 0, 0]
+    assert set(imported) & set(PARSER_MODULES) == set()
+
+
+# fractions imports decimal and its C library: about 0.5 MiB of peak RSS
+# and 3-5 ms that a call whose every value is an integer never uses, so
+# linalg.qdiv imports fractions on the first quotient that is not integral.
+FRACTION_MODULES = ("decimal", "fractions")
+
+
+def test_integer_calls_never_import_fractions(tmp_path):
+    surface = tmp_path / "k3.cfg"
+    surface.write_text(K3_CFG, encoding="utf-8")
+    integral = [["verify", "--d-range", "1..64"], ["verify", "--d-range", "1..64", "--json"],
+                ["matrix", "FM_Pd", "--d", "2"], ["matrix", "A_TL", "--divisor", "1,3"],
+                ["transform", "--matrix", "FM_Pd", "--d", "1", "--vector", "1,0,0,0"],
+                ["chi", "--surface", str(surface), "--v", "1,0,0,-2", "--w", "1,0,0,0"],
+                ["sd-check", "--phi", "3,1,-7,-2", "--dv", "6", "--dw", "0"],
+                ["search", "--lambda", "1", "--bound", "8"],
+                ["search", "--lambda", "1", "--bound", "8", "--dv", "6", "--dw", "0", "--json"]]
+    codes, imported, _ = run_in_child(integral)
+    assert codes == [0] * len(integral)
+    assert set(imported) & set(FRACTION_MODULES) == set()
+    # a value that is not integral still loads them and prints as n/d
+    fractional = [["transform", "--matrix", "TensorSigma", "--vector", "1/2,0,0,0"],
+                  ["chi", "--surface", str(surface), "--v", "1,0,0,-1/2", "--w", "1,0,0,0"]]
+    codes, imported, stdout = run_in_child(fractional)
+    assert codes == [0, 0]
+    assert set(imported) >= set(FRACTION_MODULES)
+    assert stdout == "1/2, 1/2, 0, -1/2\n3/2\n"
 
 
 def test_outside_integers_have_one_grammar():

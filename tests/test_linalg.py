@@ -2,11 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmlat.errors import InputError, SingularMatrixError
-from fmlat.linalg import Mat, as_int, parse_int, q, qvec
+from fmlat.linalg import Mat, _shown, as_int, parse_int, q, qdiv, qvec
 
 from helpers import small_q
 
@@ -36,6 +36,36 @@ def test_q_and_parse_int_cap_digits():
             q(bad)
     with pytest.raises(InputError, match="more than 4300 digits"):
         parse_int(f"-{cap}9")
+
+
+# past CPython's 4,300-digit str limit; qdiv never writes a number as text
+_HUGE = 10 ** 4301
+_INTS = st.integers() | st.builds(lambda k, r: k * _HUGE + r,
+                                  st.integers(-9, 9), st.integers(-99, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_INTS, b=_INTS.filter(bool), multiple=st.booleans())
+@example(a=0, b=-3, multiple=False)
+@example(a=7, b=-7, multiple=False)
+@example(a=-_HUGE, b=-_HUGE - 1, multiple=True)
+def test_qdiv_of_ints_is_their_fraction(a, b, multiple):
+    # qdiv divides ints itself, importing fractions only for a remainder
+    a = a * b if multiple else a
+    quotient = qdiv(a, b)
+    assert quotient == q(Fraction(a, b))
+    assert (type(quotient) is int) == (Fraction(a, b).denominator == 1)
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def test_q_and_shown_take_a_fraction_subclass():
+    assert q(_Ratio(3, 4)) == Fraction(3, 4)
+    assert q(_Ratio(4, 2)) == 2 and type(q(_Ratio(4, 2))) is int
+    assert _shown(_Ratio(-3, 4)) == "-3/4"
+    assert qdiv(_Ratio(1, 2), _Ratio(1, 4)) == 2
 
 
 def test_as_int_accepts_only_ints():
