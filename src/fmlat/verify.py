@@ -5,21 +5,23 @@ independent paths: hard-coded tables against compositions of elementary
 operators, Riemann-Roch transforms of explicit kernel classes on the
 product against the same tables, product-ring fixtures, the SL2(Z) family
 relations, and the Euler-pairing conservation law. A case fails exactly
-when the two sides differ in a single exact entry.
+when the two sides differ in a single exact entry. The cases come section
+by section, in the order they are printed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 
 from . import bridgeland, chow, operators, product
 from .bridgeland import canonical_ab, random_admissible
 from .chow import STANDARD_K3, from_coords, mult, render_class
 from .errors import InputError
 from .linalg import Mat, _Record, _expect, _shown, as_int
-from .operators import (_NEEDS_D, GoldenName, _fm_fd, build, op_pi_tensor,
-                        op_tensor, restrict2)
+from .operators import (GoldenName, _fm_fd, build, op_pi_tensor, op_tensor,
+                        restrict2)
 from .product import (Side, kernel_class, prod_mult, pull, push,
                       render_product_class)
 from .sd import Theorem, sd_check
@@ -97,137 +99,134 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
     if not (1 <= as_int("d_lo", d_lo) <= as_int("d_hi", d_hi) <= 64):
         raise InputError(f"d range must satisfy 1 <= lo <= hi <= 64, "
                          f"got {_shown(d_lo)}..{_shown(d_hi)}")
-    golden = operators.golden
-    gram = chow.pairing_gram()
-    todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
-    # one pass over the degrees: each section gathers its cases in its own
-    # list, and nothing built for a degree outlives that degree's iteration
-    golden_vs_built, grr, pushforward, pairing, reductions = [], [], [], [], []
-    for d in range(d_lo, d_hi + 1):
-        fm_pd = build(GoldenName.FM_Pd, d=d)
-        tables = {name: golden(name, d=d) for name in _NEEDS_D}
+    return VerifyOutcome(d_lo, d_hi, tuple(_cases(d_lo, d_hi)))
 
-        # reference tables against operator compositions
+
+def _cases(d_lo: int, d_hi: int) -> Iterator[VerifyCase]:
+    """The cases in printed order, section by section. Nothing built for a
+    degree outlives its section: restrict2 rebuilds FM_Pd, and the
+    pushforward rebuilds the degree-d kernel class."""
+    golden = operators.golden
+    degrees = range(d_lo, d_hi + 1)
+
+    # reference tables against operator compositions
+    for d in degrees:
+        fm_pd = build(GoldenName.FM_Pd, d=d)
         for name, op in ((GoldenName.TensorL1, build(GoldenName.TensorL1, d=d)),
                          (GoldenName.Tw_d, build(GoldenName.Tw_d, d=d)),
                          (GoldenName.FM_Pd, fm_pd),
                          (GoldenName.FM_Fd, _fm_fd(fm_pd, d))):
-            golden_vs_built.append(_case(
+            yield _case(
                 f"golden_vs_built:{name.value}:d={d}",
                 f"{name.value} built from elementary operators matches the "
                 f"pinned table at d={d}",
-                op.matrix, tables[name]))
-
-        # Riemann-Roch on the product against the same tables
-        kernel = kernel_class("Pd", d)
-        grr.append(_case(
-            f"grr_vs_golden:FM_Pd:d={d}",
-            f"transform of the degree-{d} kernel class equals the pinned "
-            f"FM_Pd at d={d}",
-            product.fm_matrix(kernel).matrix,
-            tables[GoldenName.FM_Pd]))
-
-        # product-ring fixtures
-        pushed = push(Side.SECOND, prod_mult(kernel, todd_first))
-        expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
-        pushforward.append(_case(
-            f"product:pd_pushforward:d={d}",
-            f"pushforward of the degree-{d} kernel has class "
-            f"(d, -sigma+(d^2-d)f, 1-2d)",
-            render_class(pushed), render_class(expected)))
-        twisted = mult(STANDARD_K3, pushed,
-                       chow.ch_line_bundle(STANDARD_K3, (0, 2)))
-        pushforward.append(_case(
-            f"product:pd_pushforward_twist:d={d}",
-            f"its relative-dualizing twist equals the pinned twist class at d={d}",
-            render_class(twisted),
-            render_class(operators.pd_pushforward_twist_class(d))))
-
-        # pairing conservation; recorded fixture: the rank-(d+1) kernel
-        # transform preserves it too
-        for name, note in ((GoldenName.FM_Pd, ""),
-                           (GoldenName.FM_Fd, " (recorded fixture)")):
-            m = tables[name]
-            pairing.append(_case(
-                f"pairing:{name.value}:d={d}",
-                f"{name.value} preserves the Euler pairing at d={d}{note}",
-                m.transpose() * gram * m, gram))
-
-        # two-by-two reductions
-        reduced = restrict2(fm_pd).matrix
-        reductions.append(_case(
-            f"restrict2:FM_Pd:d={d}",
-            f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
-            reduced, Mat([[0, 1], [-1, d]])))
-        reductions.append(_case(
-            f"restrict2_det:FM_Pd:d={d}",
-            f"the reduction of FM_Pd is unimodular at d={d}",
-            reduced.det(), 1))
-
-    # the sections in order, each fixed case after its section's degrees
-    cases = golden_vs_built
+                op.matrix, golden(name, d=d))
     for name in (GoldenName.TensorSigma, GoldenName.PiPushPull,
                  GoldenName.PiPushPullSigma, GoldenName.A_S,
                  GoldenName.A_Sprime, GoldenName.B_S):
-        cases.append(_case(
+        yield _case(
             f"golden_vs_built:{name.value}",
             f"{name.value} built from elementary operators matches the pinned table",
-            build(name).matrix, golden(name)))
+            build(name).matrix, golden(name))
     for divisor in ((1, 0), (0, 1), (1, 3)):
-        cases.append(_case(
+        yield _case(
             f"golden_vs_built:A_TL:D={divisor[0]},{divisor[1]}",
             f"twist operator for divisor {divisor} matches the pinned table",
             build(GoldenName.A_TL, divisor=divisor).matrix,
-            golden(GoldenName.A_TL, divisor=divisor)))
+            golden(GoldenName.A_TL, divisor=divisor))
     sigma_ch = chow.ch_line_bundle(STANDARD_K3, (1, 0))
-    cases.append(_case(
+    yield _case(
         "composition:PiPushPullSigma",
         "composing the bare pushforward-pullback with the sigma twist "
         "reproduces the pinned twisted table",
         (op_pi_tensor(chow.UNIT_CLASS) @ op_tensor(sigma_ch)).matrix,
-        golden(GoldenName.PiPushPullSigma)))
-    cases.append(_case(
+        golden(GoldenName.PiPushPullSigma))
+    yield _case(
         "inverse:A_Sprime",
         "the negative inverse of A_S equals the pinned A_Sprime",
-        -(golden(GoldenName.A_S).inverse()), golden(GoldenName.A_Sprime)))
+        -(golden(GoldenName.A_S).inverse()), golden(GoldenName.A_Sprime))
 
-    cases += grr
-    cases.append(_case(
+    # Riemann-Roch on the product against the same tables
+    for d in degrees:
+        yield _case(
+            f"grr_vs_golden:FM_Pd:d={d}",
+            f"transform of the degree-{d} kernel class equals the pinned "
+            f"FM_Pd at d={d}",
+            product.fm_matrix(kernel_class("Pd", d)).matrix,
+            golden(GoldenName.FM_Pd, d=d))
+    yield _case(
         "grr_vs_golden:A_S",
         "transform of the diagonal-ideal kernel class equals the pinned A_S",
         product.fm_matrix(kernel_class("IDelta")).matrix,
-        golden(GoldenName.A_S)))
+        golden(GoldenName.A_S))
 
+    # product-ring fixtures
     td_expected = (product.UNIT + 2 * pull(Side.SECOND, chow.POINT_CLASS)
                    + 2 * pull(Side.FIRST, chow.POINT_CLASS) + 4 * product.POINT)
-    cases.append(_case(
+    yield _case(
         "product:todd", "Todd class of the product is 1 + 2[X x *] + 2[* x X] + 4[*]",
         render_product_class(product.product_todd()),
-        render_product_class(td_expected)))
-    cases.append(_case(
+        render_product_class(td_expected))
+    yield _case(
         "product:diag_unit",
         "diagonal pushforward of the unit class is Delta - 2[*]",
         render_product_class(product.diag_push_grr(chow.UNIT_CLASS)),
-        render_product_class(product.DELTA - 2 * product.POINT)))
+        render_product_class(product.DELTA - 2 * product.POINT))
     idelta_expected = (product.PI - product.F_CROSS_F - product.DELTA
                        + 2 * product.POINT)
-    cases.append(_case(
+    yield _case(
         "product:idelta",
         "diagonal-ideal kernel class is Pi - [f x f] - Delta + 2[*]",
         render_product_class(kernel_class("IDelta")),
-        render_product_class(idelta_expected)))
-    cases += pushforward
-    cases += pairing
+        render_product_class(idelta_expected))
+    todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
+    for d in degrees:
+        pushed = push(Side.SECOND, prod_mult(kernel_class("Pd", d), todd_first))
+        expected = from_coords((d, -1, d * d - d, 1 - 2 * d))
+        yield _case(
+            f"product:pd_pushforward:d={d}",
+            f"pushforward of the degree-{d} kernel has class "
+            f"(d, -sigma+(d^2-d)f, 1-2d)",
+            render_class(pushed), render_class(expected))
+        twisted = mult(STANDARD_K3, pushed,
+                       chow.ch_line_bundle(STANDARD_K3, (0, 2)))
+        yield _case(
+            f"product:pd_pushforward_twist:d={d}",
+            f"its relative-dualizing twist equals the pinned twist class at d={d}",
+            render_class(twisted),
+            render_class(operators.pd_pushforward_twist_class(d)))
 
-    cases += reductions
-    cases.append(_case(
+    # pairing conservation; recorded fixture: the rank-(d+1) kernel
+    # transform preserves it too
+    gram = chow.pairing_gram()
+    for d in degrees:
+        for name, note in ((GoldenName.FM_Pd, ""),
+                           (GoldenName.FM_Fd, " (recorded fixture)")):
+            m = golden(name, d=d)
+            yield _case(
+                f"pairing:{name.value}:d={d}",
+                f"{name.value} preserves the Euler pairing at d={d}{note}",
+                m.transpose() * gram * m, gram)
+
+    # two-by-two reductions
+    for d in degrees:
+        reduced = restrict2(build(GoldenName.FM_Pd, d=d)).matrix
+        yield _case(
+            f"restrict2:FM_Pd:d={d}",
+            f"FM_Pd reduces to [[0,1],[-1,d]] at d={d}",
+            reduced, Mat([[0, 1], [-1, d]]))
+        yield _case(
+            f"restrict2_det:FM_Pd:d={d}",
+            f"the reduction of FM_Pd is unimodular at d={d}",
+            reduced.det(), 1)
+    yield _case(
         "restrict2:A_S", "A_S reduces to the pinned B_S",
-        restrict2(build(GoldenName.A_S)).matrix, golden(GoldenName.B_S)))
-    cases.append(_case(
+        restrict2(build(GoldenName.A_S)).matrix, golden(GoldenName.B_S))
+    yield _case(
         "restrict2:A_TL:D=1,3",
         "the twist by a divisor of fiber degree one reduces to [[1,0],[1,1]]",
         restrict2(build(GoldenName.A_TL, divisor=(1, 3))).matrix,
-        Mat([[1, 0], [1, 1]])))
+        Mat([[1, 0], [1, 1]]))
 
     # SL2(Z) family relations on pseudo-random admissible matrices
     rng = random.Random(_SEED)
@@ -246,16 +245,16 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
         if b * r - a * d > 0 and c > 0:
             slope_checked += 1
             slope_ok = slope_ok and (a * (e * r - c * d) < c * (b * r - a * d))
-    cases.append(_case(
+    yield _case(
         "bridgeland:family_relations",
         "100 pseudo-random admissible families satisfy phi.psi = psi.phi = "
         "xi.omega = omega.xi = -1",
-        relations_ok, True))
-    cases.append(_case(
+        relations_ok, True)
+    yield _case(
         "bridgeland:vb_slope",
         f"the slope inequality a(er-cd) < c(br-ad) held in all "
         f"{slope_checked} applicable samples",
-        slope_ok and slope_checked > 0, True))
+        slope_ok and slope_checked > 0, True)
 
     brute_ok = True
     for r in range(2, 51):
@@ -268,25 +267,24 @@ def run_verify(d_lo: int = 1, d_hi: int = 12) -> VerifyOutcome:
             found = [(a, (1 + a * d) // r) for a in solutions[d % r]]
             if len(found) != 1 or canonical_ab(r, d) != found[0]:
                 brute_ok = False
-    cases.append(_case(
+    yield _case(
         "bridgeland:canonical_ab",
         "canonical (a, b) agrees with brute force for every coprime pair "
         "with 2 <= r <= 50, |d| <= 50",
-        brute_ok, True))
+        brute_ok, True)
 
     # worked Strange Duality example
     worked = bridgeland.FM2(3, 1, -7, -2, 1)
     res = sd_check(Theorem.K3, worked, 6, 0)
-    cases.append(_case(
+    yield _case(
         "sd:worked_pass",
         "phi = [[3,1],[-7,-2]] with fiber degrees (6, 0) passes with margins "
         "(1, 1) and ranks (3, 3)",
         f"margins={res.threshold_margins} ranks=({res.rk_xi_v},{res.rk_phi_w})",
-        "margins=(1, 1) ranks=(3,3)"))
+        "margins=(1, 1) ranks=(3,3)")
     res_fail = sd_check(Theorem.K3, worked, 5, 0)
-    cases.append(_case(
+    yield _case(
         "sd:worked_boundary",
         "the boundary case d_v = 5 fails the strict inequality",
-        f"passed={res_fail.passed}", "passed=False"))
+        f"passed={res_fail.passed}", "passed=False")
 
-    return VerifyOutcome(d_lo, d_hi, tuple(cases))

@@ -12,13 +12,15 @@ each prints one PASS line (visible with pytest -s).
 import json
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
+from fmlat import verify
 from fmlat.chow import CohClass, STANDARD_K3, moduli_dim_k3
 from fmlat.cli import main
+from fmlat.operators import GoldenName
 from fmlat.sd import orthogonal_check
 from fmlat.verify import run_verify
 
@@ -47,6 +49,38 @@ def test_verify_registry_shape(d_lo, d_hi):
 
 def test_passing_case_keeps_one_string_for_both_sides():
     assert all(case.lhs is case.rhs for case in run_verify(1, 3).cases)
+
+
+def _count_calls(monkeypatch, name: str) -> Counter:
+    """Count verify's calls of its imported `name` by their arguments."""
+    calls, real = Counter(), getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls[args + tuple(kwargs.values())] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_cases_stream_in_printed_order(monkeypatch):
+    kernels = _count_calls(monkeypatch, "kernel_class")
+    assert next(verify._cases(1, 64)).id == "golden_vs_built:TensorL1:d=1"
+    assert not kernels
+
+
+@pytest.mark.parametrize("d_lo, d_hi", [(1, 1), (3, 5), (1, 12)])
+def test_cases_are_what_run_verify_returns(d_lo, d_hi):
+    assert tuple(verify._cases(d_lo, d_hi)) == run_verify(d_lo, d_hi).cases
+
+
+def test_each_section_rebuilds_at_most_once_more(monkeypatch):
+    builds = _count_calls(monkeypatch, "build")
+    kernels = _count_calls(monkeypatch, "kernel_class")
+    run_verify(1, 8)
+    for d in range(1, 9):
+        assert 1 <= builds[GoldenName.FM_Pd, d] <= 2
+        assert 1 <= kernels["Pd", d] <= 2
+    assert 1 <= kernels["IDelta",] <= 2
 
 
 def _numbers(text: str) -> tuple[Fraction, ...]:
