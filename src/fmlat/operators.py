@@ -12,9 +12,13 @@ Two elementary families generate everything used here:
 
 Both read the K3's tables from chow's ring record.
 
-Every named matrix (the "golden" grid) exists twice: once as a
-hard-coded literal table, once rebuilt from the elementary generators. The
-verification suite insists the two agree entrywise.
+Every named matrix (the "golden" grid) exists twice: once in golden, once
+rebuilt from the elementary generators. The verification suite insists the
+two agree entrywise. Seven of them, the invertible transforms, share one
+shape: for phi = [[c, a], [e, b]] acting on (rank, fiber degree), an
+integer twist degree k and S = [[0, 1], [-1, 0]], in 2x2 blocks,
+
+    W(phi, k) = [[phi, 0], [k phi + S phi - phi S, phi]].
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable
 from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS, ch_line_bundle,
                    from_coords, render_class, to_coords)
 from .errors import InputError, ReductionError
-from .linalg import Mat, _Record, _expect, _shown, as_int, as_member, qdiv, qvec
+from .linalg import Mat, _Record, _expect, _shown, as_int, as_member, qvec
 
 
 class Operator(_Record):
@@ -191,21 +195,24 @@ def _fm_fd(fm_pd: Operator, d: int) -> Operator:
     return fm_pd + op_pi_tensor(pd_pushforward_twist_class(d))
 
 
+def _w(c, a, e, b, k) -> Mat:
+    """W(phi, k) of the module docstring, for phi = [[c, a], [e, b]]."""
+    return Mat([[c, a, 0, 0],
+                [e, b, 0, 0],
+                [k * c + a + e, k * a + b - c, c, a],
+                [k * e + b - c, k * b - a - e, e, b]])
+
+
 def golden(name: GoldenName, d: int | None = None,
            divisor: Iterable | None = None) -> Mat:
-    """The pinned reference matrix, as a literal table."""
+    """The pinned reference matrix. The seven invertible tables are
+    (phi, k) pairs through _w; Tw_d, PiPushPull, PiPushPullSigma and B_S,
+    which are no W, are literal tables."""
     name, divisor = _check_args(name, d, divisor)
     if name is GoldenName.TensorL1:
-        m = d + 1
-        return Mat([[1, 0, 0, 0],
-                    [m, 1, 0, 0],
-                    [2 * m, 0, 1, 0],
-                    [m * m, 0, m, 1]])
+        return _w(1, 0, d + 1, 1, d + 1)
     if name is GoldenName.TensorSigma:
-        return Mat([[1, 0, 0, 0],
-                    [1, 1, 0, 0],
-                    [0, 0, 1, 0],
-                    [-1, -2, 1, 1]])
+        return _w(1, 0, 1, 1, -1)
     if name is GoldenName.PiPushPull:
         return Mat([[0, 1, 0, 0],
                     [0, 0, 0, 0],
@@ -217,37 +224,21 @@ def golden(name: GoldenName, d: int | None = None,
                     [0, -3, 1, 1],
                     [0, 0, 0, 0]])
     if name is GoldenName.FM_Pd:
-        return Mat([[0, 1, 0, 0],
-                    [-1, d, 0, 0],
-                    [0, 2 * d - 1, 0, 1],
-                    [1, d * d - d, -1, d]])
+        return _w(0, 1, -1, d, d - 1)
     if name is GoldenName.Tw_d:
         return Mat([[d, 0, 0, 0],
                     [-1, d, 0, 0],
                     [d * d + d, 0, d, 0],
                     [-2 * d - 1, d * d + d + 2, -1, d]])
     if name is GoldenName.FM_Fd:
-        return Mat([[-1, d + 1, 0, 0],
-                    [-1, d, 0, 0],
-                    [0, (d + 1) ** 2, -1, d + 1],
-                    [1, d * d - d, -1, d]])
+        return _w(-1, d + 1, -1, d, d)
     if name is GoldenName.A_S:
-        return Mat([[-1, 1, 0, 0],
-                    [0, -1, 0, 0],
-                    [2, -1, -1, 1],
-                    [0, 0, 0, -1]])
+        return _w(-1, 1, 0, -1, -1)
     if name is GoldenName.A_Sprime:
-        return Mat([[1, 1, 0, 0],
-                    [0, 1, 0, 0],
-                    [2, 1, 1, 1],
-                    [0, 0, 0, 1]])
+        return _w(1, 1, 0, 1, 1)
     if name is GoldenName.A_TL:
         s, t = divisor
-        half_sq = qdiv(-2 * s * s + 2 * s * t, 2)
-        return Mat([[1, 0, 0, 0],
-                    [s, 1, 0, 0],
-                    [t, 0, 1, 0],
-                    [half_sq, t - 2 * s, s, 1]])
+        return _w(1, 0, s, 1, t - s)
     if name is GoldenName.B_S:
         return Mat([[-1, 1],
                     [0, -1]])

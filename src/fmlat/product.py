@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS,
-                   ch_line_bundle, from_coords, mult, to_coords)
+from .chow import (_K3_RING, CohClass, STANDARD_K3, UNIT_CLASS, from_coords,
+                   mult, to_coords)
 from .errors import InputError
 from .linalg import Mat, _Record, _expect, _shown, as_member, q, qdiv
-from .operators import _SIGMA_CH, Operator, _check_d, op_tensor
+from .operators import _SIGMA_CH, Operator, op_tensor, pd_line_class
 
 
 class Side(Enum):
@@ -201,11 +201,7 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
         if d is not None:
             raise InputError(f"IDelta takes no kernel degree d, got {_shown(d)}")
         return _PD_BASE
-    _check_d(d)
-    # pull is a ring map: multiply the first-factor line bundles on X first
-    first = mult(STANDARD_K3, ch_line_bundle(STANDARD_K3, (d + 1, 0)),
-                 ch_line_bundle(STANDARD_K3, (0, 2 * (d + 1))))
-    return prod_mult(_PD_BASE_SIGMA, pull(Side.FIRST, first))
+    return prod_mult(_PD_BASE_SIGMA, pull(Side.FIRST, pd_line_class(d)))
 
 
 def fm_matrix(kernel: ProductClass) -> Operator:

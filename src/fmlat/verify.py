@@ -1,7 +1,7 @@
 """The self-contained verification suite behind `fmlat verify`.
 
 Every reference matrix and identity is recomputed along at least two
-independent paths: hard-coded tables against compositions of elementary
+independent paths: the pinned tables against compositions of elementary
 operators, Riemann-Roch transforms of explicit kernel classes on the
 product against the same tables, product-ring fixtures, the SL2(Z) family
 relations, and the Euler-pairing conservation law. A case fails exactly
@@ -134,12 +134,11 @@ def _cases(d_lo: int, d_hi: int) -> Iterator[VerifyCase]:
             f"twist operator for divisor {divisor} matches the pinned table",
             build(GoldenName.A_TL, divisor=divisor).matrix,
             golden(GoldenName.A_TL, divisor=divisor))
-    sigma_ch = chow.ch_line_bundle(STANDARD_K3, (1, 0))
     yield _case(
         "composition:PiPushPullSigma",
         "composing the bare pushforward-pullback with the sigma twist "
         "reproduces the pinned twisted table",
-        (op_pi_tensor(chow.UNIT_CLASS) @ op_tensor(sigma_ch)).matrix,
+        (op_pi_tensor(chow.UNIT_CLASS) @ op_tensor(operators._SIGMA_CH)).matrix,
         golden(GoldenName.PiPushPullSigma))
     yield _case(
         "inverse:A_Sprime",

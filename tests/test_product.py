@@ -10,8 +10,9 @@ from fmlat.chow import (COORD_BASIS, CohClass, FIBER_CLASS, POINT_CLASS,
                         dot, from_coords, mult, todd)
 from fmlat.errors import InputError, UnsupportedModelError
 from fmlat.linalg import Mat
-from fmlat.operators import (IDENTITY, GoldenName, golden, op_pi_tensor,
-                             op_tensor, pd_pushforward_twist_class)
+from fmlat.operators import (_SIGMA_CH, IDENTITY, GoldenName, golden,
+                             op_pi_tensor, op_tensor, pd_line_class,
+                             pd_pushforward_twist_class)
 from fmlat.product import (_PD_BASE, DELTA, F_CROSS_F, PI, POINT, ProductClass,
                            Side, UNIT, _single, diag_push_grr, fm_matrix,
                            kernel_class, prod_mult, product_todd, pull, push,
@@ -301,6 +302,34 @@ def test_fm_idelta_full_matrix_is_pinned():
 def test_fm_pd_matches_pinned_matrix(d):
     op = fm_matrix(kernel_class("Pd", d))
     assert op.matrix == golden(GoldenName.FM_Pd, d=d)
+
+
+# a kernel for every named table but A_Sprime and B_S: delta_*(c) is the
+# kernel of tensoring by c, and ch O of the fiber square, Pi - [f x f], is
+# the kernel of pi^* pi_*
+
+def test_diagonal_pushforwards_transform_to_the_tensor_tables():
+    for d in range(1, 65):
+        assert fm_matrix(diag_push_grr(pd_line_class(d))).matrix == \
+            golden(GoldenName.TensorL1, d=d)
+        assert fm_matrix(diag_push_grr(pd_pushforward_twist_class(d))).matrix == \
+            golden(GoldenName.Tw_d, d=d)
+    assert fm_matrix(diag_push_grr(_SIGMA_CH)).matrix == golden(GoldenName.TensorSigma)
+    for x in range(-5, 6):
+        for y in range(-5, 6):
+            assert fm_matrix(diag_push_grr(ch_line_bundle(S, (x, y)))).matrix == \
+                golden(GoldenName.A_TL, divisor=(x, y))
+
+
+def test_fiber_square_transforms_to_the_pushpull_tables():
+    fiber_square = PI - F_CROSS_F
+    assert fm_matrix(fiber_square).matrix == golden(GoldenName.PiPushPull)
+    sigma_twisted = prod_mult(fiber_square, pull(Side.SECOND, _SIGMA_CH))
+    assert fm_matrix(sigma_twisted).matrix == golden(GoldenName.PiPushPullSigma)
+    for d in range(1, 65):
+        twist = pull(Side.SECOND, pd_pushforward_twist_class(d))
+        kernel = kernel_class("Pd", d) + prod_mult(fiber_square, twist)
+        assert fm_matrix(kernel).matrix == golden(GoldenName.FM_Fd, d=d)
 
 
 def test_symmetric_kernels_read_the_same_in_both_directions():

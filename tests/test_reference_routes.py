@@ -1,11 +1,13 @@
 """The per-basis-vector routes that op_tensor, op_pi_tensor, fm_matrix and
 kernel_class took before they were read off the multiplication table, kept
 here as references: one ring product (`mult` or `prod_mult`) per basis
-vector, with no table in between. Two more routes the package no longer
-takes are kept too: the literal base-curve formula for pi^* pi_*, and the
-inverse of td(X x X) as an alternating series."""
+vector, with no table in between. Three more routes the package no longer
+takes are kept too: the literal base-curve formula for pi^* pi_*, the
+inverse of td(X x X) as an alternating series, and the literal tables of
+the seven invertible golden names, which golden writes as W(phi, k)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from fmlat.chow import (_K3_RING, COORD_BASIS, STANDARD_K3, UNIT_CLASS,
                         ch_line_bundle, from_coords, mult, render_class,
                         to_coords, todd)
-from fmlat.linalg import Mat
-from fmlat.operators import Operator, op_pi_tensor, op_tensor
+from fmlat.linalg import Mat, qdiv
+from fmlat.operators import GoldenName, Operator, golden, op_pi_tensor, op_tensor
 from fmlat.product import (DELTA, F_CROSS_F, PI, POINT, ProductClass, Side,
                            UNIT, diag_push_grr, fm_matrix, kernel_class,
                            prod_mult, product_todd, pull, push)
@@ -120,3 +122,67 @@ def test_kernel_pd_matches_reference(d):
 
 def test_kernel_idelta_transforms_match_reference():
     assert_both_directions_match_reference(kernel_class("IDelta"))
+
+
+def reference_golden(name, d=None, divisor=None):
+    if name is GoldenName.TensorL1:
+        m = d + 1
+        return Mat([[1, 0, 0, 0],
+                    [m, 1, 0, 0],
+                    [2 * m, 0, 1, 0],
+                    [m * m, 0, m, 1]])
+    if name is GoldenName.TensorSigma:
+        return Mat([[1, 0, 0, 0],
+                    [1, 1, 0, 0],
+                    [0, 0, 1, 0],
+                    [-1, -2, 1, 1]])
+    if name is GoldenName.FM_Pd:
+        return Mat([[0, 1, 0, 0],
+                    [-1, d, 0, 0],
+                    [0, 2 * d - 1, 0, 1],
+                    [1, d * d - d, -1, d]])
+    if name is GoldenName.FM_Fd:
+        return Mat([[-1, d + 1, 0, 0],
+                    [-1, d, 0, 0],
+                    [0, (d + 1) ** 2, -1, d + 1],
+                    [1, d * d - d, -1, d]])
+    if name is GoldenName.A_S:
+        return Mat([[-1, 1, 0, 0],
+                    [0, -1, 0, 0],
+                    [2, -1, -1, 1],
+                    [0, 0, 0, -1]])
+    if name is GoldenName.A_Sprime:
+        return Mat([[1, 1, 0, 0],
+                    [0, 1, 0, 0],
+                    [2, 1, 1, 1],
+                    [0, 0, 0, 1]])
+    if name is GoldenName.A_TL:
+        s, t = divisor
+        half_sq = qdiv(-2 * s * s + 2 * s * t, 2)
+        return Mat([[1, 0, 0, 0],
+                    [s, 1, 0, 0],
+                    [t, 0, 1, 0],
+                    [half_sq, t - 2 * s, s, 1]])
+    raise AssertionError(f"{name} has no reference table")
+
+
+@pytest.mark.parametrize("name", [GoldenName.TensorL1, GoldenName.FM_Pd,
+                                  GoldenName.FM_Fd], ids=lambda name: name.value)
+def test_golden_d_families_match_the_literal_tables(name):
+    for d in range(1, 65):
+        assert golden(name, d=d) == reference_golden(name, d=d)
+
+
+@pytest.mark.parametrize("name", [GoldenName.TensorSigma, GoldenName.A_S,
+                                  GoldenName.A_Sprime], ids=lambda name: name.value)
+def test_golden_fixed_names_match_the_literal_tables(name):
+    assert golden(name) == reference_golden(name)
+
+
+def test_golden_twist_matches_the_literal_table_on_a_fractional_box():
+    values = sorted({Fraction(n, m) for n in range(-6, 7) for m in (1, 2, 3)})
+    for s in values:
+        for t in values:
+            divisor = (s, t)
+            assert golden(GoldenName.A_TL, divisor=divisor) == \
+                reference_golden(GoldenName.A_TL, divisor=divisor)
