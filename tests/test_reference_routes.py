@@ -166,11 +166,11 @@ def reference_golden(name, d=None, divisor=None):
     raise AssertionError(f"{name} has no reference table")
 
 
+@pytest.mark.parametrize("d", range(1, 65))
 @pytest.mark.parametrize("name", [GoldenName.TensorL1, GoldenName.FM_Pd,
                                   GoldenName.FM_Fd], ids=lambda name: name.value)
-def test_golden_d_families_match_the_literal_tables(name):
-    for d in range(1, 65):
-        assert golden(name, d=d) == reference_golden(name, d=d)
+def test_golden_d_families_match_the_literal_tables(name, d):
+    assert golden(name, d=d) == reference_golden(name, d=d)
 
 
 @pytest.mark.parametrize("name", [GoldenName.TensorSigma, GoldenName.A_S,
