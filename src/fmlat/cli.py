@@ -239,25 +239,19 @@ def _report_json(report: SDReport) -> dict:
             "margins": margins, "notes": list(report.notes)}
 
 
-def _report_text(report: SDReport) -> str:
-    lines = [
-        f"phi = [[{report.phi.c},{report.phi.a}],[{report.phi.e},{report.phi.b}]]"
-        f"   lambda = {report.phi.lam}",
-        f"d_v = {report.d_v}   d_w = {report.d_w}",
-        f"rk_xi_v = {report.check.rk_xi_v}   rk_phi_w = {report.check.rk_phi_w}",
-    ]
-    if report.orthogonal is not None:
-        lines.append(f"orthogonal = {report.orthogonal}   "
-                     f"base_case = {report.base_case}")
-    for theorem in Theorem:
-        line = f"{theorem.value}: {_verdict(report, theorem)}"
-        if theorem is report.check.theorem:
-            line += f"   threshold margins {report.check.threshold_margins}"
-            if theorem is Theorem.K3:
-                line += f"   rank margins {report.check.rank_margins}"
-        lines.append(line)
-    for note in report.notes:
-        lines.append(f"note: {note}")
+def _report_text(doc: dict) -> str:
+    """The sd-check text, laid out from the document _report_json built."""
+    c, a, e, b = doc["phi"]
+    lines = [f"phi = [[{c},{a}],[{e},{b}]]   lambda = {doc['lambda']}",
+             f"d_v = {doc['d_v']}   d_w = {doc['d_w']}",
+             f"rk_xi_v = {doc['rk_xi_v']}   rk_phi_w = {doc['rk_phi_w']}"]
+    if doc["orthogonal"] is not None:
+        lines.append(f"orthogonal = {doc['orthogonal']}   base_case = {doc['base_case']}")
+    for theorem, verdict in doc["checks"].items():
+        lines.append(f"{theorem}: {verdict}" + "".join(
+            f"   {kind} margins {tuple(margins)}"
+            for kind, margins in (doc["margins"][theorem] or {}).items()))
+    lines += [f"note: {note}" for note in doc["notes"]]
     return "\n".join(lines)
 
 
@@ -276,7 +270,8 @@ def _cmd_sd_check(args) -> int:
         raise InputError("--attest-no-higher-cohomology needs --v and --w")
     report = build_report(phi, args.dv, args.dw, args.theorem,
                           pair=pair, t_v=args.tv, t_w=args.tw)
-    _emit(_report_json(report), args.json, _report_text(report))
+    doc = _report_json(report)
+    _emit(doc, args.json, _report_text(doc))
     return EXIT_OK if report.check.passed else EXIT_CHECK_FAILED
 
 

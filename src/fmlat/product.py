@@ -201,6 +201,8 @@ def kernel_class(kind: str, d: int | None = None) -> ProductClass:
         if d is not None:
             raise InputError(f"IDelta takes no kernel degree d, got {_shown(d)}")
         return _PD_BASE
+    if d is None:
+        raise InputError("Pd needs a kernel degree d")
     return prod_mult(_PD_BASE_SIGMA, pull(Side.FIRST, pd_line_class(d)))
 
 

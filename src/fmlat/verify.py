@@ -83,13 +83,19 @@ def _mat_str(m: Mat) -> str:
 
 
 def _case(case_id: str, description: str, lhs, rhs) -> VerifyCase:
-    """The case lhs = rhs. A Mat side prints as _mat_str, and a failing Mat
-    case names its first difference; any other side prints as str. A
-    passing case keeps one string for both sides."""
+    """The case lhs = rhs, the one place a side becomes text. A Mat side
+    prints as _mat_str, and a failing Mat case names its first difference;
+    a CohClass prints through render_class, a ProductClass through
+    render_product_class, and any other side as str. A passing case keeps
+    one string for both sides."""
     if isinstance(lhs, Mat):
         if lhs != rhs:
             description = f"{description} ({_first_diff(lhs, rhs)})"
         lhs, rhs = _mat_str(lhs), _mat_str(rhs)
+    elif isinstance(lhs, chow.CohClass):
+        lhs, rhs = render_class(lhs), render_class(rhs)
+    elif isinstance(lhs, product.ProductClass):
+        lhs, rhs = render_product_class(lhs), render_product_class(rhs)
     lhs, rhs = str(lhs), str(rhs)
     return VerifyCase(case_id, description, lhs, lhs if lhs == rhs else rhs)
 
@@ -164,20 +170,17 @@ def _cases(d_lo: int, d_hi: int) -> Iterator[VerifyCase]:
                    + 2 * pull(Side.FIRST, chow.POINT_CLASS) + 4 * product.POINT)
     yield _case(
         "product:todd", "Todd class of the product is 1 + 2[X x *] + 2[* x X] + 4[*]",
-        render_product_class(product.product_todd()),
-        render_product_class(td_expected))
+        product.product_todd(), td_expected)
     yield _case(
         "product:diag_unit",
         "diagonal pushforward of the unit class is Delta - 2[*]",
-        render_product_class(product.diag_push_grr(chow.UNIT_CLASS)),
-        render_product_class(product.DELTA - 2 * product.POINT))
+        product.diag_push_grr(chow.UNIT_CLASS), product.DELTA - 2 * product.POINT)
     idelta_expected = (product.PI - product.F_CROSS_F - product.DELTA
                        + 2 * product.POINT)
     yield _case(
         "product:idelta",
         "diagonal-ideal kernel class is Pi - [f x f] - Delta + 2[*]",
-        render_product_class(kernel_class("IDelta")),
-        render_product_class(idelta_expected))
+        kernel_class("IDelta"), idelta_expected)
     todd_first = pull(Side.FIRST, chow.todd(STANDARD_K3))
     for d in degrees:
         pushed = push(Side.SECOND, prod_mult(kernel_class("Pd", d), todd_first))
@@ -186,14 +189,13 @@ def _cases(d_lo: int, d_hi: int) -> Iterator[VerifyCase]:
             f"product:pd_pushforward:d={d}",
             f"pushforward of the degree-{d} kernel has class "
             f"(d, -sigma+(d^2-d)f, 1-2d)",
-            render_class(pushed), render_class(expected))
+            pushed, expected)
         twisted = mult(STANDARD_K3, pushed,
                        chow.ch_line_bundle(STANDARD_K3, (0, 2)))
         yield _case(
             f"product:pd_pushforward_twist:d={d}",
             f"its relative-dualizing twist equals the pinned twist class at d={d}",
-            render_class(twisted),
-            render_class(operators.pd_pushforward_twist_class(d)))
+            twisted, operators.pd_pushforward_twist_class(d))
 
     # pairing conservation; recorded fixture: the rank-(d+1) kernel
     # transform preserves it too
@@ -229,48 +231,36 @@ def _cases(d_lo: int, d_hi: int) -> Iterator[VerifyCase]:
 
     # SL2(Z) family relations on pseudo-random admissible matrices
     rng = random.Random(_SEED)
+    draws = [(random_admissible(rng), rng.randint(1, 12), rng.randint(-12, 12))
+             for _ in range(100)]
     neg_id = -Mat.identity(2)
-    relations_ok = True
-    slope_ok = True
-    slope_checked = 0
-    for _ in range(100):
-        phi = random_admissible(rng)
-        m, psi, omega, xi = phi.matrix, phi.psi, phi.omega, phi.xi
-        relations_ok = relations_ok and (
-            m * psi == psi * m == neg_id == xi * omega == omega * xi)
-        r = rng.randint(1, 12)
-        d = rng.randint(-12, 12)
-        c, a, e, b = phi.entries()
-        if b * r - a * d > 0 and c > 0:
-            slope_checked += 1
-            slope_ok = slope_ok and (a * (e * r - c * d) < c * (b * r - a * d))
     yield _case(
         "bridgeland:family_relations",
         "100 pseudo-random admissible families satisfy phi.psi = psi.phi = "
         "xi.omega = omega.xi = -1",
-        relations_ok, True)
+        all(m * psi == psi * m == neg_id == xi * omega == omega * xi
+            for phi, _, _ in draws
+            for m, psi, omega, xi in [(phi.matrix, phi.psi, phi.omega, phi.xi)]),
+        True)
+    slopes = [(c, a, e, b, r, d) for phi, r, d in draws
+              for c, a, e, b in [phi.entries()] if b * r - a * d > 0 and c > 0]
     yield _case(
         "bridgeland:vb_slope",
         f"the slope inequality a(er-cd) < c(br-ad) held in all "
-        f"{slope_checked} applicable samples",
-        slope_ok and slope_checked > 0, True)
+        f"{len(slopes)} applicable samples",
+        len(slopes) > 0 and all(a * (e * r - c * d) < c * (b * r - a * d)
+                                for c, a, e, b, r, d in slopes), True)
 
-    brute_ok = True
-    for r in range(2, 51):
-        # (1 + a.d) mod r depends on d mod r alone: scan a once per residue
-        solutions = {x: [a for a in range(1, r) if (1 + a * x) % r == 0]
-                     for x in range(r) if math.gcd(r, x) == 1}
-        for d in range(-50, 51):
-            if math.gcd(r, d) != 1:
-                continue
-            found = [(a, (1 + a * d) // r) for a in solutions[d % r]]
-            if len(found) != 1 or canonical_ab(r, d) != found[0]:
-                brute_ok = False
+    # (1 + a.d) mod r depends on d mod r alone: scan a once per residue,
+    # one r's table at a time
+    tables = ((r, {x: [a for a in range(1, r) if (1 + a * x) % r == 0]
+                   for x in range(r) if math.gcd(r, x) == 1}) for r in range(2, 51))
     yield _case(
         "bridgeland:canonical_ab",
         "canonical (a, b) agrees with brute force for every coprime pair "
         "with 2 <= r <= 50, |d| <= 50",
-        brute_ok, True)
+        all([(a, (1 + a * d) // r) for a in table[d % r]] == [canonical_ab(r, d)]
+            for r, table in tables for d in range(-50, 51) if math.gcd(r, d) == 1), True)
 
     # worked Strange Duality example
     worked = bridgeland.FM2(3, 1, -7, -2, 1)

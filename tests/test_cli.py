@@ -481,6 +481,32 @@ def test_sd_check_general_defaults_dimensions_on_k3(capsys, k3_file):
     assert "defaulted" in out
 
 
+FOUR_NOTES = [
+    "no-higher-cohomology attestation missing; base case cannot hold",
+    "supplied fiber degrees (9, 0) disagree with the classes (0, 1)",
+    "kernel matrix lambda 2 disagrees with the surface's lambda 1",
+    "general-surface dimensions defaulted to the K3 moduli dimension formula"]
+
+
+def test_sd_check_text_with_every_note(capsys, k3_file):
+    # classes without attestation, fiber degrees and lambda that disagree
+    # with them, and defaulted dimensions: a failing general check
+    argv = ["sd-check", "--phi", "5,2,-8,-3", "--lambda", "2", "--dv", "9",
+            "--dw", "0", "--surface", k3_file, "--v", "1,0,0,-2",
+            "--w", "1,1,4,0", "--theorem", "general"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (1, "".join(f"{line}\n" for line in [
+        "phi = [[5,2],[-8,-3]]   lambda = 2",
+        "d_v = 9   d_w = 0",
+        "rk_xi_v = 13   rk_phi_w = 5",
+        "orthogonal = True   base_case = False",
+        "k3: not-evaluated",
+        "general: fail   threshold margins (5, -7)",
+        *(f"note: {note}" for note in FOUR_NOTES)]))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert (code, json.loads(out)["notes"]) == (1, FOUR_NOTES)
+
+
 def test_sd_check_general_without_dimensions_errors(capsys):
     code, _, err = run(capsys, "sd-check", "--phi", "3,1,-7,-2",
                        "--dv", "6", "--dw", "0", "--theorem", "general")

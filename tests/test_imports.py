@@ -222,3 +222,21 @@ def test_only_the_cli_writes_documents():
             elif isinstance(node, ast.FunctionDef) and node.name == "to_json":
                 found.append(f"{path.name}:{node.lineno}: to_json")
     assert found == []
+
+
+def test_each_result_is_rendered_in_one_place():
+    # verify._case alone turns a side into text, and cli._report_json alone
+    # decides the sd-check verdict words that the text then lays out
+    where = {"verify.py": {"render_class", "render_product_class", "_mat_str"},
+             "cli.py": {"_verdict"}}
+    calls = set()
+    for name, renderers in where.items():
+        tree = ast.parse((pathlib.Path(fmlat.__file__).parent / name)
+                         .read_text(encoding="utf-8"))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        calls |= {f"{name}:{owner.get(id(node), '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in renderers}
+    assert calls == {"verify.py:_case", "cli.py:_report_json"}

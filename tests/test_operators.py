@@ -300,12 +300,6 @@ def test_w_is_a_group_law_of_pairing_isometries():
         assert w.transpose() * g * w == g
 
 
-def test_pairing_gram_conjugation_is_exact():
-    g = pairing_gram()
-    m = golden(GoldenName.FM_Pd, d=4)
-    assert m.transpose() * g * m == g
-
-
 # decomposition identity
 
 @pytest.mark.parametrize("d", D_RANGE)

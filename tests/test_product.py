@@ -273,6 +273,12 @@ def test_kernel_pd_requires_positive_degree():
             kernel_class("Pd", bad)
 
 
+def test_kernel_pd_needs_a_degree():
+    # as build("FM_Pd") says "FM_Pd needs a kernel degree d"
+    with pytest.raises(InputError, match=r"^Pd needs a kernel degree d$"):
+        kernel_class("Pd")
+
+
 def test_kernel_idelta_takes_no_degree():
     # as build and golden reject d for a name outside _NEEDS_D
     for bad in (5, 1, "x", 0):
@@ -291,17 +297,6 @@ def test_kernel_unknown_kind():
 def test_fm_idelta_on_unit():
     op = fm_matrix(kernel_class("IDelta"))
     assert op.apply(UNIT_CLASS) == from_coords((-1, 0, 2, 0))
-
-
-def test_fm_idelta_full_matrix_is_pinned():
-    op = fm_matrix(kernel_class("IDelta"))
-    assert op.matrix == golden(GoldenName.A_S)
-
-
-@pytest.mark.parametrize("d", range(1, 7))
-def test_fm_pd_matches_pinned_matrix(d):
-    op = fm_matrix(kernel_class("Pd", d))
-    assert op.matrix == golden(GoldenName.FM_Pd, d=d)
 
 
 # a kernel for every named table but A_Sprime and B_S: delta_*(c) is the
