@@ -299,6 +299,12 @@ def test_fm_idelta_on_unit():
     assert op.apply(UNIT_CLASS) == from_coords((-1, 0, 2, 0))
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_fm_pd_matches_pinned_matrix(d):
+    op = fm_matrix(kernel_class("Pd", d))
+    assert op.matrix == golden(GoldenName.FM_Pd, d=d)
+
+
 # a kernel for every named table but A_Sprime and B_S: delta_*(c) is the
 # kernel of tensoring by c, and ch O of the fiber square, Pi - [f x f], is
 # the kernel of pi^* pi_*
