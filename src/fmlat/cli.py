@@ -13,10 +13,8 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from . import verify as verify_mod
 from .bridgeland import FM2
 from .chow import (CohClass, SurfaceDescriptor, chi_tensor,
                    integrality_warnings, load_surface)
@@ -71,6 +69,16 @@ def _resolve_surface(path: str | None) -> SurfaceDescriptor:
     if not path:
         raise InputError("no surface file given (use --surface or FMLAT_SURFACE)")
     return load_surface(path)
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string, the bytes json.dumps writes. Printable ASCII
+    without a quote or a backslash needs no escape, so json is imported
+    only for a string that does."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+    return json.dumps(s)
 
 
 def _write_json(doc) -> None:
@@ -151,14 +159,16 @@ def _emit(doc, json_mode: bool, text: str) -> None:
         print(text)
 
 
-def _case_lines(case: verify_mod.VerifyCase) -> str:
+def _case_lines(case) -> str:
+    """A verify.VerifyCase as text: one line, and its two sides if it failed."""
     line = f"[{'PASS' if case.passed else 'FAIL'}] {case.id}  {case.description}\n"
     return line if case.passed else f"{line}       lhs: {case.lhs}\n       rhs: {case.rhs}\n"
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify   # verify and product load for this command alone
     d_lo, d_hi = _parse_d_range(args.d_range)
-    outcome = verify_mod.run_verify(d_lo, d_hi)
+    outcome = run_verify(d_lo, d_hi)
     if args.json:
         _write_json({"schema": 1, "suite": _SUITE, "d_range": [d_lo, d_hi],
                      "cases": ({"id": case.id, "description": case.description,

@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import fmlat
 
 from helpers import K3_CFG
@@ -60,6 +62,12 @@ def test_every_public_name_is_used_elsewhere_in_the_package():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def child(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of code, with the package on its path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+
+
 # dataclasses pulls in inspect, and with it ast, dis and tokenize: about 25 ms
 # of every CLI call's start-up.
 HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -68,10 +76,7 @@ HEAVY_AT_STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 def test_cli_startup_imports_nothing_heavy():
     code = ("import sys, fmlat.cli; "
             f"print(sorted(set(sys.modules) & set({HEAVY_AT_STARTUP!r})))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": SRC},
-                          timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert child(code).stdout.strip() == "[]"
 
 
 def run_in_child(calls) -> tuple[list[int], list[str], str]:
@@ -81,9 +86,7 @@ def run_in_child(calls) -> tuple[list[int], list[str], str]:
     code = ("import sys\nbefore = set(sys.modules)\nfrom fmlat.cli import main\n"
             f"codes = [main(argv) for argv in {calls!r}]\n"
             "print((codes, sorted(set(sys.modules) - before)), file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": SRC},
-                          timeout=60, check=True)
+    done = child(code)
     codes, imported = ast.literal_eval(done.stderr.splitlines()[-1])
     return codes, imported, done.stdout
 
@@ -132,6 +135,83 @@ def test_integer_calls_never_import_fractions(tmp_path):
     assert codes == [0, 0]
     assert set(imported) >= set(FRACTION_MODULES)
     assert stdout == "1/2, 1/2, 0, -1/2\n3/2\n"
+
+
+# json is a package and a C accelerator that a document of printable ASCII
+# strings never needs, so cli._quote imports it only for a string that needs
+# an escape; product and verify hold verify's layers and no other command's.
+VERIFY_LAYERS = ("fmlat.product", "fmlat.verify")
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    surface = tmp_path / "k3.cfg"
+    surface.write_text(K3_CFG, encoding="utf-8")
+    pair = ["--surface", str(surface), "--v", "1,6,0,-37", "--w", "1,0,6,-1"]
+    calls = [["matrix", "FM_Pd", "--d", "2"], ["matrix", "A_TL", "--divisor", "1/2,1"],
+             ["transform", "--matrix", "TensorSigma", "--vector", "1/2,0,0,0"],
+             ["chi", "--surface", str(surface), "--v", "1,0,0,-2", "--w", "1,0,0,0"],
+             ["sd-check", "--phi", "3,1,-7,-2", "--dv", "6", "--dw", "0", *pair],
+             ["search", "--lambda", "1", "--bound", "8"],
+             ["search", "--lambda", "1", "--bound", "8", "--dv", "6", "--dw", "0"]]
+    calls += [[*argv, "--json"] for argv in calls]
+    codes, imported, _ = run_in_child(calls)
+    assert codes == [0] * len(calls)
+    assert set(imported) & {"json", *VERIFY_LAYERS} == set()
+    codes, imported, _ = run_in_child([["verify", "--d-range", "1..1", "--json"]])
+    assert codes == [0]
+    assert set(imported) >= set(VERIFY_LAYERS) and "json" not in imported
+
+
+def test_a_string_that_needs_an_escape_is_written_by_json(tmp_path):
+    surface = tmp_path / "k3.cfg"
+    surface.write_text(K3_CFG.replace("standard-k3", "k3-\u00e9"), encoding="utf-8")
+    codes, imported, stdout = run_in_child(
+        [["chi", "--surface", str(surface), "--v", "1,0,0,-2", "--w", "1,0,0,0", "--json"]])
+    assert codes == [0]
+    assert "json" in imported
+    assert stdout == ('{\n  "schema": 1,\n  "surface": "k3-\\u00e9",\n'
+                      '  "v": [\n    1,\n    0,\n    0,\n    -2\n  ],\n'
+                      '  "w": [\n    1,\n    0,\n    0,\n    0\n  ],\n  "chi": 0\n}\n')
+
+
+# What `import fmlat` offers, from the modules that define it. Each name is
+# looked up on access, so the import itself loads none of those modules.
+EXPORTS = {
+    "bridgeland": ["FM2", "GenBiratClass", "canonical_ab", "gen_birat_classify"],
+    "chow": ["CohClass", "STANDARD_K3", "SurfaceDescriptor", "ch_line_bundle",
+             "chi_tensor", "dual", "fdeg", "from_coords", "is_standard_k3",
+             "load_surface", "moduli_dim_k3", "mult", "pairing_gram",
+             "parse_surface", "to_coords", "todd"],
+    "errors": ["AdmissibilityError", "CoprimalityError", "FmlatError", "InputError",
+               "ReductionError", "SingularMatrixError", "UnsupportedModelError"],
+    "linalg": ["Mat"],
+    "operators": ["GoldenName", "Operator", "build", "golden", "op_pi_tensor",
+                  "op_tensor", "restrict2"],
+    "product": ["ProductClass", "Side", "diag_push_grr", "fm_matrix", "kernel_class",
+                "prod_mult", "product_todd", "pull", "push", "render_product_class"],
+    "sd": ["SDCheckResult", "SDPair", "SDReport", "SearchTarget", "Theorem",
+           "build_report", "mo_base_check", "orthogonal_check", "sd_check",
+           "search_phi", "transformed_ranks"],
+    "verify": ["VerifyCase", "VerifyOutcome", "run_verify"],
+}
+
+
+def test_importing_the_package_loads_no_module():
+    # a submodule is no export, so `from fmlat import verify` still imports it
+    code = ("import sys, fmlat\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fmlat.')))\n"
+            "from fmlat import verify\nprint(verify.__name__)")
+    assert child(code).stdout.split() == ["[]", "fmlat.verify"]
+
+
+def test_the_package_exports_each_name_from_its_module():
+    assert fmlat.__all__ == [name for names in EXPORTS.values() for name in names]
+    for module, names in EXPORTS.items():
+        for name in names:
+            assert getattr(fmlat, name) is getattr(getattr(fmlat, module), name)
+    assert set(fmlat.__all__) <= set(dir(fmlat))
+    with pytest.raises(AttributeError):
+        fmlat.nope
 
 
 def test_outside_integers_have_one_grammar():
