@@ -25,8 +25,7 @@ import math
 import random
 from enum import Enum
 
-from .errors import (AdmissibilityError, CoprimalityError, FmlatError,
-                     InputError)
+from .errors import AdmissibilityError, CoprimalityError, InputError
 from .linalg import Mat, _Record, _expect, _shown, as_int
 
 
@@ -100,10 +99,7 @@ def canonical_ab(r: int, d: int) -> tuple[int, int]:
         raise CoprimalityError(f"gcd({_shown(r)}, {_shown(d)}) = "
                                f"{_shown(math.gcd(r, d))}, must be 1")
     a = (-pow(d, -1, r)) % r
-    b = (1 + a * d) // r
-    if not (0 < a < r and b * r - a * d == 1):
-        raise FmlatError(f"canonical_ab({r}, {d}) computed a = {a}, b = {b}")
-    return a, b
+    return a, (1 + a * d) // r
 
 
 class GenBiratClass(Enum):

@@ -64,9 +64,7 @@ class SurfaceDescriptor(_Record):
             if sum(s * d for s, d in zip(section, degs)) != 1:
                 raise InputError("section: section.fiber must equal 1")
         if lam is None:
-            lam = 0
-            for d in degs:
-                lam = math.gcd(lam, abs(d))
+            lam = math.gcd(*degs)
             if lam == 0:
                 raise InputError("lambda: fiber pairs to zero with the whole lattice, "
                                  "smallest fiber degree is undefined")
@@ -151,9 +149,6 @@ class CohClass(_Record):
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-1) * _expect("operand", CohClass, other)
-
-    def __neg__(self) -> "CohClass":
-        return (-1) * self
 
     def __rmul__(self, k) -> "CohClass":
         k = q(k)

@@ -48,9 +48,6 @@ class ProductClass(_Record):
     def __sub__(self, other: "ProductClass") -> "ProductClass":
         return self + (-1) * _expect("operand", ProductClass, other)
 
-    def __neg__(self) -> "ProductClass":
-        return (-1) * self
-
     def __rmul__(self, k) -> "ProductClass":
         k = q(k)
         return ProductClass(k * self.decomp, k * self.delta)

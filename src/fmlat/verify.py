@@ -69,13 +69,12 @@ class VerifyOutcome(_Record):
 
 
 def _first_diff(a: Mat, b: Mat) -> str:
-    if a.n_rows != b.n_rows or a.n_cols != b.n_cols:
-        return f"shape {a.n_rows}x{a.n_cols} vs {b.n_rows}x{b.n_cols}"
-    for i in range(a.n_rows):
-        for j in range(a.n_cols):
-            if a.rows[i][j] != b.rows[i][j]:
-                return f"first difference at [{i}][{j}]: {a.rows[i][j]} vs {b.rows[i][j]}"
-    return ""
+    """The first entry where unequal tables differ, or else their shapes."""
+    for i, (row_a, row_b) in enumerate(zip(a.rows, b.rows)):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x != y:
+                return f"first difference at [{i}][{j}]: {x} vs {y}"
+    return f"shape {a.n_rows}x{a.n_cols} vs {b.n_rows}x{b.n_cols}"
 
 
 def _mat_str(m: Mat) -> str:

@@ -20,6 +20,7 @@ import pytest
 from fmlat import verify
 from fmlat.chow import CohClass, STANDARD_K3, moduli_dim_k3
 from fmlat.cli import main
+from fmlat.linalg import Mat
 from fmlat.operators import GoldenName
 from fmlat.sd import orthogonal_check
 from fmlat.verify import run_verify
@@ -49,6 +50,12 @@ def test_verify_registry_shape(d_lo, d_hi):
 
 def test_passing_case_keeps_one_string_for_both_sides():
     assert all(case.lhs is case.rhs for case in run_verify(1, 3).cases)
+
+
+def test_first_diff_names_the_first_unequal_entry_or_else_the_shapes():
+    assert verify._first_diff(Mat.identity(2), Mat.identity(3)) == "shape 2x2 vs 3x3"
+    assert (verify._first_diff(Mat([[1, 0], [0, 1]]), Mat([[1, 0], [0, 5]]))
+            == "first difference at [1][1]: 1 vs 5")
 
 
 def _count_calls(monkeypatch, name: str) -> Counter:

@@ -285,6 +285,17 @@ def test_random_admissible_respects_lambda():
         assert phi.e % 2 == 0 and phi.lam == 2
 
 
+def test_random_admissible_redraws_above_the_bound():
+    # with no bound given, some of these draws have an entry above 2
+    assert any(max(map(abs, random_admissible(random.Random(seed)).entries())) > 2
+               for seed in range(200))
+    for seed in range(200):
+        phi = random_admissible(random.Random(seed), bound=2)
+        c, a, e, b = phi.entries()
+        assert c * b - a * e == 1 and a > 0 and e % phi.lam == 0
+        assert max(map(abs, phi.entries())) <= 2
+
+
 @pytest.mark.parametrize("seed, kwargs, first, digest", [
     (74207281, {}, [(-2, 3, -1, 1), (-5, 1, -6, 1), (5, 2, -18, -7)],
      "cf5305e0087a92815a069388773caf7f0da3e6982ff9b586b4c0d1982e826b8a"),

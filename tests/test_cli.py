@@ -776,6 +776,14 @@ def test_an_abbreviated_flag_is_named_as_unrecognized(capsys, line):
     assert err.endswith(ABBREVIATED_MESSAGES[line]) and "Traceback" not in err
 
 
+def test_a_switch_given_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--json=1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("fmlat verify: error: argument --json: ignored explicit argument '1'\n")
+
+
 @pytest.mark.parametrize("help_flag", ["-h", "--help"])
 @pytest.mark.parametrize("command", ["verify", "matrix", "transform", "chi",
                                      "sd-check", "search"])

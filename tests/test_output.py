@@ -236,8 +236,9 @@ def test_parsing_a_command_line_costs_little_memory(cached_env):
     assert {code for code, _ in runs} == {0}
     extra = statistics.median(cli - imported for (_, imported), (_, cli)
                               in zip(runs[::2], runs[1::2]))
-    # runpy, fmlat.cli with its json.encoder import, and one small command
-    # peak 0.1 to 0.3 MiB above the package import (medians of four repeats);
+    # runpy, fmlat.cli (which imports json only for a string that needs an
+    # escape) and one small command peak 0.1 to 0.3 MiB above the package
+    # import (medians of four repeats);
     # with argparse, the gettext lookup that imports locale and a built
     # six-command parser, the same call peaked about 0.9 MiB above it
     assert extra < 384
